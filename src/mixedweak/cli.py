@@ -25,7 +25,7 @@ import numpy as np
 
 from ._errors import ConfigurationError, MixedWeakError, PreflightError
 from .czd import cz_decompose, validate_decomposition
-from .grid import THIRD_SHIFTS, make_grid, sample
+from .grid import THIRD_SHIFTS, Grid, make_grid, sample
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import hilbert
 from .verify import (
@@ -43,12 +43,10 @@ from .verify import (
     theorem3_set_partition,
     weak_lhs,
 )
-from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, fundamental_ratio
+from .weights import ConstantEstimate, Weight, _stability, bmo_norm, estimate_Ap, fundamental_ratio
 from .young import Identity, LLogL
 
 __all__ = ["main", "parse_config", "read_config"]
-
-STABILITY_BAR = 0.2
 
 _SECTION_KEYS: dict[str, set[str]] = {
     "grid": {"L", "J"},
@@ -132,21 +130,9 @@ def _converted(entries: dict[tuple[str, str], str]) -> dict[str, object]:
 def parse_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig:
     """Merge config-file entries with flag overrides (flags win)."""
     kwargs = _converted(read_config(path)) if path else {}
-    for flag, name in (
-        ("grid_L", "L"),
-        ("grid_J", "J"),
-        ("m", "m"),
-        ("r", "r"),
-        ("delta", "delta"),
-        ("beta", "beta"),
-        ("t_min", "t_min"),
-        ("t_max", "t_max"),
-        ("t_steps", "steps"),
-        ("jmax", "j_max"),
-        ("margin", "margin"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
+    # each flag's dest is the ExperimentConfig field it sets
+    for name in ("L", "J", "m", "r", "delta", "beta", "t_min", "t_max", "steps", "j_max", "margin"):
+        value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
     if getattr(args, "shifts", None) is not None:
@@ -161,19 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="section.key = value config file")
     shared.add_argument("--out", metavar="DIR", default="reports", help="report directory")
     shared.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    shared.add_argument("--grid-J", dest="grid_J", type=int, metavar="INT")
-    shared.add_argument("--grid-L", dest="grid_L", type=float, metavar="REAL")
+    shared.add_argument("--grid-J", dest="J", type=int, metavar="INT")
+    shared.add_argument("--grid-L", dest="L", type=float, metavar="REAL")
     shared.add_argument("--m", type=int, metavar="INT", help="commutator order")
     shared.add_argument("--r", type=float, metavar="REAL", help="Young power exponent")
     shared.add_argument("--delta", type=float, metavar="REAL", help="Young log exponent")
     shared.add_argument("--beta", type=float, metavar="REAL", help="power-weight exponent")
     shared.add_argument("--t-min", dest="t_min", type=float, metavar="REAL")
     shared.add_argument("--t-max", dest="t_max", type=float, metavar="REAL")
-    shared.add_argument("--t-steps", dest="t_steps", type=int, metavar="INT")
-    shared.add_argument("--jmax", type=int, metavar="INT", help="coarsest scan depth")
+    shared.add_argument("--t-steps", dest="steps", type=int, metavar="INT")
+    shared.add_argument("--jmax", dest="j_max", type=int, metavar="INT", help="coarsest scan depth")
     shared.add_argument("--shifts", choices=("1", "3"), help="dyadic grids per scan")
     shared.add_argument("--margin", type=float, metavar="REAL")
-    shared.add_argument("--seed", type=int, metavar="INT")
     shared.add_argument("--force", action="store_true", help="run despite unstable weight constants")
 
     parser = argparse.ArgumentParser(
@@ -198,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 # --- deterministic emission ------------------------------------------------
 
 
-def _clean(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+def _clean(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _fmt(value: float | None) -> str:
@@ -234,42 +219,38 @@ def _estimate_json(est: ConstantEstimate) -> dict:
             "refinement_pair": [_clean(coarse), _clean(fine)]}
 
 
-def _drift(pair: tuple[float, float]) -> float:
-    coarse, fine = pair
-    if coarse > 0.0:
-        return abs(fine - coarse) / coarse
-    return 0.0 if fine == 0.0 else math.inf
+def _write_arrays(out: Path, grid: Grid, stem: str, arrays: dict[str, np.ndarray]) -> None:
+    """Raw little-endian float64 dumps plus a ``<stem>_arrays.txt`` sidecar naming them."""
+    names = [f"{stem}_{name}.f64" for name in arrays]
+    for name, values in zip(names, arrays.values()):
+        _write_atomic(out / name, values.astype("<f8").tobytes())
+    _write_atomic(
+        out / f"{stem}_arrays.txt",
+        "dtype=float64 byteorder=little\n"
+        f"count={grid.N} L={grid.L!r} J={grid.J}\n"
+        f"files={','.join(names)}\n",
+    )
 
 
-def _report_body(rep: InequalityReport) -> tuple[dict, str, bool]:
-    drift = _drift(rep.refinement_pair)
-    stable = math.isfinite(rep.sup_ratio) and drift <= STABILITY_BAR
+def _report_body(rep: InequalityReport) -> tuple[dict, str]:
+    header = ("t", "lhs", "rhs", "ratio", "alt")
+    cells = [(row.t, row.lhs, row.rhs, _clean(row.ratio), _clean(row.alt)) for row in rep.rows]
     body = {
         "theorem": rep.theorem,
         "sup_ratio": _clean(rep.sup_ratio),
         "argmax_t": _clean(rep.argmax_t),
         "refinement_pair": [_clean(rep.refinement_pair[0]), _clean(rep.refinement_pair[1])],
-        "drift": _clean(drift),
-        "stable": stable,
+        "drift": _clean(rep.drift),
+        "stable": rep.stable,
         "j_pair": list(rep.j_pair),
         "margin": rep.margin,
         "degenerate_symbol": rep.degenerate_symbol,
         "preflight": {name: _estimate_json(est) for name, est in rep.preflight.items()},
         "extras": {name: _clean(value) for name, value in rep.extras.items()},
-        "rows": {
-            "t": [row.t for row in rep.rows],
-            "lhs": [row.lhs for row in rep.rows],
-            "rhs": [row.rhs for row in rep.rows],
-            "ratio": [_clean(row.ratio) for row in rep.rows],
-            "alt": [None if row.alt is None else _clean(row.alt) for row in rep.rows],
-        },
+        "rows": {name: [cell[i] for cell in cells] for i, name in enumerate(header)},
     }
-    lines = ["t,lhs,rhs,ratio,alt"]
-    for row in rep.rows:
-        cells = [row.t, row.lhs, row.rhs, _clean(row.ratio),
-                 None if row.alt is None else _clean(row.alt)]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return body, "\n".join(lines) + "\n", stable
+    lines = [",".join(header)] + [",".join(_fmt(c) for c in cell) for cell in cells]
+    return body, "\n".join(lines) + "\n"
 
 
 # --- subcommands -----------------------------------------------------------
@@ -286,15 +267,15 @@ def _cmd_verify(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.subcommand == "verify-thm3" and cfg.beta >= -1.0:
         raise ConfigurationError(f"beta must be < -1 for the singular power weight, got {cfg.beta}")
     rep = _RUNNERS[args.subcommand](cfg)
-    body, csv_text, stable = _report_body(rep)
+    body, csv_text = _report_body(rep)
     _emit(Path(args.out), args.subcommand, args.format, body, csv_text, rep.runtime_s)
     coarse, fine = rep.j_pair
     print(
         f"{rep.theorem}: sup_ratio={rep.sup_ratio:.6g} "
-        f"stable={'yes' if stable else 'NO'} drift={_drift(rep.refinement_pair):.3g} "
+        f"stable={'yes' if rep.stable else 'NO'} drift={rep.drift:.3g} "
         f"J={coarse}->{fine}"
     )
-    return 0 if stable else 1
+    return 0 if rep.stable else 1
 
 
 def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -305,10 +286,7 @@ def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     fine = bmo_norm(sample_b(grid, cfg.b), scan)
     coarse = bmo_norm(sample_b(make_grid(cfg.L, cfg.J - 2), cfg.b), scan)
     estimates["bmo_b"] = ConstantEstimate(
-        value=fine,
-        scan=scan,
-        refinement_pair=(coarse, fine),
-        stable=math.isfinite(fine) and abs(fine - coarse) < 0.2 * max(abs(fine), 1e-300),
+        value=fine, scan=scan, refinement_pair=(coarse, fine), stable=_stability(coarse, fine)
     )
     body = {name: _estimate_json(est) for name, est in estimates.items()}
     lines = ["name,value,stable,coarse,fine"]
@@ -355,14 +333,7 @@ def _cmd_decompose(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     bad = np.zeros(grid.N, dtype=np.float64)
     for piece in result.h:
         bad += piece.values
-    _write_atomic(out / "decompose_good.f64", result.g.values.astype("<f8").tobytes())
-    _write_atomic(out / "decompose_bad.f64", bad.astype("<f8").tobytes())
-    _write_atomic(
-        out / "decompose_arrays.txt",
-        "dtype=float64 byteorder=little\n"
-        f"count={grid.N} L={grid.L!r} J={grid.J}\n"
-        "files=decompose_good.f64,decompose_bad.f64\n",
-    )
+    _write_arrays(out, grid, "decompose", {"good": result.g.values, "bad": bad})
     print(
         f"decompose: {len(result.cubes)} cubes at t={t:.6g} "
         f"checks={'pass' if report.passed else 'FAIL'} floor_exceptions={report.floor_exceptions}"
@@ -389,14 +360,7 @@ def _cmd_maximal(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)}")
     out = Path(args.out)
     _emit(out, "maximal", args.format, body, "\n".join(lines) + "\n", 0.0)
-    _write_atomic(out / "maximal_mphi.f64", mphi.values.astype("<f8").tobytes())
-    _write_atomic(out / "maximal_mu.f64", mu.values.astype("<f8").tobytes())
-    _write_atomic(
-        out / "maximal_arrays.txt",
-        "dtype=float64 byteorder=little\n"
-        f"count={grid.N} L={grid.L!r} J={grid.J}\n"
-        "files=maximal_mphi.f64,maximal_mu.f64\n",
-    )
+    _write_arrays(out, grid, "maximal", {"mphi": mphi.values, "mu": mu.values})
     print(f"maximal: max M_phi={body['max_mphi']:.6g} at x={body['argmax_x']:.6g}")
     return 0
 

@@ -6,7 +6,8 @@ the transformed function) and the right side (a modular integral) across a
 log-spaced sweep of heights t, and reports the sup of the ratio together
 with the same sup on the twice-coarsened grid.  The unspecified constants in
 the inequalities are never hard-coded; refinement stability of the measured
-sup-ratio is the acceptance signal.
+sup-ratio is the acceptance signal, and the report carries it as its drift
+and verdict.  All runners share one driver and differ only in their rows.
 
 Weight-hypothesis preflight refuses runs whose estimated constants are
 unstable (the run would measure noise), unless forced: forcing is exactly
@@ -20,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, estimate_A
 from .young import Identity, LLogL, YoungFunction
 
 __all__ = [
+    "STABILITY_BAR",
     "ExperimentConfig",
     "InequalityReport",
     "ReportRow",
@@ -59,6 +61,11 @@ __all__ = [
 ]
 
 
+#: a run is refinement-stable when its sup-ratio moves by at most this
+#: fraction of the coarse value between grids J - 2 and J
+STABILITY_BAR = 0.2
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a verification run needs, with desk-scale defaults."""
@@ -69,7 +76,6 @@ class ExperimentConfig:
     b: str = "log"
     u: str = "power beta=-0.5"
     v: str = "power beta=-0.25"
-    theorem: str = "thm1"
     m: int = 1
     r: float = 1.0
     delta: float = 1.0
@@ -80,7 +86,6 @@ class ExperimentConfig:
     j_max: int | None = None
     shifts: tuple[float, ...] = THIRD_SHIFTS
     margin: float = 0.05
-    seed: int = 0
     force: bool = False
 
     def __post_init__(self) -> None:
@@ -118,6 +123,8 @@ class InequalityReport:
     j_pair: tuple[int, int]
     margin: float
     runtime_s: float
+    drift: float
+    stable: bool
     degenerate_symbol: bool = False
     extras: dict[str, float] = field(default_factory=dict)
 
@@ -266,16 +273,19 @@ def _ratio(lhs: float, rhs: float) -> float:
     return 0.0 if lhs == 0.0 else math.inf
 
 
-def _sweep(cfg: ExperimentConfig, f: SampledFunction) -> np.ndarray:
+def _sweep(cfg: ExperimentConfig, signal: SampledFunction, top: float | None = None) -> np.ndarray:
+    """Heights t: the configured window, else two decades around signal's median
+    (the upper end is ``top`` instead when that lies above the lower end)."""
     t_min, t_max = cfg.t_min, cfg.t_max
     if t_min is None or t_max is None:
-        absf = np.abs(f.values)
+        absf = np.abs(signal.values)
         # the relative floor keeps subnormal far tails (smooth bumps never
         # hit exact zero) from dragging the sweep window off to nowhere
         sig = absf[absf > 1e-12 * float(np.max(absf, initial=0.0))]
         center = float(np.median(sig)) if sig.size else 1.0
         t_min = center * 1e-2 if t_min is None else t_min
-        t_max = center * 1e2 if t_max is None else t_max
+        if t_max is None:
+            t_max = top if top is not None and top > t_min else center * 1e2
     if cfg.steps == 1:
         return np.array([t_min])
     return np.geomspace(t_min, t_max, cfg.steps)
@@ -311,116 +321,104 @@ def _require_hypotheses(estimates: dict[str, ConstantEstimate], force: bool) -> 
 # --- runners --------------------------------------------------------------
 
 
-def _instantiate(cfg: ExperimentConfig, J: int) -> SimpleNamespace:
+def _instantiate(cfg: ExperimentConfig, J: int, with_v: bool) -> SimpleNamespace:
     grid = make_grid(cfg.L, J)
-    return SimpleNamespace(
-        grid=grid,
-        f=sample_f(grid, cfg.f),
-        u=build_weight(grid, cfg.u),
-        v=build_weight(grid, cfg.v),
-        scan=cfg.scan(),
-    )
+    f, u = sample_f(grid, cfg.f), build_weight(grid, cfg.u)
+    v = build_weight(grid, cfg.v) if with_v else None
+    return SimpleNamespace(grid=grid, f=f, u=u, v=v, scan=cfg.scan())
 
 
-def _require_headroom(cfg: ExperimentConfig) -> None:
+def _drive(
+    theorem: str, cfg: ExperimentConfig, rows_at: Callable, preflight: bool = True
+) -> InequalityReport:
+    """Measure on grid J, then on J - 2 at the same heights, and report.
+
+    ``rows_at(inst, ts)`` returns ``(rows, ts, fields)``; the fine call gets
+    ``ts=None`` and picks the sweep, and its ``fields`` go on the report.
+    Without ``preflight`` (theorem 3: any positive u, its own v) the
+    configured v is never built and only u's A1 estimate is recorded.
+    """
+    started = time.perf_counter()
     if cfg.J - 2 < 4:
         raise ConfigurationError(
             f"refinement comparison needs J >= 6 so the coarse grid stays valid, got J={cfg.J}"
         )
-
-
-def _assemble(
-    theorem: str,
-    cfg: ExperimentConfig,
-    rows: list[ReportRow],
-    coarse_rows: list[ReportRow],
-    preflight: dict[str, ConstantEstimate],
-    started: float,
-    degenerate: bool = False,
-    extras: dict[str, float] | None = None,
-) -> InequalityReport:
-    sup_fine = max((r.ratio for r in rows), default=0.0)
-    sup_coarse = max((r.ratio for r in coarse_rows), default=0.0)
-    best = max(range(len(rows)), key=lambda i: rows[i].ratio, default=0)
+    fine = _instantiate(cfg, cfg.J, with_v=preflight)
+    if preflight:
+        estimates = preflight_weights(fine.u, fine.v, fine.scan)
+        _require_hypotheses(estimates, cfg.force)
+    else:
+        estimates = {"A1_u": estimate_Ap(fine.u, 1.0, fine.scan)}
+    rows, ts, fields = rows_at(fine, None)
+    coarse_rows, _, _ = rows_at(_instantiate(cfg, cfg.J - 2, with_v=preflight), ts)
+    best = max(rows, key=lambda row: row.ratio)
+    sup_coarse = max(row.ratio for row in coarse_rows)
+    if sup_coarse > 0.0:
+        drift = abs(best.ratio - sup_coarse) / sup_coarse
+    else:
+        drift = 0.0 if best.ratio == 0.0 else math.inf
+    stable = math.isfinite(best.ratio) and drift <= STABILITY_BAR
     return InequalityReport(
         theorem=theorem,
         rows=rows,
-        sup_ratio=sup_fine,
-        argmax_t=rows[best].t if rows else math.nan,
-        preflight=preflight,
-        refinement_pair=(sup_coarse, sup_fine),
+        sup_ratio=best.ratio,
+        argmax_t=best.t,
+        preflight=estimates,
+        refinement_pair=(sup_coarse, best.ratio),
         j_pair=(cfg.J - 2, cfg.J),
         margin=cfg.margin,
         runtime_s=time.perf_counter() - started,
-        degenerate_symbol=degenerate,
-        extras=extras or {},
+        drift=drift,
+        stable=stable,
+        **fields,
     )
-
-
-def _base_rows(objs: SimpleNamespace, cfg: ExperimentConfig, ts: np.ndarray) -> list[ReportRow]:
-    fv = objs.f * objs.v.fn
-    tout = hilbert(fv)
-    rows = []
-    for t in ts:
-        lhs = weak_lhs(tout, objs.u, objs.v, float(t), cfg.margin)
-        rhs = modular_rhs(objs.f, Identity(), objs.u, objs.v, float(t))
-        rows.append(ReportRow(float(t), lhs, rhs, _ratio(lhs, rhs)))
-    return rows
 
 
 def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     """Weak (1,1)-type inequality for the plain transform: the m = 0 baseline."""
-    started = time.perf_counter()
-    _require_headroom(cfg)
-    fine = _instantiate(cfg, cfg.J)
-    estimates = preflight_weights(fine.u, fine.v, fine.scan)
-    _require_hypotheses(estimates, cfg.force)
-    ts = _sweep(cfg, fine.f)
-    rows = _base_rows(fine, cfg, ts)
-    coarse_rows = _base_rows(_instantiate(cfg, cfg.J - 2), cfg, ts)
-    return _assemble("base_sawyer", cfg, rows, coarse_rows, estimates, started)
 
+    def rows_at(inst, ts):
+        ts = _sweep(cfg, inst.f) if ts is None else ts
+        tout = hilbert(inst.f * inst.v.fn)
+        rows = []
+        for t in map(float, ts):
+            lhs = weak_lhs(tout, inst.u, inst.v, t, cfg.margin)
+            rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, t)
+            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs)))
+        return rows, ts, {}
 
-def _commutator_rows(
-    objs: SimpleNamespace, cfg: ExperimentConfig, m: int, ts: np.ndarray
-) -> tuple[list[ReportRow], bool]:
-    b = sample_b(objs.grid, cfg.b)
-    norm_b = bmo_norm(b, objs.scan)
-    degenerate = norm_b == 0.0
-    if degenerate:
-        scale = 0.0
-    else:
-        # normalize the symbol per resolution so ||b||^m drops out as 1
-        b = SampledFunction(objs.grid, b.values / norm_b)
-        scale = 1.0
-    fv = objs.f * objs.v.fn
-    tout = commutator(b, fv, m)
-    phi = LLogL(1.0, float(m))
-    split_factor = float(phi(scale))
-    rows = []
-    for t in ts:
-        lhs = weak_lhs(tout, objs.u, objs.v, float(t), cfg.margin)
-        rhs = modular_rhs(objs.f, phi, objs.u, objs.v, float(t), scale)
-        alt = split_factor * modular_rhs(objs.f, phi, objs.u, objs.v, float(t))
-        rows.append(ReportRow(float(t), lhs, rhs, _ratio(lhs, rhs), alt))
-    return rows, degenerate
+    return _drive("base_sawyer", cfg, rows_at)
 
 
 def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityReport:
     """Mixed weak-type bound for the order-m commutator against Phi_m."""
-    started = time.perf_counter()
     m = cfg.m if m is None else m
     if m not in (1, 2, 3):
         raise DomainError(f"commutator order must be 1, 2, or 3, got {m}")
-    _require_headroom(cfg)
-    fine = _instantiate(cfg, cfg.J)
-    estimates = preflight_weights(fine.u, fine.v, fine.scan)
-    _require_hypotheses(estimates, cfg.force)
-    ts = _sweep(cfg, fine.f)
-    rows, degenerate = _commutator_rows(fine, cfg, m, ts)
-    coarse_rows, _ = _commutator_rows(_instantiate(cfg, cfg.J - 2), cfg, m, ts)
-    name = "theorem1" if m == 1 else f"theorem2_m{m}"
-    return _assemble(name, cfg, rows, coarse_rows, estimates, started, degenerate)
+    phi = LLogL(1.0, float(m))
+
+    def rows_at(inst, ts):
+        ts = _sweep(cfg, inst.f) if ts is None else ts
+        b = sample_b(inst.grid, cfg.b)
+        norm_b = bmo_norm(b, inst.scan)
+        degenerate = norm_b == 0.0
+        if degenerate:
+            scale = 0.0
+        else:
+            # normalize the symbol per resolution so ||b||^m drops out as 1
+            b = SampledFunction(inst.grid, b.values / norm_b)
+            scale = 1.0
+        tout = commutator(b, inst.f * inst.v.fn, m)
+        split_factor = float(phi(scale))
+        rows = []
+        for t in map(float, ts):
+            lhs = weak_lhs(tout, inst.u, inst.v, t, cfg.margin)
+            rhs = modular_rhs(inst.f, phi, inst.u, inst.v, t, scale)
+            alt = split_factor * modular_rhs(inst.f, phi, inst.u, inst.v, t)
+            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), alt))
+        return rows, ts, {"degenerate_symbol": degenerate}
+
+    return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, rows_at)
 
 
 def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
@@ -446,53 +444,6 @@ def build_theorem3_weight(grid: Grid, r: float, delta: float, beta: float) -> tu
     return v, w
 
 
-def _theorem3_rows(
-    cfg: ExperimentConfig,
-    J: int,
-    r: float,
-    delta: float,
-    beta: float,
-    ts: np.ndarray | None,
-) -> tuple[list[ReportRow], np.ndarray, float]:
-    grid = make_grid(cfg.L, J)
-    f = sample_f(grid, cfg.f)
-    u = build_weight(grid, cfg.u)
-    v, w = build_theorem3_weight(grid, r, delta, beta)
-    phi = LLogL(r, delta)
-    fv = f * v.fn
-    mphi = orlicz_maximal(fv, phi, cfg.scan())
-    mu = hl_maximal(u.fn, cfg.scan()).values
-    interior = grid.interior_mask(cfg.margin)
-    uw = u.values * w.values
-    quotient = mphi.values / v.values
-    absfv = np.abs(fv.values)
-    if ts is None:
-        # this inequality is normalized by f*v on both sides, and for the
-        # hypothesized non-integrable v the interesting heights reach the
-        # resolution-limited top of the quotient, so the default window is
-        # anchored at fv's median and closed off where level sets empty out
-        sig = absfv[absfv > 1e-12 * float(np.max(absfv, initial=0.0))]
-        center = float(np.median(sig)) if sig.size else 1.0
-        t_min = center * 1e-2 if cfg.t_min is None else cfg.t_min
-        top = 2.0 * float(np.max(quotient[interior], initial=0.0))
-        if cfg.t_max is not None:
-            t_max = cfg.t_max
-        elif top > t_min:
-            t_max = top
-        else:
-            t_max = center * 1e2
-        ts = np.array([t_min]) if cfg.steps == 1 else np.geomspace(t_min, t_max, cfg.steps)
-    rows = []
-    for t in ts:
-        t = float(t)
-        lhs = grid.h * float(np.sum(uw[interior & (quotient > t)]))
-        rhs = grid.h * float(np.sum(phi(absfv / t) * mu))
-        psi = 1.0 / float(phi(1.0 / t))
-        rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), psi * lhs))
-    rhs0 = grid.h * float(np.sum(phi(absfv) * mu))
-    return rows, ts, rhs0
-
-
 def run_theorem3(
     cfg: ExperimentConfig,
     r: float | None = None,
@@ -503,23 +454,39 @@ def run_theorem3(
 
     No weight preflight: the theorem takes arbitrary positive u (the maximal
     function of u on the right absorbs it); u's A1 estimate is still recorded
-    for the report.
+    for the report.  The configured v is not read: the theorem's v is |x|^beta.
     """
-    started = time.perf_counter()
     r = cfg.r if r is None else r
     delta = cfg.delta if delta is None else delta
     beta = cfg.beta if beta is None else beta
-    _require_headroom(cfg)
-    rows, ts, rhs0 = _theorem3_rows(cfg, cfg.J, r, delta, beta, None)
-    coarse_rows, _, _ = _theorem3_rows(cfg, cfg.J - 2, r, delta, beta, ts)
-    grid = make_grid(cfg.L, cfg.J)
-    info = {"A1_u": estimate_Ap(build_weight(grid, cfg.u), 1.0, cfg.scan())}
-    weak_orlicz_sup = max((_ratio(row.alt, rhs0) for row in rows), default=0.0)
-    extras = {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}
-    return _assemble(
-        f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, rows, coarse_rows, info, started,
-        extras=extras,
-    )
+
+    def rows_at(inst, ts):
+        grid = inst.grid
+        v, w = build_theorem3_weight(grid, r, delta, beta)
+        phi = LLogL(r, delta)
+        fv = inst.f * v.fn
+        quotient = orlicz_maximal(fv, phi, inst.scan).values / v.values
+        mu = hl_maximal(inst.u.fn, inst.scan).values
+        interior = grid.interior_mask(cfg.margin)
+        uw = inst.u.values * w.values
+        absfv = np.abs(fv.values)
+        if ts is None:
+            # this inequality is normalized by f*v on both sides, and for the
+            # hypothesized non-integrable v the interesting heights reach the
+            # resolution-limited top of the quotient, so the default window is
+            # anchored at fv's median and closed off where level sets empty out
+            ts = _sweep(cfg, fv, 2.0 * float(np.max(quotient[interior], initial=0.0)))
+        rows = []
+        for t in map(float, ts):
+            lhs = grid.h * float(np.sum(uw[interior & (quotient > t)]))
+            rhs = grid.h * float(np.sum(phi(absfv / t) * mu))
+            psi = 1.0 / float(phi(1.0 / t))
+            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), psi * lhs))
+        rhs0 = grid.h * float(np.sum(phi(absfv) * mu))
+        weak_orlicz_sup = max(_ratio(row.alt, rhs0) for row in rows)
+        return rows, ts, {"extras": {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}}
+
+    return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, rows_at, preflight=False)
 
 
 # --- scale solver and proof-set diagnostics -------------------------------
@@ -566,16 +533,13 @@ def solve_scale_a(F: SampledFunction, gamma: float, lam: float) -> float:
     return hi
 
 
-def theorem3_set_partition(x: float, k: int, a: float = 1.0, gamma: float = 1.0) -> frozenset[str]:
+def theorem3_set_partition(x: float, k: int) -> frozenset[str]:
     """Which of the proof's annular sets contain x at scale k.
 
     G_k = {2^k < |x| <= 2^(k+1)} sits inside the intermediate shell I_k;
     C_k (core) and L_k (far field) are the complements.  Exactly one of
-    {C, I, L} holds, plus possibly G.  The scale parameters (a, gamma) are
-    accepted for signature stability with the diagnostic caller but do not
-    enter membership.
+    {C, I, L} holds, plus possibly G.
     """
-    del a, gamma
     ax = abs(x)
     labels = set()
     if 2.0**k < ax <= 2.0 ** (k + 1):

@@ -60,11 +60,6 @@ def two_bumps(x):
     return np.exp(-8.0 * (x - 1.5) ** 2) + np.exp(-8.0 * (x + 2.0) ** 2)
 
 
-def _drift(report):
-    coarse, fine = report.refinement_pair
-    return abs(fine - coarse) / coarse if coarse else math.inf
-
-
 F_LIST = ["indicator a=0 b=1", "bumps", "cusp gamma=0.25 a=0 b=1"]
 V_LIST = ["const", "power beta=-0.25"]
 
@@ -225,7 +220,7 @@ def test_criterion_5_theorem1_desk_scale():
             report = run_theorem1(ExperimentConfig(J=12, f=f, u="power beta=-0.5", v=v))
             assert math.isfinite(report.sup_ratio)
             assert report.j_pair == (10, 12)
-            assert _drift(report) <= 0.2
+            assert report.drift <= 0.2
             lhs = [row.lhs for row in report.rows]
             rhs = [row.rhs for row in report.rows]
             assert all(a >= b for a, b in zip(lhs, lhs[1:]))
@@ -250,7 +245,7 @@ def test_criterion_6_theorem2_higher_order():
             for i, f in enumerate(F_LIST):
                 report = run_theorem2(ExperimentConfig(J=J, f=f, u="power beta=-0.5", v=v), m)
                 assert math.isfinite(report.sup_ratio)
-                assert _drift(report) <= 0.2
+                assert report.drift <= 0.2
                 assert report.sup_ratio == pytest.approx(pinned[(m, v)][i], rel=1e-3)
     cfg = ExperimentConfig(J=10, u="power beta=-0.5", v="power beta=-0.25")
     assert run_theorem2(cfg, 1).rows == run_theorem1(cfg).rows
@@ -276,7 +271,7 @@ def test_criterion_7_theorem3_sawyer_orlicz():
         for r, d, beta in ((1.0, 0.0, -2.0), (1.0, 1.0, -2.0), (2.0, 1.0, -1.5)):
             report = run_theorem3(ExperimentConfig(J=14, u=u, r=r, delta=d, beta=beta))
             assert math.isfinite(report.sup_ratio)
-            assert _drift(report) <= 0.2
+            assert report.drift <= 0.2
             alts = np.array([row.alt for row in report.rows])
             assert np.all(np.isfinite(alts))
             assert math.isfinite(report.extras["weak_orlicz_sup"])

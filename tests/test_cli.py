@@ -172,6 +172,30 @@ def test_verify_thm3_runs(tmp_path):
     assert "weak_orlicz_sup" in rep["extras"]
 
 
+def test_verify_thm3_does_not_read_the_configured_v(tmp_path):
+    # theorem 3 states its own v = |x|^beta, so an unusable weight.v spec
+    # must neither fail the run nor change its report
+    reports = []
+    for v in ("const", "gaussian"):
+        cfg = write_cfg(tmp_path, f"grid.J = 8\nweight.u.family = chibump\nweight.v.family = {v}\n",
+                        name=f"{v}.cfg")
+        out = tmp_path / v
+        assert main(["verify-thm3", "--config", cfg, "--out", str(out),
+                     "--r", "1", "--delta", "1", "--beta", "-2"]) == 0
+        reports.append(load_report(out / "verify-thm3.json"))
+    assert reports[0] == reports[1]
+    # the two-weight runs do read it
+    assert main(["verify-thm1", "--config", str(tmp_path / "gaussian.cfg"),
+                 "--out", str(tmp_path / "thm1")]) == 2
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["verify-thm1", "--seed", "3"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_decompose_artifacts_match_direct_call(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "dec"

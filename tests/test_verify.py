@@ -5,6 +5,7 @@ data, unit weights); measured sup-ratios at small grids are frozen with
 loose bands since only refinement stability, not the value, is meaningful.
 """
 
+import json
 import math
 
 import numpy as np
@@ -20,8 +21,11 @@ from mixedweak._errors import (
     PreflightError,
     RangeError,
 )
+from mixedweak.cli import build_parser, main, parse_config
 from mixedweak.grid import DyadicScan, make_grid, sample
+from mixedweak.maximal import orlicz_maximal
 from mixedweak.verify import (
+    STABILITY_BAR,
     ExperimentConfig,
     build_theorem3_weight,
     build_weight,
@@ -300,6 +304,76 @@ def test_theorem3_zero_function():
     rep = run_theorem3(cfg)
     assert all(r.ratio == 0.0 for r in rep.rows)
     assert rep.extras == {"weak_orlicz_rhs": 0.0, "weak_orlicz_sup": 0.0}
+
+
+def test_theorem3_default_sweep_closes_at_twice_the_interior_quotient_top():
+    cfg = ExperimentConfig(L=8.0, J=8, f="indicator a=0 b=1", u="chibump", r=1, delta=1, beta=-2)
+    grid = make_grid(cfg.L, cfg.J)
+    v, _ = build_theorem3_weight(grid, 1.0, 1.0, -2.0)
+    fv = sample_f(grid, cfg.f) * v.fn
+    quotient = orlicz_maximal(fv, LLogL(1, 1), cfg.scan()).values / v.values
+    top = 2.0 * float(np.max(quotient[grid.interior_mask(cfg.margin)]))
+    absfv = np.abs(fv.values)
+    center = float(np.median(absfv[absfv > 0.0]))
+    ts = [row.t for row in run_theorem3(cfg).rows]
+    assert ts[0] == center * 1e-2 < top
+    assert ts[-1] == top
+    # an explicit upper end wins, and a top below the lower end falls back
+    # to two decades above the median
+    assert run_theorem3(ExperimentConfig(**{**vars(cfg), "t_max": 5.0})).rows[-1].t == 5.0
+    above = ExperimentConfig(**{**vars(cfg), "t_min": 2.0 * top})
+    assert run_theorem3(above).rows[-1].t == center * 1e2
+
+
+# --- the verdict -----------------------------------------------------------
+
+
+def test_report_verdict_edge_pairs():
+    # (0, 0): nothing measured on either grid is drift 0, and stable
+    for rep in (
+        run_theorem1(ExperimentConfig(L=8.0, J=7, f="zero", u="const", v="const")),
+        run_theorem3(ExperimentConfig(L=8.0, J=7, f="zero", u="const", r=1, delta=1, beta=-2)),
+    ):
+        assert rep.refinement_pair == (0.0, 0.0)
+        assert rep.drift == 0.0 and rep.stable
+    # the forced A1 negative control drifts far past the bar
+    control = run_theorem1(ExperimentConfig(
+        L=8.0, J=10, f="cusp gamma=0.25 a=0 b=1",
+        u="power beta=0.5", v="power beta=-0.9", force=True,
+    ))
+    coarse, fine = control.refinement_pair
+    assert control.drift == abs(fine - coarse) / coarse > 0.5
+    assert not control.stable
+    # its compliant contrast: drift relative to the coarse value, within the bar
+    rep = run_theorem1(ExperimentConfig(
+        L=8.0, J=10, f="cusp gamma=0.25 a=0 b=1", u="power beta=-0.5", v="power beta=-0.9",
+    ))
+    coarse, fine = rep.refinement_pair
+    assert rep.drift == abs(fine - coarse) / coarse <= STABILITY_BAR
+    assert rep.stable
+
+
+@pytest.mark.parametrize(
+    "subcommand,text",
+    [
+        ("verify-thm1", "grid.J = 8\nweight.u.family = const\nweight.v.family = const\n"),
+        ("verify-thm1", "grid.J = 8\nf.family = cusp gamma=0.25 a=0 b=1\n"
+                        "weight.u.family = power beta=0.5\nweight.v.family = power beta=-0.9\n"),
+        ("verify-thm3", "grid.J = 8\nweight.u.family = chibump\n"),
+    ],
+)
+def test_cli_verdict_is_the_reports(tmp_path, capsys, subcommand, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    argv = [subcommand, "--config", str(path), "--out", str(tmp_path), "--force"]
+    rep = {"verify-thm1": run_theorem1, "verify-thm3": run_theorem3}[subcommand](
+        parse_config(str(path), build_parser().parse_args(argv))
+    )
+    assert main(argv) == (0 if rep.stable else 1)
+    body = json.loads((tmp_path / f"{subcommand}.json").read_text())["report"]
+    assert body["drift"] == rep.drift
+    assert body["stable"] is rep.stable
+    assert f"drift={rep.drift:.3g}" in capsys.readouterr().out
 
 
 # --- scale solver ----------------------------------------------------------
