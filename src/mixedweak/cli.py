@@ -264,8 +264,6 @@ _RUNNERS = {
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    if args.subcommand == "verify-thm3" and cfg.beta >= -1.0:
-        raise ConfigurationError(f"beta must be < -1 for the singular power weight, got {cfg.beta}")
     rep = _RUNNERS[args.subcommand](cfg)
     body, csv_text = _report_body(rep)
     _emit(Path(args.out), args.subcommand, args.format, body, csv_text, rep.runtime_s)

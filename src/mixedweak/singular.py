@@ -5,11 +5,13 @@ with the singular cell excluded: the symmetric epsilon = h/2 truncation is
 what keeps the odd kernel's cancellation exact, so an even input produces an
 odd output to machine precision.
 
-Sums are direct O(N^2), blocked over output rows to bound memory.  The
-commutator kernel (b(x) - b(y))^m K(x - y) is not a convolution, so there
-is no fast transform to reach for; the plain Hilbert case goes through the
-same code path (m = 0 skips the symbol factor entirely, making
-``commutator(b, f, 0)`` bitwise equal to ``hilbert(f)``).
+On the uniform grid ``h K(x_i - x_j) = coef / (i - j)``, a Toeplitz matvec
+(``c_0 = 0`` is the excluded cell), applied by FFT after embedding it in a
+circulant of length 2N.  The commutator kernel (b(x) - b(y))^m K(x - y) is
+not a convolution, but the binomial expansion of the symbol difference gives
+T_b^m f = sum_k C(m, k) (-1)^k b^(m-k) T(b^k f): m + 1 transforms in one
+batched FFT.  b is first shifted by its midrange (T_b^m ignores constants),
+which keeps the cancellation small and sends a constant symbol to exactly 0.
 """
 
 from __future__ import annotations
@@ -60,37 +62,18 @@ class ConvolutionKernel:
 
 HILBERT_KERNEL = ConvolutionKernel()
 
-_BLOCK = 512
 
-
-def _blocked_apply(
-    f: SampledFunction,
-    kernel: ConvolutionKernel,
-    b: SampledFunction | None,
-    m: int,
-) -> SampledFunction:
-    grid = f.grid
-    x = grid.centers
-    fv = f.values
-    bv = b.values if b is not None else None
-    out = np.empty(grid.N, dtype=np.float64)
-    for i0 in range(0, grid.N, _BLOCK):
-        i1 = min(i0 + _BLOCK, grid.N)
-        dx = x[i0:i1, None] - x[None, :]
-        with np.errstate(divide="ignore"):
-            kern = kernel.coef / dx
-        rows = np.arange(i0, i1)
-        kern[rows - i0, rows] = 0.0  # the epsilon = h/2 exclusion: own cell only
-        if m > 0:
-            kern *= (bv[i0:i1, None] - bv[None, :]) ** m
-        out[i0:i1] = kern @ fv
-    out *= grid.h
-    return SampledFunction(grid, out)
+def _toeplitz_apply(rows: np.ndarray, coef: float) -> np.ndarray:
+    """sum_{j != i} coef / (i - j) * rows[..., j] along the last axis, by FFT."""
+    n = rows.shape[-1]
+    k = np.arange(1, n, dtype=np.float64)
+    column = np.concatenate(([0.0], coef / k, [0.0], -coef / k[::-1]))  # c_{-k} = -c_k
+    return np.fft.irfft(np.fft.rfft(rows, 2 * n) * np.fft.rfft(column), 2 * n)[..., :n]
 
 
 def hilbert(f: SampledFunction, kernel: ConvolutionKernel = HILBERT_KERNEL) -> SampledFunction:
     """Truncated principal-value transform h * sum_{j != i} K(x_i - x_j) f_j."""
-    return _blocked_apply(f, kernel, None, 0)
+    return SampledFunction(f.grid, _toeplitz_apply(f.values, kernel.coef))
 
 
 def commutator(
@@ -108,7 +91,13 @@ def commutator(
         raise DomainError(f"commutator order must be >= 0, got {m}")
     if b.grid != f.grid:
         raise GridMismatchError("symbol and argument must share a grid")
-    return _blocked_apply(f, kernel, b, m)
+    if m == 0:
+        return hilbert(f, kernel)
+    bv = b.values - 0.5 * (float(np.max(b.values)) + float(np.min(b.values)))
+    powers = bv ** np.arange(m + 1)[:, None]  # row k is b^k
+    binomial = np.array([math.comb(m, k) * (-1) ** k for k in range(m + 1)], dtype=np.float64)
+    terms = binomial[:, None] * powers[::-1] * _toeplitz_apply(powers * f.values, kernel.coef)
+    return SampledFunction(f.grid, terms.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -409,13 +409,13 @@ def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityRepor
             b = SampledFunction(inst.grid, b.values / norm_b)
             scale = 1.0
         tout = commutator(b, inst.f * inst.v.fn, m)
-        split_factor = float(phi(scale))
+        # phi(scale) == scale for scale in {0, 1}: the direct form int phi(scale |f| / t)
+        # and the split form phi(scale) int phi(|f| / t) are one number, one pass
         rows = []
         for t in map(float, ts):
             lhs = weak_lhs(tout, inst.u, inst.v, t, cfg.margin)
-            rhs = modular_rhs(inst.f, phi, inst.u, inst.v, t, scale)
-            alt = split_factor * modular_rhs(inst.f, phi, inst.u, inst.v, t)
-            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), alt))
+            rhs = scale * modular_rhs(inst.f, phi, inst.u, inst.v, t)
+            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), rhs))
         return rows, ts, {"degenerate_symbol": degenerate}
 
     return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, rows_at)
@@ -426,16 +426,20 @@ def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
     return run_theorem2(cfg, 1)
 
 
+def _check_theorem3(r: float, delta: float, beta: float) -> None:
+    if beta >= -1.0:
+        raise HypothesisError(f"beta must be < -1 for the singular power weight, got {beta}")
+    if r < 1.0 or delta < 0.0:
+        raise DomainError(f"Young exponents need r >= 1, delta >= 0, got r={r}, delta={delta}")
+
+
 def build_theorem3_weight(grid: Grid, r: float, delta: float, beta: float) -> tuple[Weight, Weight]:
     """The pair (v, w) = (|x|^beta, 1/Phi(1/v)) the third theorem is stated for.
 
     For Phi = Identity (r = 1, delta = 0) the reciprocal pair collapses and w
     shares v's samples exactly rather than round-tripping through 1/(1/v).
     """
-    if beta >= -1.0:
-        raise HypothesisError(f"theorem 3 needs beta < -1 in one dimension, got {beta}")
-    if r < 1.0 or delta < 0.0:
-        raise DomainError(f"Young exponents need r >= 1, delta >= 0, got r={r}, delta={delta}")
+    _check_theorem3(r, delta, beta)
     v = power_weight(grid, beta)
     if r == 1.0 and delta == 0.0:
         return v, v
@@ -459,6 +463,7 @@ def run_theorem3(
     r = cfg.r if r is None else r
     delta = cfg.delta if delta is None else delta
     beta = cfg.beta if beta is None else beta
+    _check_theorem3(r, delta, beta)
 
     def rows_at(inst, ts):
         grid = inst.grid

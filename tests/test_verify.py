@@ -299,6 +299,18 @@ def test_theorem3_identity_case_matches_weak_orlicz_form():
     assert rep.extras["weak_orlicz_sup"] == pytest.approx(rep.sup_ratio, rel=1e-12)
 
 
+def test_theorem3_exponents_are_checked_before_any_grid_is_built():
+    # J = 5 would fail _drive's headroom check, so reaching these errors
+    # shows the exponent rule runs first
+    cfg = ExperimentConfig(L=8.0, J=5, r=1, delta=1, beta=-2)
+    with pytest.raises(ConfigurationError):
+        run_theorem3(cfg)
+    with pytest.raises(HypothesisError, match="beta must be < -1"):
+        run_theorem3(cfg, beta=-0.5)
+    with pytest.raises(DomainError):
+        run_theorem3(cfg, r=0.5)
+
+
 def test_theorem3_zero_function():
     cfg = ExperimentConfig(L=8.0, J=7, f="zero", u="const", r=1, delta=1, beta=-2)
     rep = run_theorem3(cfg)
