@@ -328,10 +328,7 @@ def _cmd_decompose(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         lines.append(f"{q.j},{q.k},{_fmt(q.a)},{_fmt(q.b)},{_fmt(avg)}")
     out = Path(args.out)
     _emit(out, "decompose", args.format, body, "\n".join(lines) + "\n", 0.0)
-    bad = np.zeros(grid.N, dtype=np.float64)
-    for piece in result.h:
-        bad += piece.values
-    _write_arrays(out, grid, "decompose", {"good": result.g.values, "bad": bad})
+    _write_arrays(out, grid, "decompose", {"good": result.g.values, "bad": result.bad.values})
     print(
         f"decompose: {len(result.cubes)} cubes at t={t:.6g} "
         f"checks={'pass' if report.passed else 'FAIL'} floor_exceptions={report.floor_exceptions}"
@@ -380,8 +377,7 @@ def _selftest_corpus() -> list[tuple[str, bool]]:
         ("maximal of constant", bool(np.all(hl_maximal(one.fn).values == 1.0))),
         ("transform of even is odd", bool(np.max(np.abs(hf.values + hf.values[::-1])) < 1e-12)),
         ("decomposition reconstructs",
-         bool(np.max(np.abs(decomposed.g.values
-                            + sum(p.values for p in decomposed.h)
+         bool(np.max(np.abs(decomposed.g.values + decomposed.bad.values
                             - (chi.values + 0.5))) < 1e-12)),
         ("annuli partition", theorem3_set_partition(3.0, 1) == frozenset({"G", "I"})
          and theorem3_set_partition(1.0, 1) == frozenset({"C"})),

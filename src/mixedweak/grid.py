@@ -61,9 +61,19 @@ _MIN_USER_J = 4
 _MAX_USER_J = 24
 
 
-def _ceil_div(num: int, den: int) -> int:
-    """Exact ceiling division for (possibly negative) integers."""
-    return -((-num) // den)
+def _cell_range(grid: "Grid", j: int, k, p: int):
+    """Cells ``[start, stop)`` whose centers lie in ``[a0, a0 + l_j)``, clipped to [0, N].
+
+    ``a0 = -L + (k + p/3) l_j``, and ``x_i >= a0  <=>  i >= ((3k + p)
+    2^(J-j+1) - 3) / 6``; both ceilings are taken exactly in integers.  ``k``
+    is a Python int or an int64 array (one range per interval of a family).
+    """
+    scale = 1 << (grid.J - j + 1)
+    start = -((3 - (3 * k + p) * scale) // 6)
+    stop = -((3 - (3 * k + 3 + p) * scale) // 6)
+    if isinstance(k, np.ndarray):
+        return np.clip(start, 0, grid.N, out=start), np.clip(stop, 0, grid.N, out=stop)
+    return max(0, min(start, grid.N)), max(0, min(stop, grid.N))
 
 
 def _shift_to_thirds(shift: float) -> int:
@@ -244,14 +254,9 @@ class DyadicInterval:
             raise GeometryError(f"position k={self.k} outside [0, 2^{self.j})")
         if self.shift_thirds not in (0, 1, 2):
             raise GeometryError(f"shift_thirds must be 0, 1 or 2, got {self.shift_thirds!r}")
-        # First/last cell whose center falls inside the raw interval:
-        # x_i >= a0  <=>  i >= ((3k + p) 2^(J-j+1) - 3) / 6.
-        scale = 1 << (self.grid.J - self.j + 1)
-        p = self.shift_thirds
-        i0 = _ceil_div((3 * self.k + p) * scale - 3, 6)
-        i1 = _ceil_div((3 * (self.k + 1) + p) * scale - 3, 6)
-        object.__setattr__(self, "_i0", max(0, min(i0, self.grid.N)))
-        object.__setattr__(self, "_i1", max(0, min(i1, self.grid.N)))
+        i0, i1 = _cell_range(self.grid, self.j, self.k, self.shift_thirds)
+        object.__setattr__(self, "_i0", i0)
+        object.__setattr__(self, "_i1", i1)
 
     @property
     def cell_start(self) -> int:
@@ -414,14 +419,9 @@ def scan_cell_ranges(
             yield (np.full(grid.N - i0, i0, dtype=np.int64), stops[i0:])
         return
     for j in range(scan.j_min, scan.effective_j_max(grid) + 1):
-        scale = 1 << (grid.J - j + 1)
         k = np.arange(1 << j, dtype=np.int64)
         for s in scan.shifts:
-            p = _shift_to_thirds(s)
-            starts = -((3 - (3 * k + p) * scale) // 6)
-            stops = -((3 - (3 * (k + 1) + p) * scale) // 6)
-            np.clip(starts, 0, grid.N, out=starts)
-            np.clip(stops, 0, grid.N, out=stops)
+            starts, stops = _cell_range(grid, j, k, _shift_to_thirds(s))
             keep = stops > starts
             yield (starts[keep], stops[keep])
 

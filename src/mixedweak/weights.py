@@ -325,24 +325,11 @@ def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: Scan = DyadicScan()) -> 
 
 
 def fundamental_ratio(u: Weight, v: Weight, scan: Scan = DyadicScan()) -> ConstantEstimate:
-    """Scanned sup of (uv)(Q) / (v(Q) * min_Q u), the key two-weight ratio."""
-    if v.grid != u.grid:
-        raise GridMismatchError("u and v must share a grid")
+    """Scanned sup of (uv)(Q) / (v(Q) * min_Q u), the key two-weight ratio.
 
-    def value_at(grid: Grid) -> float:
-        uu = u.resample(grid).values if grid != u.grid else u.values
-        vv = v.resample(grid).values if grid != v.grid else v.values
-        puv = _prefix(uu * vv)
-        pv = _prefix(vv)
-        mins = _SparseExtrema(uu, np.minimum)
-
-        def functional(starts, stops):
-            avg = (puv[stops] - puv[starts]) / (pv[stops] - pv[starts])
-            return avg / mins.query(starts, stops)
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(scan, u.grid, value_at)
+    This is the A_1 constant of u with respect to the measure v dx.
+    """
+    return estimate_Ap_u(u, v, 1.0, scan)
 
 
 # --- oscillation norms -----------------------------------------------------

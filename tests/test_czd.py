@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedweak._errors import DomainError, GridMismatchError, HeightError
 from mixedweak.czd import cz_decompose, validate_decomposition
@@ -26,7 +29,7 @@ def unit_weight(g):
 def test_constant_below_height_selects_nothing():
     g = make_grid(4.0, 6)
     r = cz_decompose(sample(lambda x: 0.5, g), 1.0, unit_weight(g))
-    assert r.cubes == [] and r.h == [] and r.averages == []
+    assert r.cubes == [] and not np.any(r.bad.values) and r.averages == []
     assert np.array_equal(r.g.values, np.full(g.N, 0.5))
     assert r.doubling_bound == 1.0
     rep = validate_decomposition(r, sample(lambda x: 0.5, g), unit_weight(g))
@@ -48,7 +51,7 @@ def test_indicator_hand_walk():
         outside = np.ones(g.N, dtype=bool)
         outside[sl] = False
         assert np.array_equal(r.g.values[outside], f.values[outside])
-        np.testing.assert_array_equal(r.h[0].values[sl], f.values[sl] - 0.5)
+        np.testing.assert_array_equal(r.bad.values[sl], f.values[sl] - 0.5)
         rep = validate_decomposition(r, f, unit_weight(g))
         assert rep.passed
         assert rep.check("reconstruction").slack == 0.0
@@ -135,6 +138,83 @@ def test_random_decompositions_validate_cleanly():
             assert t < avg <= r.doubling_bound * t * (1.0 + 1e-12)
 
 
+def weighted_walk(fv, vv, t, J):
+    """Test-only stopping-time walk: select a node when its v-average exceeds t."""
+    out = []
+
+    def walk(j, k):
+        n = len(fv) >> j
+        sl = slice(k * n, (k + 1) * n)
+        avg = float(np.sum(fv[sl]) / np.sum(vv[sl]))
+        if avg > t:
+            out.append((j, k, avg))
+        elif j < J:
+            walk(j + 1, 2 * k)
+            walk(j + 1, 2 * k + 1)
+
+    walk(1, 0)
+    walk(1, 1)
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    J=st.integers(min_value=4, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=-3.0, max_value=3.0),
+    shape=st.sampled_from(["plain", "spike", "half_zero"]),
+    weight=st.sampled_from(["ones", "power", "lognormal"]),
+    beta=st.floats(min_value=-0.9, max_value=0.9),
+    above=st.floats(min_value=0.0, max_value=1.5),
+)
+def test_descent_matches_weighted_walk(J, seed, scale, shape, weight, beta, above):
+    rng = np.random.default_rng(seed)
+    g = make_grid(4.0, J)
+    fvals = np.abs(rng.standard_normal(g.N)) * 10.0**scale
+    if shape == "spike":
+        fvals[rng.integers(g.N)] = 100.0 * np.max(fvals)
+    elif shape == "half_zero":
+        fvals[rng.permutation(g.N)[: g.N // 2]] = 0.0
+    if weight == "ones":
+        v = unit_weight(g)
+    elif weight == "power":
+        v = power_weight(g, beta)
+    else:
+        v = custom_weight(g, np.exp(rng.standard_normal(g.N)))
+    f = SampledFunction(g, fvals)
+    fv = fvals * v.values
+    t = float(np.sum(fv) / np.sum(v.values)) * 10.0**above
+    try:
+        r = cz_decompose(f, t, v)
+    except HeightError:
+        return
+    assert [(q.j, q.k, avg) for q, avg in zip(r.cubes, r.averages)] == weighted_walk(
+        fv, v.values, t, J
+    )
+    rep = validate_decomposition(r, f, v)
+    assert rep.passed, [(c.name, c.slack) for c in rep.checks if not c.passed]
+    assert rep.floor_exceptions == 0
+    for name in ("height_band", "reconstruction", "cancellation"):
+        assert rep.check(name).slack <= 1e-12
+
+
+def test_memory_is_linear_in_n():
+    # one good and one bad array, never a full-grid array per cube
+    g = make_grid(4.0, 12)
+    f = SampledFunction(g, np.abs(np.random.default_rng(0).standard_normal(g.N)))
+    v = power_weight(g, -0.25)
+    t = 1.5 * float(np.sum(f.values * v.values) / np.sum(v.values))
+    tracemalloc.start()
+    try:
+        r = cz_decompose(f, t, v)
+        validate_decomposition(r, f, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(r.cubes) == 726
+    assert peak < 64 * 8 * g.N
+
+
 def test_cubes_can_be_single_cells():
     g = make_grid(4.0, 6)
     fvals = np.zeros(g.N)
@@ -151,12 +231,25 @@ def test_fault_injection_cancellation():
     f = sample(chi01, g)
     r = cz_decompose(f, 0.25, unit_weight(g))
     broken = dataclasses.replace(
-        r, h=[SampledFunction(g, r.h[0].values + np.where(np.abs(g.centers - 1.0) < 1.0, 0.1, 0.0))]
+        r, bad=SampledFunction(g, r.bad.values + np.where(np.abs(g.centers - 1.0) < 1.0, 0.1, 0.0))
     )
     rep = validate_decomposition(broken, f, unit_weight(g))
     assert not rep.passed
     assert not rep.check("cancellation").passed
     assert rep.check("disjoint").passed
+
+
+def test_fault_injection_support():
+    g = make_grid(4.0, 6)
+    f = sample(chi01, g)
+    r = cz_decompose(f, 0.25, unit_weight(g))
+    assert r.cubes[0].cell_start > 0  # cell 0 lies off Omega
+    stray = r.bad.values.copy()
+    stray[0] += 0.1
+    broken = dataclasses.replace(r, bad=SampledFunction(g, stray))
+    rep = validate_decomposition(broken, f, unit_weight(g))
+    assert not rep.check("support").passed
+    assert rep.check("support").slack == 1.0
 
 
 def test_fault_injection_height_band():
@@ -175,7 +268,7 @@ def test_fault_injection_overlapping_cubes():
     r = cz_decompose(f, 0.25, unit_weight(g))
     overlapping = [r.cubes[0], DyadicInterval(g, 3, 4)]  # [0,1) sits inside [0,2)
     broken = dataclasses.replace(
-        r, cubes=overlapping, averages=r.averages + [1.0], h=r.h + [SampledFunction(g, np.zeros(g.N))]
+        r, cubes=overlapping, averages=r.averages + [1.0]
     )
     rep = validate_decomposition(broken, f, unit_weight(g))
     assert not rep.check("disjoint").passed
@@ -194,8 +287,8 @@ def test_fault_injection_off_omega():
     g = make_grid(4.0, 6)
     f = sample(chi01, g)
     r = cz_decompose(f, 0.25, unit_weight(g))
-    # drop the only cube but keep g/h: the cube's cells now violate f <= t
-    broken = dataclasses.replace(r, cubes=[], averages=[], h=[])
+    # drop the only cube but keep g/bad: the cube's cells now violate f <= t
+    broken = dataclasses.replace(r, cubes=[], averages=[])
     rep = validate_decomposition(broken, f, unit_weight(g))
     assert not rep.check("off_omega").passed
     assert rep.check("off_omega").slack > 0

@@ -174,6 +174,38 @@ def test_complementary_refuses_nonconvex():
         complementary(ExpL(2.0), exact=True)
 
 
+def lattice_min_inverse(phi, y, chunk=8):
+    """Test-only oracle: min over the slope lattice of (y + phi(s)) / s, a few heights at a time."""
+    slopes, heights = phi._slopes, phi._heights
+    out = np.empty(y.size)
+    buf = np.empty((chunk, slopes.size))
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(0, y.size, chunk):
+            rows = buf[: y[i : i + chunk].size]
+            np.add(y[i : i + chunk, None], heights, out=rows)
+            np.divide(rows, slopes, out=rows)
+            out[i : i + chunk] = np.min(rows, axis=1)
+    return out
+
+
+def test_legendre_inverse_of_many_heights_matches_lattice_min():
+    # 10^4 heights at once: one lookup per height, no heights x lattice temporary
+    phi = complementary(LLogL(1.0, 1.0), exact=True)
+    y = np.logspace(-12.0, 8.0, 10**4)
+    fast = phi.inverse(y)
+    assert fast.shape == y.shape
+    assert np.max(np.abs(fast / lattice_min_inverse(phi, y) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("base", [LLogL(2.0, 1.0), ExpAlphaL(0.5, 2.0), Power(3.0)])
+def test_legendre_inverse_at_the_kinks_matches_lattice_min(base):
+    # the envelope's breakpoints are where the lookup switches affine piece
+    phi = LegendreConjugate(base)
+    kinks = phi._kinks[np.isfinite(phi._kinks) & (phi._kinks > 0.0)]
+    y = np.concatenate([kinks[:: max(1, kinks.size // 100)], np.logspace(-12.0, 8.0, 100)])
+    assert np.max(np.abs(phi.inverse(y) / lattice_min_inverse(phi, y) - 1.0)) <= 1e-14
+
+
 def test_conjugate_equivalence_constant_frozen():
     # sup over [2, 12] of (e^t - 1)/exact is e^2 - e^-10, just under e^2
     k = conjugate_equivalence_constant(LLogL(1.0, 1.0))
