@@ -185,16 +185,19 @@ def validate_decomposition(
             hard += 1
     checks.append(CheckResult("off_omega", hard == 0, float(hard)))
 
+    # every strict ancestor of a cube, visited once per level: k >> (q.j - j)
+    # is the level-j ancestor, and the row sums equal the slice sums bitwise
     ok = True
     worst = 0.0
-    for q in r.cubes:
-        p = q
-        while p.j > 0:
-            p = p.parent()
-            avg = _v_average(fv, vv, p.cell_start, p.cell_stop)
-            worst = max(worst, avg / r.t)
-            if avg > r.t * (1.0 + rel):
-                ok = False
+    js = np.array([q.j for q in r.cubes], dtype=np.int64)
+    ks = np.array([q.k for q in r.cubes], dtype=np.int64)
+    for j in range(int(js.max(initial=0))):
+        below = js > j
+        anc = np.unique(ks[below] >> (js[below] - j))
+        avg = fv.reshape(1 << j, -1).sum(axis=1)[anc] / vv.reshape(1 << j, -1).sum(axis=1)[anc]
+        top = float(np.max(avg))
+        worst = max(worst, top / r.t)
+        ok = ok and not top > r.t * (1.0 + rel)
     checks.append(CheckResult("maximality", ok, worst))
 
     mu_omega = float(np.sum(vv[member])) * grid.h

@@ -404,10 +404,11 @@ def scan_cell_ranges(
 
     For a :class:`DyadicScan` each yield is one ``(j, shift)`` family with its
     empty members dropped; member cells of interval ``m`` are
-    ``starts[m]:stops[m]``.  Within a family the stops double as the next
-    interval's start only for the unshifted case; callers must not assume
-    contiguity.  For an :class:`ExhaustiveScan` each yield groups the
-    intervals sharing a left endpoint.
+    ``starts[m]:stops[m]``.  Within a family, for every shift, each stop is
+    the next member's start: ``stop(k)`` and ``start(k + 1)`` are the same
+    integer formula, and clipping and dropping empty members keep that.  For
+    an :class:`ExhaustiveScan` each yield groups the intervals sharing a left
+    endpoint.
     """
     if isinstance(scan, ExhaustiveScan):
         if grid.N > scan.max_cells:

@@ -222,33 +222,10 @@ def estimate_Ap(w: Weight, p: float, scan: Scan = DyadicScan()) -> ConstantEstim
 
     For p = 1 the functional is avg_Q w / min_Q w (cell min, exact for
     piecewise-constant data); for p > 1 it is
-    avg_Q w * (avg_Q w**(-1/(p-1)))**(p-1).
+    avg_Q w * (avg_Q w**(-1/(p-1)))**(p-1).  This is the A_p constant with
+    respect to Lebesgue measure, the unit weight.
     """
-    if p < 1.0:
-        raise DomainError(f"A_p needs p >= 1, got {p}")
-
-    def value_at(grid: Grid) -> float:
-        vals = w.resample(grid).values if grid != w.grid else w.values
-        pw = _prefix(vals)
-        if p == 1.0:
-            mins = _SparseExtrema(vals, np.minimum)
-
-            def functional(starts, stops):
-                lens = stops - starts
-                return (pw[stops] - pw[starts]) / lens / mins.query(starts, stops)
-
-        else:
-            pdual = _prefix(vals ** (-1.0 / (p - 1.0)))
-
-            def functional(starts, stops):
-                lens = stops - starts
-                avg = (pw[stops] - pw[starts]) / lens
-                dual = (pdual[stops] - pdual[starts]) / lens
-                return avg * dual ** (p - 1.0)
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(scan, w.grid, value_at)
+    return estimate_Ap_u(w, custom_weight(w.grid, np.ones(w.grid.N)), p, scan)
 
 
 def estimate_RH(w: Weight, s: float, scan: Scan = DyadicScan()) -> ConstantEstimate:

@@ -278,22 +278,31 @@ class LegendreConjugate(YoungFunction):
     accurate to a few parts in 1e4 as long as the optimizing slope lies
     inside the lattice; for the families used here that covers heights up
     to about 1e6.
+
+    The base must be convex: then every lattice point is a piece of the
+    envelope and the chord slopes between neighbours, which are the
+    envelope's breakpoints, are nondecreasing.  The lattice is cut before the
+    first chord slope that is not finite (the base overflows there), and a
+    base whose kept chord slopes decrease is refused.
     """
 
     base: "YoungFamily"
 
     def __post_init__(self) -> None:
+        if not self.base.convex:
+            raise DomainError(f"refusing to conjugate the non-convex family {self.base!r}")
         slopes = np.logspace(-6.0, 6.0, 12 * 10**4 + 1)
-        with np.errstate(over="ignore"):
-            heights = self.base.eval(slopes)
-        keep = np.isfinite(heights)
-        slopes, heights = slopes[keep], heights[keep]
-        if slopes.size < 2:
-            raise ConfigurationError(f"cannot conjugate {self.base!r}: no finite lattice values")
-        slopes, heights = _upper_envelope(slopes, heights)
-        breaks = np.diff(heights) / np.diff(slopes)
-        with np.errstate(over="ignore"):
+        heights = self.base.eval(slopes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chords = np.diff(heights) / np.diff(slopes)
+            cut = np.flatnonzero(~np.isfinite(chords))
+            n = int(cut[0]) + 1 if cut.size else slopes.size
+            slopes, heights, breaks = slopes[:n].copy(), heights[:n].copy(), chords[: n - 1].copy()
             kinks = slopes[:-1] * breaks - heights[:-1]  # envelope value at each break
+        if n < 2:
+            raise ConfigurationError(f"cannot conjugate {self.base!r}: no finite lattice values")
+        if np.any(np.diff(breaks) < 0.0):
+            raise DomainError(f"cannot conjugate {self.base!r}: its chord slopes decrease")
         for name, val in (("_slopes", slopes), ("_heights", heights), ("_breaks", breaks),
                           ("_kinks", kinks)):
             val.setflags(write=False)
@@ -310,28 +319,6 @@ class LegendreConjugate(YoungFunction):
         heights = self._heights  # type: ignore[attr-defined]
         idx = np.searchsorted(self._kinks, y, side="left")  # type: ignore[attr-defined]
         return (y + heights[idx]) / slopes[idx]
-
-
-def _upper_envelope(slopes: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop affine pieces t -> slopes[i]*t - heights[i] that never attain the max.
-
-    For convex bases the chord slopes are already nondecreasing and nothing
-    is dropped; the stack walk only runs for non-convex bases.
-    """
-    chords = np.diff(heights) / np.diff(slopes)
-    if np.all(np.diff(chords) >= 0.0):
-        return slopes, heights
-    kept: list[int] = []
-
-    def isect(i: int, j: int) -> float:
-        return (heights[j] - heights[i]) / (slopes[j] - slopes[i])
-
-    for i in range(slopes.size):
-        while len(kept) >= 2 and isect(kept[-2], i) <= isect(kept[-2], kept[-1]):
-            kept.pop()
-        kept.append(i)
-    idx = np.asarray(kept)
-    return slopes[idx].copy(), heights[idx].copy()
 
 
 YoungFamily = Union[Power, LLogL, ExpL, ExpAlphaL, Identity, Step, LegendreConjugate]
@@ -367,8 +354,6 @@ def complementary(phi: YoungFunction, exact: bool = False) -> YoungFunction:
         return Step(1.0)
     if isinstance(phi, LLogL) and not exact and phi.r == 1.0 and phi.delta > 0.0:
         return ExpL(phi.delta)
-    if not phi.convex:
-        raise DomainError(f"refusing to conjugate the non-convex family {phi!r}")
     return _cached_legendre(phi)
 
 
@@ -505,11 +490,15 @@ def luxemburg_norm(q: LuxemburgQuery) -> float:
 def modular_inf(q: LuxemburgQuery) -> float:
     """The equivalent quantity inf_tau {tau + tau * avg_w phi(|f|/tau)}.
 
-    Scanned on a geometric lattice of ratio 1.01 spanning the Luxemburg norm
-    times [1e-3, 1e3], then golden-section refined to relative 1e-6.  The
-    objective is convex in tau (perspective construction), so the local
-    refinement is global.
+    For convex phi the objective is convex in tau (tau plus the perspective
+    of phi), so one golden-section search over the Luxemburg norm times
+    [1e-3, 1e3], stopped at relative width 1e-6, finds its minimum, which
+    lies between the norm and twice the norm.  Where phi overflows at small
+    tau the objective is inf or nan; the comparison then fails and the
+    search moves right, toward the minimum.  Non-convex phi is refused.
     """
+    if not q.phi.convex:
+        raise DomainError(f"modular infimum needs a convex Young function, got {q.phi!r}")
     norm = luxemburg_norm(q)
     if norm == 0.0:
         return 0.0
@@ -519,16 +508,11 @@ def modular_inf(q: LuxemburgQuery) -> float:
     wq_total = float(np.sum(w))
 
     def objective(tau: float) -> float:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mod = float(np.sum(q.phi._eval_array(absf / tau) * w)) / wq_total
         return tau * (1.0 + mod)
 
-    n_pts = int(math.ceil(6.0 / math.log10(1.01))) + 1
-    lattice = norm * np.logspace(-3.0, 3.0, n_pts)
-    vals = np.array([objective(t) for t in lattice])
-    i = int(np.nanargmin(vals))
-    a = lattice[max(i - 1, 0)]
-    b = lattice[min(i + 1, lattice.size - 1)]
+    a, b = 1e-3 * norm, 1e3 * norm
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

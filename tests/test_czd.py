@@ -157,6 +157,20 @@ def weighted_walk(fv, vv, t, J):
     return sorted(out)
 
 
+def ancestor_walk_maximality(r, fv, vv):
+    """Test-only oracle: (passed, slack) of maximality, walking up from each cube on its own."""
+    ok, worst = True, 0.0
+    for q in r.cubes:
+        p = q
+        while p.j > 0:
+            p = p.parent()
+            avg = float(np.sum(fv[p.cell_slice]) / np.sum(vv[p.cell_slice]))
+            worst = max(worst, avg / r.t)
+            if avg > r.t * (1.0 + 1e-12):
+                ok = False
+    return ok, worst
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     J=st.integers(min_value=4, max_value=10),
@@ -196,6 +210,8 @@ def test_descent_matches_weighted_walk(J, seed, scale, shape, weight, beta, abov
     assert rep.floor_exceptions == 0
     for name in ("height_band", "reconstruction", "cancellation"):
         assert rep.check(name).slack <= 1e-12
+    maximality = rep.check("maximality")
+    assert (maximality.passed, maximality.slack) == ancestor_walk_maximality(r, fv, v.values)
 
 
 def test_memory_is_linear_in_n():

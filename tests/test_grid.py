@@ -216,6 +216,9 @@ def test_scan_cell_ranges_matches_interval_objects():
     # scan_cell_ranges groups by (j, shift); dyadic_intervals by (j, shift, k):
     # same grouping order, so the flat lists must agree exactly.
     assert got == want
+    # within each family, shifted or not, every stop is the next member's start
+    for starts, stops in scan_cell_ranges(g, scan):
+        assert np.array_equal(stops[:-1], starts[1:])
 
 
 def test_exhaustive_scan_guard_and_count():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mixedweak._errors import (
     GeometryError,
     RangeError,
 )
-from mixedweak.grid import DyadicInterval, SampledFunction, make_grid, sample
+from mixedweak.grid import DyadicInterval, SampledFunction, dyadic_intervals, make_grid, sample
 from mixedweak.young import (
     ExpAlphaL,
     ExpL,
@@ -172,6 +173,24 @@ def test_complementary_equivalent_vs_exact_form():
 def test_complementary_refuses_nonconvex():
     with pytest.raises(DomainError):
         complementary(ExpL(2.0), exact=True)
+
+
+def test_convexity_is_required_by_legendre_and_modular_inf():
+    phi = LLogL(0.5, 1.0)
+    with pytest.raises(DomainError, match="non-convex"):
+        LegendreConjugate(phi)
+    g = make_grid(8.0, 5)
+    q = LuxemburgQuery(sample(lambda x: 1.0 + x * x, g), DyadicInterval(g, 0, 0), phi)
+    with pytest.raises(DomainError, match="convex"):
+        modular_inf(q)
+
+
+def test_legendre_of_overflowing_base_builds_without_warnings():
+    # the chord slopes of exp(2 t^2) - 1 overflow before its values do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = LegendreConjugate(ExpAlphaL(0.5, 2.0))
+    assert np.all(np.isfinite(phi._breaks)) and np.all(np.diff(phi._breaks) >= 0.0)
 
 
 def lattice_min_inverse(phi, y, chunk=8):
@@ -345,6 +364,99 @@ def test_modular_inf_vs_norm_two_sided():
             norm = luxemburg_norm(q)
             inf = modular_inf(q)
             assert norm * (1.0 - 1e-5) <= inf <= 2.0 * norm * (1.0 + 1e-5)
+
+
+def lattice_modular_inf(q):
+    """Test-only oracle: scan a ratio-1.01 lattice over norm x [1e-3, 1e3], then golden section."""
+    norm = luxemburg_norm(q)
+    if norm == 0.0:
+        return 0.0
+    sl = q.Q.cell_slice
+    absf = np.abs(q.f.values[sl])
+    w = np.ones_like(absf) if q.w is None else q.w.values[sl]
+    wq_total = float(np.sum(w))
+
+    def objective(tau):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mod = float(np.sum(q.phi._eval_array(absf / tau) * w)) / wq_total
+        return tau * (1.0 + mod)
+
+    n_pts = int(math.ceil(6.0 / math.log10(1.01))) + 1
+    lattice = norm * np.logspace(-3.0, 3.0, n_pts)
+    vals = np.array([objective(t) for t in lattice])
+    i = int(np.nanargmin(vals))
+    a = lattice[max(i - 1, 0)]
+    b = lattice[min(i + 1, lattice.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > 1e-6 * 0.5 * (a + b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    return float(min(fc, fd))
+
+
+CRITERION_1_FAMILIES = [Power(2.0), LLogL(1.0, 1.0), ExpL(1.0), ExpAlphaL(0.5, 2.0)]
+
+
+def _random_queries(n, seed, weighted):
+    """Queries drawn like acceptance criterion 1, optionally under a random weight."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(8.0, 8)
+    intervals = list(dyadic_intervals(g, j_max=5, shifts=(0.0,)))
+    w = SampledFunction(g, np.exp(rng.standard_normal(g.N))) if weighted else None
+    out = []
+    while len(out) < n:
+        phi = CRITERION_1_FAMILIES[rng.integers(len(CRITERION_1_FAMILIES))]
+        Q = intervals[rng.integers(len(intervals))]
+        f = SampledFunction(g, 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(g.N))
+        out.append(LuxemburgQuery(f, Q, phi, w))
+    return out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_modular_inf_matches_lattice_oracle(weighted):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for q in _random_queries(50, 23, weighted):
+            assert modular_inf(q) == pytest.approx(lattice_modular_inf(q), rel=1e-8)
+
+
+def test_modular_inf_power_two_closed_form():
+    # tau + A / tau with A the weighted average of f^2 has its infimum 2 sqrt(A) at sqrt(A)
+    for weighted in (False, True):
+        for q in _random_queries(20, 29, weighted):
+            q = LuxemburgQuery(q.f, q.Q, Power(2.0), q.w)
+            sl = q.Q.cell_slice
+            w = np.ones(q.Q.n_cells) if q.w is None else q.w.values[sl]
+            avg = float(np.sum(q.f.values[sl] ** 2 * w) / np.sum(w))
+            assert modular_inf(q) == pytest.approx(2.0 * math.sqrt(avg), rel=1e-10)
+
+
+def test_modular_inf_evaluation_count(monkeypatch):
+    # one golden-section search over the whole bracket: the norm's bisection and
+    # about 46 objective evaluations, where a lattice scan needed about 1,400
+    calls = [0]
+    for cls in {type(phi) for phi in CRITERION_1_FAMILIES}:
+        original = cls._eval_array
+
+        def counted(self, t, original=original):
+            calls[0] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(cls, "_eval_array", counted)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for q in _random_queries(20, 31, weighted=True):
+            calls[0] = 0
+            modular_inf(q)
+            assert 0 < calls[0] <= 150, (q.phi, calls[0])
+
 
 
 # --- Hoelder and duality --------------------------------------------------
