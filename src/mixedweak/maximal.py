@@ -3,10 +3,14 @@
 All of them are pointwise sups of interval quantities over the scanned
 dyadic(+shifted) families, so they share one engine: per scanned family,
 compute the quantity on every interval (a plain average or a Luxemburg
-norm) and scatter it onto the member cells with a running maximum.  The
-single-cell interval is always available, which gives the floor
-M f >= |f| (and |f| / phi^{-1}(1) for the Orlicz case) independent of the
-scan's depth.
+norm) and scatter it onto the member cells with a running maximum.  Each
+family of a ``DyadicScan`` tiles one contiguous block of cells, so the
+scatter is one ``np.maximum`` of that block with the norms repeated over
+their lengths.  Interval sets that do not tile, such as the nested ranges
+of ``ExhaustiveScan``, are refused with ``GeometryError``; the exact
+all-intervals sup is ``brute_force_maximal``.  The single-cell interval is
+always available, which gives the floor M f >= |f| (and |f| / phi^{-1}(1)
+for the Orlicz case) independent of the scan's depth.
 
 ``hl_maximal`` is ``orlicz_maximal`` with the identity Young function; the
 linear fast path inside the segmented Luxemburg solver turns that into the
@@ -24,13 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from ._errors import DomainError, GridMismatchError, RangeError
-from .grid import (
-    DyadicScan,
-    ExhaustiveScan,
-    SampledFunction,
-    flatten_cell_ranges,
-    scan_cell_ranges,
-)
+from .grid import DyadicScan, SampledFunction, scan_cell_ranges
+from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .weights import Weight
 from .young import Identity, YoungFunction, segmented_luxemburg_norms
 
@@ -53,7 +52,8 @@ def orlicz_maximal(
     """M_{phi,w} f: sup over scanned intervals containing x of the Luxemburg norm.
 
     With ``phi = Identity`` and no weight this is the scanned Hardy-Littlewood
-    maximal function.
+    maximal function.  Each scanned family tiles one block of cells, so its
+    norms are scattered onto that block with one running maximum.
     """
     if w is not None and w.grid != f.grid:
         raise GridMismatchError("maximal weight must live on the grid of f")
@@ -61,15 +61,10 @@ def orlicz_maximal(
     wvals = None if w is None else w.values
     # single-cell Luxemburg norm in closed form; keeps Mf >= |f| at any depth
     out = absf / float(phi.inverse(1.0))
-    unique_membership = not isinstance(scan, ExhaustiveScan)
     for starts, stops in scan_cell_ranges(f.grid, scan):
         norms = segmented_luxemburg_norms(phi, absf, wvals, starts, stops)
-        idx, seg = flatten_cell_ranges(starts, stops)
-        if unique_membership:
-            # each family partitions its cells, so plain fancy assignment works
-            out[idx] = np.maximum(out[idx], norms[seg])
-        else:
-            np.maximum.at(out, idx, norms[seg])
+        block = out[starts[0] : stops[-1]]
+        np.maximum(block, np.repeat(norms, stops - starts), out=block)
     return SampledFunction(f.grid, out)
 
 

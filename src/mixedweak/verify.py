@@ -238,16 +238,24 @@ def build_weight(grid: Grid, spec: str) -> Weight:
 
 
 def weak_lhs(
-    Tout: SampledFunction, u: Weight, v: Weight, t: float, margin: float = 0.05
-) -> float:
-    """uv-measure of the margin-interior part of {|Tout / v| > t}."""
-    if not t > 0.0:
+    Tout: SampledFunction, u: Weight, v: Weight, t: float | np.ndarray, margin: float = 0.05
+) -> float | np.ndarray:
+    """uv-measure of the margin-interior part of {|Tout / v| > t}.
+
+    ``t`` is one height (a float comes back) or an array of heights (one
+    measure each); the interior quotient and u*v are formed once for all.
+    """
+    ts = np.asarray(t, dtype=np.float64)
+    if not np.all(ts > 0.0):
         raise DomainError(f"level must be positive, got {t}")
     if u.grid != Tout.grid or v.grid != Tout.grid:
         raise GridMismatchError("weak_lhs needs Tout, u, v on one grid")
     grid = Tout.grid
-    mask = grid.interior_mask(margin) & (np.abs(Tout.values / v.values) > t)
-    return grid.h * float(np.sum(u.values[mask] * v.values[mask]))
+    interior = grid.interior_mask(margin)
+    quotient = np.abs(Tout.values / v.values)[interior]
+    uv = u.values[interior] * v.values[interior]
+    out = np.array([grid.h * float(np.sum(uv[quotient > s])) for s in ts.ravel()])
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 def modular_rhs(
@@ -255,16 +263,24 @@ def modular_rhs(
     phi: YoungFunction,
     u: Weight,
     v: Weight,
-    t: float,
+    t: float | np.ndarray,
     scale: float = 1.0,
-) -> float:
-    """int phi(scale |f| / t) u v dx by midpoint quadrature."""
-    if not t > 0.0:
+) -> float | np.ndarray:
+    """int phi(scale |f| / t) u v dx by midpoint quadrature.
+
+    ``t`` is one height (a float comes back) or an array of heights (one
+    integral each); scale |f| is formed once for all.  The weights multiply
+    in per height, in the order (phi * u) * v: a hoisted u*v would round
+    differently and move report values in the last bit.
+    """
+    ts = np.asarray(t, dtype=np.float64)
+    if not np.all(ts > 0.0):
         raise DomainError(f"level must be positive, got {t}")
     if u.grid != f.grid or v.grid != f.grid:
         raise GridMismatchError("modular_rhs needs f, u, v on one grid")
-    args = scale * np.abs(f.values) / t
-    return f.grid.h * float(np.sum(phi(args) * u.values * v.values))
+    sf = scale * np.abs(f.values)
+    out = np.array([f.grid.h * float(np.sum(phi(sf / s) * u.values * v.values)) for s in ts.ravel()])
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -380,11 +396,9 @@ def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     def rows_at(inst, ts):
         ts = _sweep(cfg, inst.f) if ts is None else ts
         tout = hilbert(inst.f * inst.v.fn)
-        rows = []
-        for t in map(float, ts):
-            lhs = weak_lhs(tout, inst.u, inst.v, t, cfg.margin)
-            rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, t)
-            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs)))
+        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin).tolist()
+        rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, ts).tolist()
+        rows = [ReportRow(t, a, b, _ratio(a, b)) for t, a, b in zip(map(float, ts), lhs, rhs)]
         return rows, ts, {}
 
     return _drive("base_sawyer", cfg, rows_at)
@@ -411,11 +425,9 @@ def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityRepor
         tout = commutator(b, inst.f * inst.v.fn, m)
         # phi(scale) == scale for scale in {0, 1}: the direct form int phi(scale |f| / t)
         # and the split form phi(scale) int phi(|f| / t) are one number, one pass
-        rows = []
-        for t in map(float, ts):
-            lhs = weak_lhs(tout, inst.u, inst.v, t, cfg.margin)
-            rhs = scale * modular_rhs(inst.f, phi, inst.u, inst.v, t)
-            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), rhs))
+        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin).tolist()
+        rhs = (scale * modular_rhs(inst.f, phi, inst.u, inst.v, ts)).tolist()
+        rows = [ReportRow(t, a, b, _ratio(a, b), b) for t, a, b in zip(map(float, ts), lhs, rhs)]
         return rows, ts, {"degenerate_symbol": degenerate}
 
     return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, rows_at)
@@ -473,17 +485,17 @@ def run_theorem3(
         quotient = orlicz_maximal(fv, phi, inst.scan).values / v.values
         mu = hl_maximal(inst.u.fn, inst.scan).values
         interior = grid.interior_mask(cfg.margin)
-        uw = inst.u.values * w.values
+        inner, uw = quotient[interior], (inst.u.values * w.values)[interior]
         absfv = np.abs(fv.values)
         if ts is None:
             # this inequality is normalized by f*v on both sides, and for the
             # hypothesized non-integrable v the interesting heights reach the
             # resolution-limited top of the quotient, so the default window is
             # anchored at fv's median and closed off where level sets empty out
-            ts = _sweep(cfg, fv, 2.0 * float(np.max(quotient[interior], initial=0.0)))
+            ts = _sweep(cfg, fv, 2.0 * float(np.max(inner, initial=0.0)))
         rows = []
         for t in map(float, ts):
-            lhs = grid.h * float(np.sum(uw[interior & (quotient > t)]))
+            lhs = grid.h * float(np.sum(uw[inner > t]))
             rhs = grid.h * float(np.sum(phi(absfv / t) * mu))
             psi = 1.0 / float(phi(1.0 / t))
             rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), psi * lhs))

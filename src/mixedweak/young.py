@@ -1,7 +1,8 @@
 """Young functions, complementary pairs, and weighted Luxemburg norms.
 
 The Orlicz engine behind every estimate in the package.  A Young function
-here is a frozen dataclass with a vectorized evaluator ``eval`` and a
+here is a frozen dataclass with a vectorized evaluator ``eval``, its
+derivative (``_slope_array``, used by the norm solver) and a
 right-continuous generalized inverse ``inverse(y) = sup{t : phi(t) <= y}``
 (the two coincide for strictly increasing finite families, and the
 generalized form is what makes step-type conjugates behave in the duality
@@ -17,6 +18,13 @@ by a searchsorted lookup of the affine piece active at height y (one lookup
 per height, no heights-by-lattice temporary).  That keeps the duality
 sandwich valid to a few parts in 1e4 while the optimizing slope stays inside
 the lattice (heights up to about 1e6).
+
+Luxemburg norms are computed a whole scanned family at a time: the family's
+ranges tile one block of cells, so every per-range sum is one
+``np.add.reduceat``, and the norm itself is the root of the modular in
+1/lam, found by a Newton iteration inside a closed-form bracket (see
+:func:`segmented_luxemburg_norms`).  The modular infimum, which lies between
+the norm and twice the norm, is one golden-section search around it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from typing import Union
 import numpy as np
 
 from ._errors import ConfigurationError, DomainError, GeometryError, RangeError
-from .grid import DyadicInterval, SampledFunction, flatten_cell_ranges
+from .grid import DyadicInterval, SampledFunction
+from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 
 __all__ = [
     "YoungFunction",
@@ -74,6 +83,10 @@ class YoungFunction:
         return True
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        """phi'(t) (the left derivative at a kink), for the Luxemburg Newton solver."""
         raise NotImplementedError
 
     def eval(self, t):
@@ -147,6 +160,9 @@ class Power(YoungFunction):
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return self.coef * t**self.r
 
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        return self.coef * self.r * t ** (self.r - 1.0)
+
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return (y / self.coef) ** (1.0 / self.r)
 
@@ -181,6 +197,11 @@ class LLogL(YoungFunction):
         logplus = np.where(t > 1.0, np.log(np.maximum(t, 1.0)), 0.0)
         return t**self.r * (1.0 + logplus) ** self.delta
 
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        big = t > 1.0
+        onelog = 1.0 + np.where(big, np.log(np.maximum(t, 1.0)), 0.0)
+        return t ** (self.r - 1.0) * onelog ** (self.delta - 1.0) * (self.r * onelog + self.delta * big)
+
 
 @dataclass(frozen=True)
 class ExpL(YoungFunction):
@@ -200,6 +221,9 @@ class ExpL(YoungFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.expm1(t ** (1.0 / self.alpha))
+
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(t ** (1.0 / self.alpha)) * t ** (1.0 / self.alpha - 1.0) / self.alpha
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return np.log1p(y) ** self.alpha
@@ -224,6 +248,10 @@ class ExpAlphaL(YoungFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.expm1(self.a * t ** (1.0 / self.alpha))
+
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        return (np.exp(self.a * t ** (1.0 / self.alpha)) * t ** (1.0 / self.alpha - 1.0)
+                * (self.a / self.alpha))
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return (np.log1p(y) / self.a) ** self.alpha
@@ -314,6 +342,9 @@ class LegendreConjugate(YoungFunction):
         idx = np.searchsorted(self._breaks, t, side="right")  # type: ignore[attr-defined]
         return np.maximum(slopes[idx] * t - heights[idx], 0.0)
 
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        return self._slopes[np.searchsorted(self._breaks, t, side="right")]  # type: ignore[attr-defined]
+
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         slopes = self._slopes  # type: ignore[attr-defined]
         heights = self._heights  # type: ignore[attr-defined]
@@ -385,7 +416,7 @@ class LuxemburgQuery:
 def _linear_scale(phi: YoungFunction) -> float | None:
     """Slope c when phi(t) = c*t exactly, else None.
 
-    The linear family short-circuits the bisection: the norm is c times the
+    The linear family short-circuits the Newton solver: the norm is c times the
     weighted average of |f|.  This is also what makes the Orlicz maximal
     function with the identity collapse bitwise onto the plain one.
     """
@@ -398,6 +429,12 @@ def _linear_scale(phi: YoungFunction) -> float | None:
     return None
 
 
+@lru_cache(maxsize=64)
+def _unit_argument(phi: YoungFunction) -> float:
+    """c = phi^{-1}(1); for the bisecting families one inverse costs milliseconds."""
+    return float(phi.inverse(1.0))
+
+
 def segmented_luxemburg_norms(
     phi: YoungFunction,
     values: np.ndarray,
@@ -405,70 +442,126 @@ def segmented_luxemburg_norms(
     starts: np.ndarray,
     stops: np.ndarray,
 ) -> np.ndarray:
-    """Luxemburg norms of |values| over many disjoint cell ranges at once.
+    """Luxemburg norms of |values| over the ranges of one contiguous family.
 
-    Returns one norm per (start, stop) range; the modular uses the weighted
-    cell average, so the cell width cancels and never enters.  Bisection to
-    relative 1e-10 with geometric bracket growth from the weighted mean; the
-    feasible end of the bracket is returned, so the modular at the result is
-    <= 1, and >= 1 - 1e-6 for finite-valued phi with f not a.e. zero.
+    The ranges must tile ``[starts[0], stops[-1])``, each stop being the next
+    start, as every scanned family does; anything else is refused with
+    :class:`GeometryError`.  Per-range sums are ``np.add.reduceat`` over that
+    block, with the weighted cell average as the modular, so the cell width
+    never enters.  Since phi(0) = 0 the modular runs only over the cells
+    where |f| w > 0, and a range without such cells has norm 0.  The linear
+    family is its slope times the weighted mean and ``Step`` the weighted
+    sup over its threshold, both in closed form.
+
+    Every other phi is solved for s = 1/lam, on g(s) = avg_w phi(s|f|) - 1,
+    by a safeguarded Newton iteration (in units of 1/max|f|, so that no
+    amplitude overflows).  With c = phi^{-1}(1) the root lies in the closed
+    bracket [c / max|f|, c / mean_w|f|]: at the left end phi(s|f|) <= 1 on
+    every cell, and at the right end g >= 0 by Jensen's inequality (for a
+    non-convex phi the right end is doubled until g >= 0).  Newton starts at
+    the right end.  A step that is not finite, leaves the bracket (an
+    exponential phi overflowing) or covers more than half the previous one is
+    replaced by the geometric midpoint of the bracket.
+
+    The feasible side is returned: lam is raised by 2e-13 relative, and by a
+    doubling amount after that, until the modular avg_w phi(|f| / lam) is
+    <= 1 - 1e-13, so a recomputation in another summation order still reads
+    <= 1.  For finite-valued phi and f not a.e. zero it is >= 1 - 1e-6, and
+    lam exceeds the exact norm by a few parts in 1e13.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
-    if np.any(stops <= starts):
-        raise GeometryError("segmented norms need nonempty cell ranges")
-    absf = np.abs(np.asarray(values, dtype=np.float64))
-    idx, seg = flatten_cell_ranges(starts, stops)
-    fa = absf[idx]
-    wa = np.ones_like(fa) if weights is None else np.asarray(weights, dtype=np.float64)[idx]
-    nseg = starts.size
-    wsum = np.bincount(seg, weights=wa, minlength=nseg)
+    if starts.size == 0 or np.any(stops <= starts) or np.any(stops[:-1] != starts[1:]):
+        raise GeometryError("segmented norms need nonempty cell ranges that tile one block")
+    lo, hi = int(starts[0]), int(stops[-1])
+    off = starts - lo
+    absf = np.abs(np.asarray(values, dtype=np.float64)[lo:hi])
+    if weights is None:
+        w, fw, wsum = None, absf, (stops - starts).astype(np.float64)
+    else:
+        w = np.asarray(weights, dtype=np.float64)[lo:hi]
+        fw, wsum = absf * w, np.add.reduceat(w, off)
     if np.any(wsum <= 0.0):
         raise DomainError("weight must have positive mass on every queried range")
-    lam0 = np.bincount(seg, weights=fa * wa, minlength=nseg) / wsum
+    mean = np.add.reduceat(fw, off) / wsum
 
     scale = _linear_scale(phi)
     if scale is not None:
-        return scale * lam0
+        return scale * mean
 
-    live = lam0 > 0.0
-    out = np.zeros(nseg, dtype=np.float64)
+    nz = np.flatnonzero(fw)
+    first = np.searchsorted(nz, off)
+    count = np.diff(first, append=nz.size)
+    live = count > 0
+    out = np.zeros(starts.size, dtype=np.float64)
     if not live.any():
         return out
-    live_of_seg = np.full(nseg, -1, dtype=np.int64)
-    live_of_seg[live] = np.arange(int(live.sum()))
-    keep = live_of_seg[seg] >= 0
-    fa, wa, seg_l = fa[keep], wa[keep], live_of_seg[seg[keep]]
-    nlive = int(live.sum())
-    wsum_l = wsum[live]
+    # the live ranges own consecutive runs of the nonzero cells
+    rep, at, wl = count[live], first[live], wsum[live]
+    fa, wa = absf[nz], None if w is None else w[nz]
+    top = np.maximum.reduceat(fa, at)
+    if isinstance(phi, Step):
+        out[live] = top / phi.threshold
+        return out
+    # per-range scale: the solver's unknown is u = max|f| / lam, so no amplitude
+    # can overflow or underflow it, and the top cell of every range has fn = 1
+    fn = fa / np.repeat(top, rep)
 
-    def modular(lam: np.ndarray) -> np.ndarray:
+    def average(vals):
+        return np.add.reduceat(vals if wa is None else vals * wa, at) / wl
+
+    def newton_terms(u):
+        t = fn * np.repeat(u, rep)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = phi._eval_array(fa / lam[seg_l]) * wa
-        return np.bincount(seg_l, weights=vals, minlength=nlive) / wsum_l
+            return average(phi._eval_array(t)) - 1.0, average(phi._slope_array(t) * fn)
 
-    hi = lam0[live].copy()
-    for _ in range(700):
-        bad = modular(hi) > 1.0
-        if not bad.any():
+    c = _unit_argument(phi)
+    u = c / average(fn)
+    g, dg = newton_terms(u)
+    for _ in range(1100):
+        # Jensen's bound needs convexity; without it, move the right end out
+        low = g < 0.0
+        if phi.convex or not low.any():
             break
-        hi[bad] *= 2.0
+        u = np.where(low, 2.0 * u, u)
+        g, dg = newton_terms(u)
     else:
         raise RangeError("Luxemburg bracket failed to close from above")
-    lo = hi.copy()
-    for _ in range(700):
-        slack = modular(lo) < 1.0
-        if not slack.any():
+
+    left, right, last = np.full(u.size, c), u.copy(), u - c
+    act = np.ones(u.size, dtype=bool)
+    for _ in range(100):
+        up = g >= 0.0
+        right, left = np.where(up, u, right), np.where(up, left, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = u - g / dg
+        # Newton unless phi overflows, the step leaves the bracket or it stalls (an
+        # exponential far from its root steps by about 1/max|f|): then the midpoint
+        wild = ~np.isfinite(nxt) | ~np.isfinite(dg) | (nxt < left) | (nxt > right)
+        wild |= np.abs(nxt - u) > 0.5 * last
+        nxt = np.where(wild, np.sqrt(left) * np.sqrt(right), nxt)
+        last = np.where(act, np.abs(nxt - u), last)
+        u = np.where(act, nxt, u)
+        act &= last > 1e-13 * u
+        if not act.any():
             break
-        lo[slack] *= 0.5
-    for _ in range(300):
-        if np.all(hi - lo <= 1e-10 * hi):
+        g, dg = newton_terms(u)
+    else:
+        raise RangeError("Luxemburg Newton iteration did not converge")
+
+    lam = top / u * (1.0 + 2e-13)
+    raise_by = 2e-13
+    for _ in range(60):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            over = average(phi._eval_array(fa / np.repeat(lam, rep))) > 1.0 - 1e-13
+        over &= lam > 0.0  # a norm below the least subnormal rounds to 0
+        if not over.any():
             break
-        mid = 0.5 * (lo + hi)
-        feasible = modular(mid) <= 1.0
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, mid)
-    out[live] = hi
+        raise_by *= 2.0
+        lam = np.where(over, lam * (1.0 + raise_by), lam)
+    else:
+        raise RangeError("Luxemburg norm did not reach the feasible side")
+    out[live] = lam
     return out
 
 
@@ -495,7 +588,10 @@ def modular_inf(q: LuxemburgQuery) -> float:
     [1e-3, 1e3], stopped at relative width 1e-6, finds its minimum, which
     lies between the norm and twice the norm.  Where phi overflows at small
     tau the objective is inf or nan; the comparison then fails and the
-    search moves right, toward the minimum.  Non-convex phi is refused.
+    search moves right, toward the minimum.  The objective at tau = norm is
+    a candidate too: the modular there is <= 1, so the returned value is
+    <= 2 * norm by construction, even where that bound is met with equality
+    (Power(2)).  Non-convex phi is refused.
     """
     if not q.phi.convex:
         raise DomainError(f"modular infimum needs a convex Young function, got {q.phi!r}")
@@ -526,7 +622,7 @@ def modular_inf(q: LuxemburgQuery) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = objective(d)
-    return float(min(fc, fd))
+    return float(min(fc, fd, objective(norm)))
 
 
 def holder_pair(

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedweak._errors import DomainError, GridMismatchError, RangeError
-from mixedweak.grid import DyadicScan, SampledFunction, make_grid, sample
+from mixedweak import maximal
+from mixedweak._errors import DomainError, GeometryError, GridMismatchError, RangeError
+from mixedweak.grid import DyadicScan, ExhaustiveScan, SampledFunction, make_grid, sample
 from mixedweak.maximal import (
     brute_force_maximal,
     compare_llogl_iterated,
@@ -18,7 +21,8 @@ from mixedweak.maximal import (
     weak_modular_check,
 )
 from mixedweak.weights import custom_weight, power_weight
-from mixedweak.young import Identity, LLogL
+from mixedweak.young import ExpL, Identity, LLogL, Power
+from test_young import bisection_luxemburg_norms
 
 SEED = 20260823
 
@@ -113,6 +117,81 @@ def test_orlicz_weight_grid_guard():
     g = make_grid(8.0, 7)
     with pytest.raises(GridMismatchError):
         orlicz_maximal(sample(chi01, g), Identity(), w=power_weight(make_grid(8.0, 8), -0.5))
+
+
+def test_orlicz_refuses_the_exhaustive_scan():
+    # its families share a left end instead of tiling a block
+    with pytest.raises(GeometryError, match="tile"):
+        orlicz_maximal(sample(chi01, make_grid(4.0, 4)), LLogL(1.0, 1.0), ExhaustiveScan())
+
+
+def brute_force_orlicz_maximal(f, phi, w=None):
+    """Test-only oracle: sup of the bisection norms over all cell-aligned intervals."""
+    n = f.grid.N
+    starts, stops = np.triu_indices(n + 1, k=1)
+    norms = bisection_luxemburg_norms(phi, f.values, w, starts, stops)
+    out = np.zeros(n)
+    for a, b, norm in zip(starts, stops, norms):
+        np.maximum(out[a:b], norm, out=out[a:b])
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    phi=st.sampled_from([LLogL(1.0, 1.0), LLogL(2.0, 1.0), Power(2.0), ExpL(1.0)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    weighted=st.booleans(),
+)
+def test_orlicz_sandwiched_by_brute_force_luxemburg_sup(phi, seed, weighted):
+    rng = np.random.default_rng(seed)
+    g = make_grid(4.0, 6)
+    f = SampledFunction(g, rng.standard_normal(g.N) * (rng.random(g.N) < 0.6))
+    w = custom_weight(g, np.exp(rng.standard_normal(g.N))) if weighted else None
+    scanned = orlicz_maximal(f, phi, w=w).values
+    brute = brute_force_orlicz_maximal(f, phi, None if w is None else w.values)
+    # every scanned interval is cell-aligned; by convexity the one-third trick
+    # bounds a Luxemburg norm by 3 times that of a scanned interval holding it
+    assert np.all(scanned <= brute * (1.0 + 1e-9))
+    assert np.all(brute <= 3.0 * scanned)
+
+
+def test_newton_iterations_on_theorem3_data(monkeypatch):
+    # chi_[0,1] |x|^-1.5 is the f*v of theorem 3; Newton starts at the Jensen
+    # end, far from the root where the singular cells dominate
+    g = make_grid(8.0, 16)
+    fv = SampledFunction(g, chi01(g.centers) * np.abs(g.centers) ** -1.5)
+    slopes = [0]
+    most = [0]
+    slope_array = LLogL._slope_array
+    segmented = maximal.segmented_luxemburg_norms
+
+    def counted_slopes(self, t):
+        slopes[0] += 1
+        return slope_array(self, t)
+
+    def counted_family(*args):
+        slopes[0] = 0
+        out = segmented(*args)
+        most[0] = max(most[0], slopes[0])
+        return out
+
+    monkeypatch.setattr(LLogL, "_slope_array", counted_slopes)
+    monkeypatch.setattr(maximal, "segmented_luxemburg_norms", counted_family)
+    orlicz_maximal(fv, LLogL(2.0, 1.0))
+    # one slope evaluation per Newton iteration of the slowest range in a family
+    assert 0 < most[0] <= 20
+
+
+def test_orlicz_memory_is_linear_in_n():
+    g = make_grid(8.0, 16)
+    fv = SampledFunction(g, chi01(g.centers) * np.abs(g.centers) ** -1.5)
+    tracemalloc.start()
+    try:
+        orlicz_maximal(fv, LLogL(2.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * g.N
 
 
 def test_orlicz_monotone_in_phi():

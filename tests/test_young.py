@@ -16,7 +16,14 @@ from mixedweak._errors import (
     GeometryError,
     RangeError,
 )
-from mixedweak.grid import DyadicInterval, SampledFunction, dyadic_intervals, make_grid, sample
+from mixedweak.grid import (
+    DyadicInterval,
+    SampledFunction,
+    dyadic_intervals,
+    flatten_cell_ranges,
+    make_grid,
+    sample,
+)
 from mixedweak.young import (
     ExpAlphaL,
     ExpL,
@@ -332,6 +339,138 @@ def test_segmented_norms_match_loop_of_single_queries():
             phi, vals[s:e], w[s:e], np.array([0], dtype=np.int64), np.array([e - s], dtype=np.int64)
         )
         assert got == pytest.approx(float(single[0]), rel=1e-12)
+
+
+def test_segmented_norms_refuse_ranges_that_do_not_tile():
+    vals = np.ones(16)
+    for starts, stops in (([0, 4], [4, 4]), ([0, 6], [4, 10]), ([0, 0], [8, 16]), ([], [])):
+        with pytest.raises(GeometryError):
+            segmented_luxemburg_norms(
+                LLogL(), vals, None, np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+            )
+
+
+def bisection_luxemburg_norms(phi, values, weights, starts, stops):
+    """Test-only oracle: per-range bisection to relative 1e-10, feasible end returned.
+
+    Ranges may overlap or leave gaps; every range is solved on its own cells.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    absf = np.abs(np.asarray(values, dtype=np.float64))
+    idx, seg = flatten_cell_ranges(starts, stops)
+    fa = absf[idx]
+    wa = np.ones_like(fa) if weights is None else np.asarray(weights, dtype=np.float64)[idx]
+    nseg = starts.size
+    wsum = np.bincount(seg, weights=wa, minlength=nseg)
+    lam0 = np.bincount(seg, weights=fa * wa, minlength=nseg) / wsum
+    live = lam0 > 0.0
+    out = np.zeros(nseg, dtype=np.float64)
+    if not live.any():
+        return out
+    live_of_seg = np.full(nseg, -1, dtype=np.int64)
+    live_of_seg[live] = np.arange(int(live.sum()))
+    keep = live_of_seg[seg] >= 0
+    fa, wa, seg_l = fa[keep], wa[keep], live_of_seg[seg[keep]]
+    nlive = int(live.sum())
+    wsum_l = wsum[live]
+
+    def modular(lam):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = phi._eval_array(fa / lam[seg_l]) * wa
+        return np.bincount(seg_l, weights=vals, minlength=nlive) / wsum_l
+
+    hi = lam0[live].copy()
+    for _ in range(700):
+        bad = modular(hi) > 1.0
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    lo = hi.copy()
+    for _ in range(700):
+        slack = modular(lo) < 1.0
+        if not slack.any():
+            break
+        lo[slack] *= 0.5
+    for _ in range(300):
+        if np.all(hi - lo <= 1e-10 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        feasible = modular(mid) <= 1.0
+        hi = np.where(feasible, mid, hi)
+        lo = np.where(feasible, lo, mid)
+    out[live] = hi
+    return out
+
+
+NEWTON_FAMILIES = [
+    Power(2.0),
+    Power(3.0, 0.5),
+    ExpL(1.0),
+    ExpL(2.0),  # not convex: the right end of the bracket has to move out
+    ExpAlphaL(0.5, 2.0),
+    complementary(LLogL(1.0, 1.0), exact=True),
+]
+
+
+@pytest.mark.parametrize("phi", [*NEWTON_FAMILIES, LLogL(1.0, 1.0), LLogL(2.0, 0.5), LLogL(0.5, 2.0)])
+def test_slopes_match_central_differences(phi):
+    # away from the kink of the log families at t = 1
+    t = np.concatenate((np.linspace(0.05, 0.95, 19), np.linspace(1.05, 6.0, 34)))
+    rtol = 1e-6
+    if isinstance(phi, LegendreConjugate):
+        # piecewise linear with slopes 1e-4 apart: the active piece's slope where phi > 0
+        t, rtol = t[phi.eval(t) > 0.0], 1e-3
+    h = 1e-6 * t
+    numeric = (phi.eval(t + h) - phi.eval(t - h)) / (2.0 * h)
+    np.testing.assert_allclose(phi._slope_array(t), numeric, rtol=rtol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    phi=st.one_of(
+        st.sampled_from(NEWTON_FAMILIES),
+        st.builds(LLogL, st.sampled_from([1.0, 2.0]), st.floats(min_value=0.25, max_value=3.0)),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_amp=st.floats(min_value=-3.0, max_value=3.0),
+    spikes=st.floats(min_value=1.0, max_value=4.0),
+    spread=st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0)),
+)
+def test_newton_norms_match_bisection_oracle(phi, seed, log_amp, spikes, spread):
+    # |normal|^spikes puts most of the mass on few cells and spread sets the
+    # weights' log-normal width: together they start Newton far from the root
+    rng = np.random.default_rng(seed)
+    n = 64
+    vals = 10.0**log_amp * np.abs(rng.standard_normal(n)) ** spikes * (rng.random(n) < 0.7)
+    w = None if spread is None else np.exp(spread * rng.standard_normal(n))
+    cuts = np.unique(rng.integers(1, n, size=rng.integers(0, 12)))
+    starts = np.concatenate(([0], cuts)).astype(np.int64)
+    stops = np.concatenate((cuts, [n])).astype(np.int64)
+    got = segmented_luxemburg_norms(phi, vals, w, starts, stops)
+    want = bisection_luxemburg_norms(phi, vals, w, starts, stops)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    for a, b, lam in zip(starts, stops, got):
+        fq = np.abs(vals[a:b])
+        if lam == 0.0:
+            assert not np.any(fq)
+            continue
+        if w is None:
+            modular = float(np.mean(phi.eval(fq / lam)))
+        else:
+            modular = float(np.sum(phi.eval(fq / lam) * w[a:b]) / np.sum(w[a:b]))
+        assert 1.0 - 1e-6 <= modular <= 1.0, (phi, modular)
+
+
+def test_newton_refuses_a_zero_step_from_an_overflowing_slope():
+    # at the right end u = 18.833 (in units of 1/max|f|) phi = expm1(2 u^2) is
+    # finite but its slope is not, so g / phi' is 0 and must not read as converged
+    phi = ExpAlphaL(0.5, 2.0)
+    c = float(phi.inverse(1.0))
+    vals, w = np.array([1.0, 0.0]), np.array([1.0, 18.833 / c - 1.0])
+    one = np.array([0], dtype=np.int64), np.array([2], dtype=np.int64)
+    got = segmented_luxemburg_norms(phi, vals, w, *one)
+    np.testing.assert_allclose(got, bisection_luxemburg_norms(phi, vals, w, *one), rtol=1e-10)
 
 
 # --- modular infimum ------------------------------------------------------
