@@ -33,7 +33,6 @@ from ._errors import (
     DomainError,
     GeometryError,
     GridMismatchError,
-    RangeError,
     SamplingError,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "SampledFunction",
     "DyadicInterval",
     "DyadicScan",
-    "ExhaustiveScan",
     "THIRD_SHIFTS",
     "make_grid",
     "sample",
@@ -355,21 +353,6 @@ class DyadicScan:
         return grid.J if self.j_max is None else min(self.j_max, grid.J)
 
 
-@dataclass(frozen=True)
-class ExhaustiveScan:
-    """Marker for the brute-force oracle that walks every cell-aligned interval.
-
-    Quadratic in the cell count, therefore guarded: grids larger than
-    ``max_cells`` are refused with :class:`RangeError`.
-    """
-
-    max_cells: int = 256
-
-    def __post_init__(self) -> None:
-        if self.max_cells < 1:
-            raise ConfigurationError(f"max_cells must be positive, got {self.max_cells}")
-
-
 def dyadic_intervals(
     grid: Grid,
     j_max: int | None = None,
@@ -397,28 +380,16 @@ def dyadic_intervals(
     return out
 
 
-def scan_cell_ranges(
-    grid: Grid, scan: DyadicScan | ExhaustiveScan
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(starts, stops)`` cell-index arrays, one pair per interval family.
 
-    For a :class:`DyadicScan` each yield is one ``(j, shift)`` family with its
-    empty members dropped; member cells of interval ``m`` are
-    ``starts[m]:stops[m]``.  Within a family, for every shift, each stop is
-    the next member's start: ``stop(k)`` and ``start(k + 1)`` are the same
-    integer formula, and clipping and dropping empty members keep that.  For
-    an :class:`ExhaustiveScan` each yield groups the intervals sharing a left
-    endpoint.
+    Each yield is one ``(j, shift)`` family with its empty members dropped;
+    member cells of interval ``m`` are ``starts[m]:stops[m]``.  Every family
+    is nonempty and tiles ``[starts[0], stops[-1])``: for every shift, each
+    stop is the next member's start, because ``stop(k)`` and ``start(k + 1)``
+    are the same integer formula, and clipping and dropping empty members
+    keep that.
     """
-    if isinstance(scan, ExhaustiveScan):
-        if grid.N > scan.max_cells:
-            raise RangeError(
-                f"exhaustive scan refused: N={grid.N} exceeds the {scan.max_cells}-cell guard"
-            )
-        stops = np.arange(1, grid.N + 1, dtype=np.int64)
-        for i0 in range(grid.N):
-            yield (np.full(grid.N - i0, i0, dtype=np.int64), stops[i0:])
-        return
     for j in range(scan.j_min, scan.effective_j_max(grid) + 1):
         k = np.arange(1 << j, dtype=np.int64)
         for s in scan.shifts:
@@ -430,9 +401,10 @@ def scan_cell_ranges(
 def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten cell-index ranges into (cell index, owning range) arrays.
 
-    Ranges may overlap (the exhaustive scan nests them); each produced pair
-    records which range a cell occurrence belongs to, so per-range sums are a
-    single ``bincount`` away.
+    Each produced pair records which range a cell occurrence belongs to, so
+    per-range sums are a single ``bincount`` away.  Nothing in the package
+    calls it, since every scanned family tiles one block and is reduced with
+    ``reduceat``; it is kept only for test oracles and the benchmark's hooks.
     """
     lens = stops - starts
     seg = np.repeat(np.arange(starts.size), lens)

@@ -6,11 +6,9 @@ compute the quantity on every interval (a plain average or a Luxemburg
 norm) and scatter it onto the member cells with a running maximum.  Each
 family of a ``DyadicScan`` tiles one contiguous block of cells, so the
 scatter is one ``np.maximum`` of that block with the norms repeated over
-their lengths.  Interval sets that do not tile, such as the nested ranges
-of ``ExhaustiveScan``, are refused with ``GeometryError``; the exact
-all-intervals sup is ``brute_force_maximal``.  The single-cell interval is
-always available, which gives the floor M f >= |f| (and |f| / phi^{-1}(1)
-for the Orlicz case) independent of the scan's depth.
+their lengths.  The single-cell interval is always available, which gives
+the floor M f >= |f| (and |f| / phi^{-1}(1) for the Orlicz case)
+independent of the scan's depth.
 
 ``hl_maximal`` is ``orlicz_maximal`` with the identity Young function; the
 linear fast path inside the segmented Luxemburg solver turns that into the

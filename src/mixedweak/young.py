@@ -292,6 +292,10 @@ class Step(YoungFunction):
         return np.full(np.shape(y), self.threshold, dtype=np.float64)
 
 
+# Relative fall of a chord slope below the earlier ones that counts as rounding.
+_CHORD_ROUNDING = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class LegendreConjugate(YoungFunction):
     """Numeric conjugate sup_s {t s - phi(s)} on a dense log slope lattice.
@@ -310,8 +314,11 @@ class LegendreConjugate(YoungFunction):
     The base must be convex: then every lattice point is a piece of the
     envelope and the chord slopes between neighbours, which are the
     envelope's breakpoints, are nondecreasing.  The lattice is cut before the
-    first chord slope that is not finite (the base overflows there), and a
-    base whose kept chord slopes decrease is refused.
+    first chord slope that is not finite (the base overflows there).  Where
+    the base is nearly linear, rounding makes a chord slope fall below an
+    earlier one by a few parts in 1e12; a fall within ``_CHORD_ROUNDING`` of
+    the running maximum is closed by taking that maximum, and a base with a
+    larger fall is refused.
     """
 
     base: "YoungFamily"
@@ -325,11 +332,12 @@ class LegendreConjugate(YoungFunction):
             chords = np.diff(heights) / np.diff(slopes)
             cut = np.flatnonzero(~np.isfinite(chords))
             n = int(cut[0]) + 1 if cut.size else slopes.size
-            slopes, heights, breaks = slopes[:n].copy(), heights[:n].copy(), chords[: n - 1].copy()
+            slopes, heights, chords = slopes[:n].copy(), heights[:n].copy(), chords[: n - 1]
+            breaks = np.maximum.accumulate(chords)
             kinks = slopes[:-1] * breaks - heights[:-1]  # envelope value at each break
         if n < 2:
             raise ConfigurationError(f"cannot conjugate {self.base!r}: no finite lattice values")
-        if np.any(np.diff(breaks) < 0.0):
+        if np.any(chords < breaks - _CHORD_ROUNDING * np.abs(breaks)):
             raise DomainError(f"cannot conjugate {self.base!r}: its chord slopes decrease")
         for name, val in (("_slopes", slopes), ("_heights", heights), ("_breaks", breaks),
                           ("_kinks", kinks)):

@@ -14,13 +14,13 @@ from mixedweak._errors import (
     DomainError,
     GeometryError,
     GridMismatchError,
-    RangeError,
     SamplingError,
 )
 from mixedweak.grid import (
+    THIRD_SHIFTS,
     DyadicInterval,
     DyadicScan,
-    ExhaustiveScan,
+    Grid,
     dyadic_intervals,
     integrate,
     make_grid,
@@ -201,35 +201,36 @@ def test_interval_cells_match_float_membership(j, data):
         assert (idx[0], idx[-1] + 1) == (iv.cell_start, iv.cell_stop)
 
 
-def test_scan_cell_ranges_matches_interval_objects():
-    g = make_grid(3.0, 5)
-    scan = DyadicScan(j_max=4)
-    got = [
-        (int(s), int(e))
-        for starts, stops in scan_cell_ranges(g, scan)
-        for s, e in zip(starts, stops)
-    ]
+@st.composite
+def dyadic_scans(draw, J):
+    """A scan over any scales of a J grid and any nonempty subset of the shifts."""
+    j_min = draw(st.integers(min_value=0, max_value=J))
+    j_max = draw(st.one_of(st.none(), st.integers(min_value=j_min, max_value=J)))
+    shifts = draw(st.lists(st.sampled_from(THIRD_SHIFTS), min_size=1, max_size=3, unique=True))
+    return DyadicScan(j_max=j_max, shifts=tuple(shifts), j_min=j_min)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), J=st.integers(min_value=1, max_value=8))
+def test_scan_cell_ranges_matches_interval_objects(data, J):
+    g = Grid(3.0, J)
+    scan = data.draw(dyadic_scans(J))
+    families = list(scan_cell_ranges(g, scan))
+    got = [(int(s), int(e)) for starts, stops in families for s, e in zip(starts, stops)]
+    j_max = scan.effective_j_max(g)
     want = [
         (iv.cell_start, iv.cell_stop)
-        for iv in dyadic_intervals(g, j_max=4, shifts=scan.shifts)
+        for iv in dyadic_intervals(g, j_max=j_max, shifts=scan.shifts, j_min=scan.j_min)
     ]
     # scan_cell_ranges groups by (j, shift); dyadic_intervals by (j, shift, k):
     # same grouping order, so the flat lists must agree exactly.
     assert got == want
-    # within each family, shifted or not, every stop is the next member's start
-    for starts, stops in scan_cell_ranges(g, scan):
+    assert len(families) == (j_max - scan.j_min + 1) * len(scan.shifts)
+    # every family is nonempty and tiles [starts[0], stops[-1]): each stop is the next start
+    for starts, stops in families:
+        assert starts.size > 0
+        assert np.all(stops > starts)
         assert np.array_equal(stops[:-1], starts[1:])
-
-
-def test_exhaustive_scan_guard_and_count():
-    g = make_grid(1.0, 4)
-    n_intervals = sum(
-        starts.size for starts, _ in scan_cell_ranges(g, ExhaustiveScan())
-    )
-    assert n_intervals == g.N * (g.N + 1) // 2
-    big = make_grid(1.0, 10)
-    with pytest.raises(RangeError):
-        list(scan_cell_ranges(big, ExhaustiveScan()))
 
 
 def test_one_third_trick_containment():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedweak import maximal
-from mixedweak._errors import DomainError, GeometryError, GridMismatchError, RangeError
-from mixedweak.grid import DyadicScan, ExhaustiveScan, SampledFunction, make_grid, sample
+from mixedweak._errors import DomainError, GridMismatchError, RangeError
+from mixedweak.grid import DyadicScan, SampledFunction, make_grid, sample
 from mixedweak.maximal import (
     brute_force_maximal,
     compare_llogl_iterated,
@@ -117,12 +117,6 @@ def test_orlicz_weight_grid_guard():
     g = make_grid(8.0, 7)
     with pytest.raises(GridMismatchError):
         orlicz_maximal(sample(chi01, g), Identity(), w=power_weight(make_grid(8.0, 8), -0.5))
-
-
-def test_orlicz_refuses_the_exhaustive_scan():
-    # its families share a left end instead of tiling a block
-    with pytest.raises(GeometryError, match="tile"):
-        orlicz_maximal(sample(chi01, make_grid(4.0, 4)), LLogL(1.0, 1.0), ExhaustiveScan())
 
 
 def brute_force_orlicz_maximal(f, phi, w=None):

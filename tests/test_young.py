@@ -223,6 +223,27 @@ def test_legendre_inverse_of_many_heights_matches_lattice_min():
     assert np.max(np.abs(fast / lattice_min_inverse(phi, y) - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("base", [ExpAlphaL(1.0, 0.003), LLogL(1.0, 1e-6)])
+def test_legendre_absorbs_rounding_in_nearly_linear_bases(base):
+    # rounding makes some chord slopes of these convex bases fall by ~1e-12 relative
+    phi = LegendreConjugate(base)
+    assert np.all(np.diff(phi._breaks) >= 0.0)
+    kinks = phi._kinks[np.isfinite(phi._kinks) & (phi._kinks > 0.0)]
+    y = np.concatenate([kinks[:: max(1, kinks.size // 100)], np.logspace(-12.0, 8.0, 100)])
+    assert np.max(np.abs(phi.inverse(y) / lattice_min_inverse(phi, y) - 1.0)) <= 1e-14
+
+
+def test_legendre_refuses_a_real_fall_in_the_chord_slopes():
+    class ClaimsConvex(LLogL):
+        @property
+        def convex(self) -> bool:
+            return True
+
+    # t**0.5 (1 + log+ t) is concave: its chord slopes fall by far more than rounding
+    with pytest.raises(DomainError, match="chord slopes decrease"):
+        LegendreConjugate(ClaimsConvex(0.5, 1.0))
+
+
 @pytest.mark.parametrize("base", [LLogL(2.0, 1.0), ExpAlphaL(0.5, 2.0), Power(3.0)])
 def test_legendre_inverse_at_the_kinks_matches_lattice_min(base):
     # the envelope's breakpoints are where the lookup switches affine piece
