@@ -43,7 +43,7 @@ from .verify import (
     theorem3_set_partition,
     weak_lhs,
 )
-from .weights import ConstantEstimate, Weight, _stability, bmo_norm, estimate_Ap, fundamental_ratio
+from .weights import ConstantEstimate, Weight, _refined, bmo_norm, estimate_Ap, fundamental_ratio
 from .young import Identity, LLogL
 
 __all__ = ["main", "parse_config", "read_config"]
@@ -281,11 +281,7 @@ def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     u, v = build_weight(grid, cfg.u), build_weight(grid, cfg.v)
     estimates = preflight_weights(u, v, scan)
     estimates["fundamental"] = fundamental_ratio(u, v, scan)
-    fine = bmo_norm(sample_b(grid, cfg.b), scan)
-    coarse = bmo_norm(sample_b(make_grid(cfg.L, cfg.J - 2), cfg.b), scan)
-    estimates["bmo_b"] = ConstantEstimate(
-        value=fine, scan=scan, refinement_pair=(coarse, fine), stable=_stability(coarse, fine)
-    )
+    estimates["bmo_b"] = _refined(grid, lambda g: bmo_norm(sample_b(g, cfg.b), scan))
     body = {name: _estimate_json(est) for name, est in estimates.items()}
     lines = ["name,value,stable,coarse,fine"]
     for name, est in estimates.items():

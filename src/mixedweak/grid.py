@@ -45,6 +45,8 @@ __all__ = [
     "make_grid",
     "sample",
     "integrate",
+    "superlevel_mass",
+    "modular_mass",
     "dyadic_intervals",
     "scan_cell_ranges",
     "flatten_cell_ranges",
@@ -337,13 +339,10 @@ class DyadicScan:
 
     j_max: int | None = None
     shifts: tuple[float, ...] = THIRD_SHIFTS
-    j_min: int = 0
 
     def __post_init__(self) -> None:
-        if self.j_min < 0:
-            raise ConfigurationError(f"j_min must be >= 0, got {self.j_min}")
-        if self.j_max is not None and self.j_max < self.j_min:
-            raise ConfigurationError(f"j_max={self.j_max} below j_min={self.j_min}")
+        if self.j_max is not None and self.j_max < 0:
+            raise ConfigurationError(f"j_max must be >= 0, got {self.j_max}")
         if len(self.shifts) == 0:
             raise ConfigurationError("scan needs at least one shift family")
         for s in self.shifts:
@@ -357,7 +356,6 @@ def dyadic_intervals(
     grid: Grid,
     j_max: int | None = None,
     shifts: Sequence[float] = THIRD_SHIFTS,
-    j_min: int = 0,
 ) -> list[DyadicInterval]:
     """Enumerate the nonempty scanned intervals up to scale ``j_max``.
 
@@ -367,10 +365,8 @@ def dyadic_intervals(
     jm = grid.J if j_max is None else j_max
     if not (0 <= jm <= grid.J):
         raise DomainError(f"j_max={j_max} outside [0, J={grid.J}]")
-    if not (0 <= j_min <= jm):
-        raise DomainError(f"j_min={j_min} outside [0, j_max={jm}]")
     out: list[DyadicInterval] = []
-    for j in range(j_min, jm + 1):
+    for j in range(jm + 1):
         for s in shifts:
             p = _shift_to_thirds(s)
             for k in range(1 << j):
@@ -388,14 +384,15 @@ def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray,
     is nonempty and tiles ``[starts[0], stops[-1])``: for every shift, each
     stop is the next member's start, because ``stop(k)`` and ``start(k + 1)``
     are the same integer formula, and clipping and dropping empty members
-    keep that.
+    keep that.  Only clipping at the right edge empties a member, so the
+    empty members are a suffix and the yields are views, not copies.
     """
-    for j in range(scan.j_min, scan.effective_j_max(grid) + 1):
+    for j in range(scan.effective_j_max(grid) + 1):
         k = np.arange(1 << j, dtype=np.int64)
         for s in scan.shifts:
             starts, stops = _cell_range(grid, j, k, _shift_to_thirds(s))
-            keep = stops > starts
-            yield (starts[keep], stops[keep])
+            n = int(np.count_nonzero(stops > starts))
+            yield (starts[:n], stops[:n])
 
 
 def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,3 +432,40 @@ def integrate(
             raise GridMismatchError("weight and integrand live on different grids")
         vals = vals * weight.values[sl]
     return float(f.grid.h * np.sum(vals))
+
+
+def _positive_heights(heights) -> np.ndarray:
+    ts = np.asarray(heights, dtype=np.float64)
+    if not np.all(ts > 0.0):
+        raise DomainError(f"heights must be positive, got {heights}")
+    return ts
+
+
+def superlevel_mass(h: float, level: np.ndarray, density: np.ndarray, heights) -> np.ndarray:
+    """``h * sum(density[level > t])`` for each of the ``heights`` (same shape).
+
+    One sort serves every height: ``side="right"`` finds the first sorted cell
+    above each height (the strict ``> t``), the density is summed pairwise
+    between those cuts and the sums are added up from the top, so a height at
+    or above ``max(level)`` gives exactly 0.
+    """
+    ts = _positive_heights(heights)
+    order = np.argsort(level)
+    at = np.searchsorted(level[order], ts, side="right")
+    cuts = np.unique(at)
+    sums = np.add.reduceat(density[order], cuts[cuts < level.size])
+    tail = np.append(np.cumsum(sums[::-1])[::-1], 0.0)
+    return h * tail[np.searchsorted(cuts, at)]
+
+
+def modular_mass(h: float, signal: np.ndarray, phi: Callable, density: np.ndarray, heights) -> np.ndarray:
+    """``h * sum(phi(signal / t) * density)`` for each of the ``heights`` (same shape).
+
+    ``signal >= 0`` and phi(0) = 0: the zero cells are dropped once.
+    """
+    ts = _positive_heights(heights)
+    live = signal != 0.0
+    if not live.all():  # no copy for signals that vanish nowhere
+        signal, density = signal[live], density[live]
+    out = [float(np.sum(phi(signal / t) * density)) for t in ts.ravel()]
+    return h * np.array(out).reshape(ts.shape)

@@ -27,9 +27,10 @@ import numpy as np
 
 from ._errors import DomainError, GridMismatchError, RangeError
 from .grid import DyadicScan, SampledFunction, scan_cell_ranges
+from .grid import _positive_heights, modular_mass, superlevel_mass
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .weights import Weight
-from .young import Identity, YoungFunction, segmented_luxemburg_norms
+from .young import Identity, LLogL, YoungFunction, _unit_argument, segmented_luxemburg_norms
 
 __all__ = [
     "hl_maximal",
@@ -58,7 +59,7 @@ def orlicz_maximal(
     absf = np.abs(f.values)
     wvals = None if w is None else w.values
     # single-cell Luxemburg norm in closed form; keeps Mf >= |f| at any depth
-    out = absf / float(phi.inverse(1.0))
+    out = absf / _unit_argument(phi)
     for starts, stops in scan_cell_ranges(f.grid, scan):
         norms = segmented_luxemburg_norms(phi, absf, wvals, starts, stops)
         block = out[starts[0] : stops[-1]]
@@ -92,8 +93,6 @@ def compare_llogl_iterated(
     vanish are skipped (only possible for f identically zero, which is
     rejected).
     """
-    from .young import LLogL
-
     if m < 1:
         raise DomainError(f"comparison order must be >= 1, got {m}")
     if not np.any(f.values):
@@ -142,15 +141,9 @@ def weak_modular_check(
         raise DomainError("weak modular check needs g >= 0")
     if u.grid != g.grid:
         raise GridMismatchError("u must live on the grid of g")
+    ts = _positive_heights(t_values)
     mg = orlicz_maximal(g, phi, scan).values
     mu = hl_maximal(u.fn, scan).values
-    h = g.grid.h
-    rows = []
-    for t in t_values:
-        t = float(t)
-        if t <= 0.0:
-            raise DomainError(f"threshold must be positive, got {t}")
-        lhs = h * float(np.sum(u.values[mg > t]))
-        rhs = h * float(np.sum(phi(g.values / t) * mu))
-        rows.append((t, lhs, rhs))
-    return rows
+    lhs = superlevel_mass(g.grid.h, mg, u.values, ts)
+    rhs = modular_mass(g.grid.h, g.values, phi, mu, ts)
+    return list(zip(ts.tolist(), lhs.tolist(), rhs.tolist()))

@@ -1,13 +1,14 @@
 """End-to-end harness: both sides of each weak-type inequality over t sweeps.
 
-A run instantiates the configured grid, samples the function/symbol/weight
-families, computes the left side (a weighted measure of a superlevel set of
-the transformed function) and the right side (a modular integral) across a
-log-spaced sweep of heights t, and reports the sup of the ratio together
-with the same sup on the twice-coarsened grid.  The unspecified constants in
-the inequalities are never hard-coded; refinement stability of the measured
-sup-ratio is the acceptance signal, and the report carries it as its drift
-and verdict.  All runners share one driver and differ only in their rows.
+Every inequality has one shape: a weighted measure of a superlevel set,
+``uv({|T(fv)/v| > t})``, on the left, and a modular integral,
+``int phi(|f|/t) uv``, on the right.  A run samples the configured families
+and evaluates both sides on a log-spaced sweep of heights t through the two
+height kernels ``grid.superlevel_mass`` and ``grid.modular_mass``; it reports
+the sup of the ratio and the same sup on the twice-coarsened grid.  The
+constants in the inequalities are never hard-coded: refinement stability of
+the sup-ratio is the acceptance signal, carried as the report's drift and
+verdict.  All runners share one driver and differ only in their sides.
 
 Weight-hypothesis preflight refuses runs whose estimated constants are
 unstable (the run would measure noise), unless forced: forcing is exactly
@@ -34,6 +35,7 @@ from ._errors import (
     RangeError,
 )
 from .grid import THIRD_SHIFTS, DyadicScan, Grid, SampledFunction, make_grid, sample
+from .grid import modular_mass, superlevel_mass
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
 from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, estimate_Ap_u, power_weight
@@ -243,19 +245,15 @@ def weak_lhs(
     """uv-measure of the margin-interior part of {|Tout / v| > t}.
 
     ``t`` is one height (a float comes back) or an array of heights (one
-    measure each); the interior quotient and u*v are formed once for all.
+    measure each).
     """
-    ts = np.asarray(t, dtype=np.float64)
-    if not np.all(ts > 0.0):
-        raise DomainError(f"level must be positive, got {t}")
     if u.grid != Tout.grid or v.grid != Tout.grid:
         raise GridMismatchError("weak_lhs needs Tout, u, v on one grid")
-    grid = Tout.grid
-    interior = grid.interior_mask(margin)
+    interior = Tout.grid.interior_mask(margin)
     quotient = np.abs(Tout.values / v.values)[interior]
-    uv = u.values[interior] * v.values[interior]
-    out = np.array([grid.h * float(np.sum(uv[quotient > s])) for s in ts.ravel()])
-    return float(out[0]) if ts.ndim == 0 else out
+    uv = (u.values * v.values)[interior]
+    out = superlevel_mass(Tout.grid.h, quotient, uv, t)
+    return out if out.ndim else float(out)
 
 
 def modular_rhs(
@@ -269,18 +267,13 @@ def modular_rhs(
     """int phi(scale |f| / t) u v dx by midpoint quadrature.
 
     ``t`` is one height (a float comes back) or an array of heights (one
-    integral each); scale |f| is formed once for all.  The weights multiply
-    in per height, in the order (phi * u) * v: a hoisted u*v would round
-    differently and move report values in the last bit.
+    integral each).  Only the cells where f is nonzero are summed, since
+    phi(0) = 0.
     """
-    ts = np.asarray(t, dtype=np.float64)
-    if not np.all(ts > 0.0):
-        raise DomainError(f"level must be positive, got {t}")
     if u.grid != f.grid or v.grid != f.grid:
         raise GridMismatchError("modular_rhs needs f, u, v on one grid")
-    sf = scale * np.abs(f.values)
-    out = np.array([f.grid.h * float(np.sum(phi(sf / s) * u.values * v.values)) for s in ts.ravel()])
-    return float(out[0]) if ts.ndim == 0 else out
+    out = modular_mass(f.grid.h, scale * np.abs(f.values), phi, u.values * v.values, t)
+    return out if out.ndim else float(out)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -302,9 +295,7 @@ def _sweep(cfg: ExperimentConfig, signal: SampledFunction, top: float | None = N
         t_min = center * 1e-2 if t_min is None else t_min
         if t_max is None:
             t_max = top if top is not None and top > t_min else center * 1e2
-    if cfg.steps == 1:
-        return np.array([t_min])
-    return np.geomspace(t_min, t_max, cfg.steps)
+    return np.geomspace(t_min, t_max, cfg.steps)  # one step gives [t_min] exactly
 
 
 def preflight_weights(
@@ -344,15 +335,24 @@ def _instantiate(cfg: ExperimentConfig, J: int, with_v: bool) -> SimpleNamespace
     return SimpleNamespace(grid=grid, f=f, u=u, v=v, scan=cfg.scan())
 
 
+def _rows(ts: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, alt: np.ndarray | None) -> list[ReportRow]:
+    alts = [None] * len(ts) if alt is None else alt.tolist()
+    return [
+        ReportRow(t, a, b, _ratio(a, b), c)
+        for t, a, b, c in zip(ts.tolist(), lhs.tolist(), rhs.tolist(), alts)
+    ]
+
+
 def _drive(
-    theorem: str, cfg: ExperimentConfig, rows_at: Callable, preflight: bool = True
+    theorem: str, cfg: ExperimentConfig, sides_at: Callable, preflight: bool = True
 ) -> InequalityReport:
     """Measure on grid J, then on J - 2 at the same heights, and report.
 
-    ``rows_at(inst, ts)`` returns ``(rows, ts, fields)``; the fine call gets
-    ``ts=None`` and picks the sweep, and its ``fields`` go on the report.
-    Without ``preflight`` (theorem 3: any positive u, its own v) the
-    configured v is never built and only u's A1 estimate is recorded.
+    ``sides_at(inst, ts)`` returns ``(ts, lhs, rhs, alt, fields)``, one array
+    per row column (``alt`` may be None); the fine call gets ``ts=None`` and
+    picks the sweep, and its ``fields`` go on the report.  Without
+    ``preflight`` (theorem 3: any positive u, its own v) the configured v is
+    never built and only u's A1 estimate is recorded.
     """
     started = time.perf_counter()
     if cfg.J - 2 < 4:
@@ -365,10 +365,11 @@ def _drive(
         _require_hypotheses(estimates, cfg.force)
     else:
         estimates = {"A1_u": estimate_Ap(fine.u, 1.0, fine.scan)}
-    rows, ts, fields = rows_at(fine, None)
-    coarse_rows, _, _ = rows_at(_instantiate(cfg, cfg.J - 2, with_v=preflight), ts)
+    ts, *sides, fields = sides_at(fine, None)
+    rows = _rows(ts, *sides)
+    _, *coarse_sides, _ = sides_at(_instantiate(cfg, cfg.J - 2, with_v=preflight), ts)
     best = max(rows, key=lambda row: row.ratio)
-    sup_coarse = max(row.ratio for row in coarse_rows)
+    sup_coarse = max(row.ratio for row in _rows(ts, *coarse_sides))
     if sup_coarse > 0.0:
         drift = abs(best.ratio - sup_coarse) / sup_coarse
     else:
@@ -393,15 +394,14 @@ def _drive(
 def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     """Weak (1,1)-type inequality for the plain transform: the m = 0 baseline."""
 
-    def rows_at(inst, ts):
+    def sides_at(inst, ts):
         ts = _sweep(cfg, inst.f) if ts is None else ts
         tout = hilbert(inst.f * inst.v.fn)
-        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin).tolist()
-        rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, ts).tolist()
-        rows = [ReportRow(t, a, b, _ratio(a, b)) for t, a, b in zip(map(float, ts), lhs, rhs)]
-        return rows, ts, {}
+        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin)
+        rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, ts)
+        return ts, lhs, rhs, None, {}
 
-    return _drive("base_sawyer", cfg, rows_at)
+    return _drive("base_sawyer", cfg, sides_at)
 
 
 def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityReport:
@@ -411,7 +411,7 @@ def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityRepor
         raise DomainError(f"commutator order must be 1, 2, or 3, got {m}")
     phi = LLogL(1.0, float(m))
 
-    def rows_at(inst, ts):
+    def sides_at(inst, ts):
         ts = _sweep(cfg, inst.f) if ts is None else ts
         b = sample_b(inst.grid, cfg.b)
         norm_b = bmo_norm(b, inst.scan)
@@ -425,12 +425,11 @@ def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityRepor
         tout = commutator(b, inst.f * inst.v.fn, m)
         # phi(scale) == scale for scale in {0, 1}: the direct form int phi(scale |f| / t)
         # and the split form phi(scale) int phi(|f| / t) are one number, one pass
-        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin).tolist()
-        rhs = (scale * modular_rhs(inst.f, phi, inst.u, inst.v, ts)).tolist()
-        rows = [ReportRow(t, a, b, _ratio(a, b), b) for t, a, b in zip(map(float, ts), lhs, rhs)]
-        return rows, ts, {"degenerate_symbol": degenerate}
+        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin)
+        rhs = scale * modular_rhs(inst.f, phi, inst.u, inst.v, ts)
+        return ts, lhs, rhs, rhs, {"degenerate_symbol": degenerate}
 
-    return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, rows_at)
+    return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, sides_at)
 
 
 def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
@@ -477,7 +476,7 @@ def run_theorem3(
     beta = cfg.beta if beta is None else beta
     _check_theorem3(r, delta, beta)
 
-    def rows_at(inst, ts):
+    def sides_at(inst, ts):
         grid = inst.grid
         v, w = build_theorem3_weight(grid, r, delta, beta)
         phi = LLogL(r, delta)
@@ -486,24 +485,22 @@ def run_theorem3(
         mu = hl_maximal(inst.u.fn, inst.scan).values
         interior = grid.interior_mask(cfg.margin)
         inner, uw = quotient[interior], (inst.u.values * w.values)[interior]
-        absfv = np.abs(fv.values)
         if ts is None:
             # this inequality is normalized by f*v on both sides, and for the
             # hypothesized non-integrable v the interesting heights reach the
             # resolution-limited top of the quotient, so the default window is
             # anchored at fv's median and closed off where level sets empty out
             ts = _sweep(cfg, fv, 2.0 * float(np.max(inner, initial=0.0)))
-        rows = []
-        for t in map(float, ts):
-            lhs = grid.h * float(np.sum(uw[inner > t]))
-            rhs = grid.h * float(np.sum(phi(absfv / t) * mu))
-            psi = 1.0 / float(phi(1.0 / t))
-            rows.append(ReportRow(t, lhs, rhs, _ratio(lhs, rhs), psi * lhs))
-        rhs0 = grid.h * float(np.sum(phi(absfv) * mu))
-        weak_orlicz_sup = max(_ratio(row.alt, rhs0) for row in rows)
-        return rows, ts, {"extras": {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}}
+        lhs = superlevel_mass(grid.h, inner, uw, ts)
+        # the extra height 1 gives the weak-Orlicz right side int phi(|fv|) Mu
+        rhs = modular_mass(grid.h, np.abs(fv.values), phi, mu, np.append(ts, 1.0))
+        rhs, rhs0 = rhs[:-1], float(rhs[-1])
+        alt = 1.0 / phi(1.0 / ts) * lhs
+        weak_orlicz_sup = max(_ratio(a, rhs0) for a in alt.tolist())
+        fields = {"extras": {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}}
+        return ts, lhs, rhs, alt, fields
 
-    return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, rows_at, preflight=False)
+    return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, sides_at, preflight=False)
 
 
 # --- scale solver and proof-set diagnostics -------------------------------

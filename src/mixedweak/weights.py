@@ -69,7 +69,6 @@ class Weight:
 
     fn: SampledFunction
     family: str = "custom"
-    claimed: tuple[str, ...] = ()
     expr: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -98,31 +97,23 @@ class Weight:
         if grid == self.grid:
             return self
         if self.expr is not None:
-            return Weight(sample(self.expr, grid), self.family, self.claimed, self.expr)
+            return Weight(sample(self.expr, grid), self.family, self.expr)
         if grid.L != self.grid.L or grid.J > self.grid.J:
             raise GridMismatchError(
                 f"raw weight on J={self.grid.J} cannot be resampled to L={grid.L}, J={grid.J}"
             )
         block = 1 << (self.grid.J - grid.J)
         coarse = self.values.reshape(-1, block).mean(axis=1)
-        return Weight(SampledFunction(grid, coarse), self.family, self.claimed, None)
+        return Weight(SampledFunction(grid, coarse), self.family, None)
 
 
 def power_weight(grid: Grid, beta: float) -> Weight:
     """w(x) = |x|**beta; finite at every sample because 0 is never a center."""
     if not math.isfinite(beta):
         raise DomainError(f"power weight exponent must be finite, got {beta}")
-    claimed: tuple[str, ...]
-    if -1.0 < beta <= 0.0:
-        claimed = ("A1",)
-    elif 0.0 < beta < 1.0:
-        claimed = ("A2",)
-    else:
-        claimed = ()
     return Weight(
         sample(lambda x: np.abs(x) ** beta, grid),
         family=f"power beta={beta:g}",
-        claimed=claimed,
         expr=lambda x: np.abs(x) ** beta,
     )
 
@@ -150,7 +141,6 @@ class ConstantEstimate:
     """
 
     value: float
-    scan: DyadicScan
     refinement_pair: tuple[float, float]
     stable: bool
 
@@ -184,14 +174,11 @@ def _scan_max(grid: Grid, scan: DyadicScan, functional) -> float:
     return best
 
 
-def _refined(
-    scan: DyadicScan, grid: Grid, value_at: Callable[[Grid], float]
-) -> ConstantEstimate:
+def _refined(grid: Grid, value_at: Callable[[Grid], float]) -> ConstantEstimate:
     fine = value_at(grid)
     coarse = value_at(grid.coarsened(2))
     return ConstantEstimate(
         value=fine,
-        scan=scan,
         refinement_pair=(coarse, fine),
         stable=_stability(coarse, fine),
     )
@@ -227,7 +214,7 @@ def estimate_RH(w: Weight, s: float, scan: DyadicScan = DyadicScan()) -> Constan
 
         return _scan_max(grid, scan, functional)
 
-    return _refined(scan, w.grid, value_at)
+    return _refined(w.grid, value_at)
 
 
 def estimate_RH_inf(w: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
@@ -245,7 +232,7 @@ def estimate_RH_inf(w: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstim
 
         return _scan_max(grid, scan, functional)
 
-    return _refined(scan, w.grid, value_at)
+    return _refined(w.grid, value_at)
 
 
 def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
@@ -280,7 +267,7 @@ def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan(
 
         return _scan_max(grid, scan, functional)
 
-    return _refined(scan, v.grid, value_at)
+    return _refined(v.grid, value_at)
 
 
 def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:

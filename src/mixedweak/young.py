@@ -75,9 +75,6 @@ def _nonneg_array(t, what: str) -> np.ndarray:
 class YoungFunction:
     """Base class: shared eval/inverse plumbing for the concrete families."""
 
-    #: Whether phi(ab) <= K phi(a) phi(b) holds for some finite K.
-    submultiplicative: bool = False
-
     @property
     def convex(self) -> bool:
         return True
@@ -149,7 +146,6 @@ class Power(YoungFunction):
 
     r: float
     coef: float = 1.0
-    submultiplicative = True
 
     def __post_init__(self) -> None:
         if not (self.r >= 1.0 and math.isfinite(self.r)):
@@ -180,7 +176,6 @@ class LLogL(YoungFunction):
 
     r: float = 1.0
     delta: float = 1.0
-    submultiplicative = True
 
     def __post_init__(self) -> None:
         if not (self.r > 0.0 and math.isfinite(self.r)):
@@ -260,8 +255,6 @@ class ExpAlphaL(YoungFunction):
 @dataclass(frozen=True)
 class Identity(YoungFunction):
     """phi(t) = t."""
-
-    submultiplicative = True
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64)
@@ -379,18 +372,15 @@ def complementary(phi: YoungFunction, exact: bool = False) -> YoungFunction:
     need the duality identity pointwise pass ``exact=True`` to route through
     the numeric Legendre transform instead.  Everything else is numeric.
     """
-    if isinstance(phi, Identity):
-        return Step(1.0)
+    scale = _linear_scale(phi)
+    if scale is not None:
+        return Step(scale)
     if isinstance(phi, Step):
         return Power(1.0, phi.threshold)
     if isinstance(phi, Power):
-        if phi.r == 1.0:
-            return Step(phi.coef)
         rp = phi.r / (phi.r - 1.0)
         coef = (phi.r - 1.0) / phi.r * (phi.coef * phi.r) ** (-1.0 / (phi.r - 1.0))
         return Power(rp, coef)
-    if isinstance(phi, LLogL) and phi.r == 1.0 and phi.delta == 0.0:
-        return Step(1.0)
     if isinstance(phi, LLogL) and not exact and phi.r == 1.0 and phi.delta > 0.0:
         return ExpL(phi.delta)
     return _cached_legendre(phi)

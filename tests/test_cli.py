@@ -244,3 +244,5 @@ def test_estimate_reports_scanned_constants(tmp_path):
     assert rep["A1_u"]["value"] == estimate_Ap(build_weight(grid, "const"), 1.0).value == 1.0
     header = (out / "estimate.csv").read_text().splitlines()[0]
     assert header == "name,value,stable,coarse,fine"
+    # every estimate, bmo_b included, pairs grid J with J - 2, even below make_grid's band
+    assert main(["estimate", "--config", cfg, "--grid-J", "5", "--out", str(out)]) == 0

@@ -176,8 +176,6 @@ def test_dyadic_intervals_domain_checks():
     g = make_grid(1.0, 4)
     with pytest.raises(DomainError):
         dyadic_intervals(g, j_max=5)
-    with pytest.raises(DomainError):
-        dyadic_intervals(g, j_max=2, j_min=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,10 +202,9 @@ def test_interval_cells_match_float_membership(j, data):
 @st.composite
 def dyadic_scans(draw, J):
     """A scan over any scales of a J grid and any nonempty subset of the shifts."""
-    j_min = draw(st.integers(min_value=0, max_value=J))
-    j_max = draw(st.one_of(st.none(), st.integers(min_value=j_min, max_value=J)))
+    j_max = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=J)))
     shifts = draw(st.lists(st.sampled_from(THIRD_SHIFTS), min_size=1, max_size=3, unique=True))
-    return DyadicScan(j_max=j_max, shifts=tuple(shifts), j_min=j_min)
+    return DyadicScan(j_max=j_max, shifts=tuple(shifts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,17 +217,22 @@ def test_scan_cell_ranges_matches_interval_objects(data, J):
     j_max = scan.effective_j_max(g)
     want = [
         (iv.cell_start, iv.cell_stop)
-        for iv in dyadic_intervals(g, j_max=j_max, shifts=scan.shifts, j_min=scan.j_min)
+        for iv in dyadic_intervals(g, j_max=j_max, shifts=scan.shifts)
     ]
     # scan_cell_ranges groups by (j, shift); dyadic_intervals by (j, shift, k):
     # same grouping order, so the flat lists must agree exactly.
     assert got == want
-    assert len(families) == (j_max - scan.j_min + 1) * len(scan.shifts)
+    assert len(families) == (j_max + 1) * len(scan.shifts)
     # every family is nonempty and tiles [starts[0], stops[-1]): each stop is the next start
     for starts, stops in families:
         assert starts.size > 0
         assert np.all(stops > starts)
         assert np.array_equal(stops[:-1], starts[1:])
+    # the empty members are a suffix: the kept ones are members 0 .. n - 1 of their family
+    keys = [(j, round(3 * s)) for j in range(j_max + 1) for s in scan.shifts]
+    for (j, p), (starts, _) in zip(keys, families):
+        nonempty = [k for k in range(1 << j) if not DyadicInterval(g, j, k, p).is_empty]
+        assert nonempty == list(range(starts.size))
 
 
 def test_one_third_trick_containment():

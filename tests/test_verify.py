@@ -7,6 +7,7 @@ loose bands since only refinement stability, not the value, is meaningful.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from mixedweak._errors import (
     RangeError,
 )
 from mixedweak.cli import build_parser, main, parse_config
-from mixedweak.grid import DyadicScan, make_grid, sample
+from mixedweak.grid import (
+    DyadicScan,
+    SampledFunction,
+    make_grid,
+    modular_mass,
+    sample,
+    superlevel_mass,
+)
 from mixedweak.maximal import orlicz_maximal
 from mixedweak.verify import (
     STABILITY_BAR,
@@ -42,7 +50,7 @@ from mixedweak.verify import (
     weak_lhs,
 )
 from mixedweak.weights import Weight
-from mixedweak.young import Identity, LLogL
+from mixedweak.young import Identity, LLogL, Power
 
 
 def unit_weight(grid):
@@ -170,6 +178,77 @@ def test_modular_rhs_closed_forms():
     assert modular_rhs(sample_f(grid, "zero"), LLogL(1, 1), one, one, 1.0) == 0.0
     with pytest.raises(DomainError):
         modular_rhs(f, Identity(), one, one, -1.0)
+
+
+def loop_superlevel(h, level, density, ts):
+    """Test-only oracle: one masked sum over all cells per height."""
+    return np.array([h * float(np.sum(density[level > t])) for t in ts])
+
+
+def loop_modular(h, signal, phi, density, ts):
+    """Test-only oracle: phi over all cells, zeros included, per height."""
+    return np.array([h * float(np.sum(phi(signal / t) * density)) for t in ts])
+
+
+@st.composite
+def level_sets(draw):
+    """A signal with ties and zeros (sometimes nothing else), a positive density,
+    and heights that hit the signal's values or lie at or above its maximum."""
+    grid = make_grid(4.0, draw(st.integers(min_value=4, max_value=6)))
+    pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5))
+    cells = st.lists(st.sampled_from([0.0, *pool]), min_size=grid.N, max_size=grid.N)
+    signal = np.array(draw(cells)) * draw(st.sampled_from([1.0, 1.0, 1.0, 0.0]))
+    logs = draw(st.lists(st.floats(-3.0, 3.0), min_size=grid.N, max_size=grid.N))
+    top = float(signal.max())
+    above = [top, 2.0 * top] if top > 0.0 else []
+    ts = np.array([*pool, *above, *draw(st.lists(st.floats(1e-3, 1e3), max_size=6))])
+    return grid, signal, np.exp(np.array(logs)), ts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=level_sets(), phi=st.sampled_from([Identity(), LLogL(1.0, 3.0), LLogL(2.0, 1.0), Power(2.0)]))
+def test_height_kernels_match_per_height_loops(case, phi):
+    grid, signal, density, ts = case
+    h = grid.h
+    lhs = superlevel_mass(h, signal, density, ts)
+    rhs = modular_mass(h, signal, phi, density, ts)
+    assert lhs == pytest.approx(loop_superlevel(h, signal, density, ts), rel=1e-12)
+    assert rhs == pytest.approx(loop_modular(h, signal, phi, density, ts), rel=1e-12)
+    assert np.all(lhs[ts >= signal.max()] == 0.0)
+    if not signal.any():
+        assert np.all(rhs == 0.0)
+    order = np.argsort(ts)
+    assert np.all(np.diff(lhs[order]) <= 0.0)
+    assert np.all(np.diff(rhs[order]) <= 0.0)
+    # the weighted entry points: |Tout / v| on the interior against u v, phi(|f| / t) u v
+    f = SampledFunction(grid, signal)
+    u, v = Weight(SampledFunction(grid, density)), build_weight(grid, "power beta=-0.25")
+    interior = grid.interior_mask(0.05)
+    level = np.abs(signal / v.values)[interior]
+    uv = u.values * v.values
+    got = weak_lhs(f, u, v, ts)
+    assert got == pytest.approx(loop_superlevel(h, level, uv[interior], ts), rel=1e-12)
+    one = weak_lhs(f, u, v, float(ts[0]))
+    assert isinstance(one, float) and one == pytest.approx(got[0], rel=1e-12)
+    got = modular_rhs(f, phi, u, v, ts)
+    assert got == pytest.approx(loop_modular(h, signal, phi, uv, ts), rel=1e-12)
+    one = modular_rhs(f, phi, u, v, float(ts[0]))
+    assert isinstance(one, float) and one == pytest.approx(got[0], rel=1e-12)
+
+
+def test_modular_rhs_memory_is_a_few_grid_arrays():
+    # bumps are nonzero on every cell: 33 heights must not build a heights x cells temporary
+    grid = make_grid(8.0, 16)
+    f = sample_f(grid, "bumps")
+    u, v = build_weight(grid, "power beta=-0.5"), build_weight(grid, "power beta=-0.25")
+    ts = np.geomspace(1e-3, 10.0, 33)
+    tracemalloc.start()
+    try:
+        modular_rhs(f, LLogL(1.0, 3.0), u, v, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * grid.N
 
 
 # --- runners ---------------------------------------------------------------
