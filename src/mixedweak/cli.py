@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--t-min", dest="t_min", type=float, metavar="REAL")
     shared.add_argument("--t-max", dest="t_max", type=float, metavar="REAL")
     shared.add_argument("--t-steps", dest="steps", type=int, metavar="INT")
-    shared.add_argument("--jmax", dest="j_max", type=int, metavar="INT", help="coarsest scan depth")
+    shared.add_argument("--jmax", dest="j_max", type=int, metavar="INT",
+                        help="finest scan scale j (0 is the whole domain; default J)")
     shared.add_argument("--shifts", choices=("1", "3"), help="dyadic grids per scan")
     shared.add_argument("--margin", type=float, metavar="REAL")
     shared.add_argument("--force", action="store_true", help="run despite unstable weight constants")
@@ -200,12 +201,11 @@ def _write_atomic(path: Path, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
-def _emit(out: Path, stem: str, fmt: str, body: dict, csv_text: str, runtime_s: float) -> None:
+def _emit(out: Path, stem: str, fmt: str, body: dict, csv_text: str, timing: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if fmt in ("json", "both"):
         payload = {
-            "meta": {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                     "runtime_s": runtime_s},
+            "meta": {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **timing},
             "report": body,
         }
         _write_atomic(out / f"{stem}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -266,7 +266,8 @@ _RUNNERS = {
 def _cmd_verify(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     rep = _RUNNERS[args.subcommand](cfg)
     body, csv_text = _report_body(rep)
-    _emit(Path(args.out), args.subcommand, args.format, body, csv_text, rep.runtime_s)
+    timing = {"runtime_s": rep.runtime_s, "stage_s": rep.stage_s}
+    _emit(Path(args.out), args.subcommand, args.format, body, csv_text, timing)
     coarse, fine = rep.j_pair
     print(
         f"{rep.theorem}: sup_ratio={rep.sup_ratio:.6g} "
@@ -287,7 +288,7 @@ def _cmd_estimate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     for name, est in estimates.items():
         c, f = est.refinement_pair
         lines.append(f"{name},{_fmt(_clean(est.value))},{est.stable},{_fmt(_clean(c))},{_fmt(_clean(f))}")
-    _emit(Path(args.out), "estimate", args.format, body, "\n".join(lines) + "\n", 0.0)
+    _emit(Path(args.out), "estimate", args.format, body, "\n".join(lines) + "\n", {"runtime_s": 0.0})
     summary = " ".join(
         f"{name}={est.value:.4g}{'' if est.stable else '(unstable)'}"
         for name, est in estimates.items()
@@ -323,7 +324,7 @@ def _cmd_decompose(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     for q, avg in zip(result.cubes, result.averages):
         lines.append(f"{q.j},{q.k},{_fmt(q.a)},{_fmt(q.b)},{_fmt(avg)}")
     out = Path(args.out)
-    _emit(out, "decompose", args.format, body, "\n".join(lines) + "\n", 0.0)
+    _emit(out, "decompose", args.format, body, "\n".join(lines) + "\n", {"runtime_s": 0.0})
     _write_arrays(out, grid, "decompose", {"good": result.g.values, "bad": result.bad.values})
     print(
         f"decompose: {len(result.cubes)} cubes at t={t:.6g} "
@@ -350,7 +351,7 @@ def _cmd_maximal(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     for x, a, b in zip(grid.centers, mphi.values, mu.values):
         lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)}")
     out = Path(args.out)
-    _emit(out, "maximal", args.format, body, "\n".join(lines) + "\n", 0.0)
+    _emit(out, "maximal", args.format, body, "\n".join(lines) + "\n", {"runtime_s": 0.0})
     _write_arrays(out, grid, "maximal", {"mphi": mphi.values, "mu": mu.values})
     print(f"maximal: max M_phi={body['max_mphi']:.6g} at x={body['argmax_x']:.6g}")
     return 0

@@ -17,7 +17,9 @@ brute-force oracle tests rely on.
 
 Cell membership of an interval is decided in exact integer arithmetic
 (thirds never hit a cell center), so scans are reproducible and immune to
-floating-point ties.
+floating-point ties.  Member ``k`` of the scale-``j`` family shifted by ``p/3``
+starts at cell ``min(N, k M + c_p)`` with ``M = 2**(J - j)`` and
+``c_p = ceil((2 p M - 3) / 6)``: each scanned family is one ``arange`` of edges.
 """
 
 from __future__ import annotations
@@ -61,19 +63,10 @@ _MIN_USER_J = 4
 _MAX_USER_J = 24
 
 
-def _cell_range(grid: "Grid", j: int, k, p: int):
-    """Cells ``[start, stop)`` whose centers lie in ``[a0, a0 + l_j)``, clipped to [0, N].
-
-    ``a0 = -L + (k + p/3) l_j``, and ``x_i >= a0  <=>  i >= ((3k + p)
-    2^(J-j+1) - 3) / 6``; both ceilings are taken exactly in integers.  ``k``
-    is a Python int or an int64 array (one range per interval of a family).
-    """
-    scale = 1 << (grid.J - j + 1)
-    start = -((3 - (3 * k + p) * scale) // 6)
-    stop = -((3 - (3 * k + 3 + p) * scale) // 6)
-    if isinstance(k, np.ndarray):
-        return np.clip(start, 0, grid.N, out=start), np.clip(stop, 0, grid.N, out=stop)
-    return max(0, min(start, grid.N)), max(0, min(stop, grid.N))
+def _edge_progression(grid: "Grid", j: int, p: int) -> tuple[int, int]:
+    """``(M, c_p)``: member ``k`` of family ``(j, p)`` starts at cell ``min(N, k M + c_p)``."""
+    M = 1 << (grid.J - j)
+    return M, -((3 - 2 * p * M) // 6)
 
 
 def _shift_to_thirds(shift: float) -> int:
@@ -254,9 +247,9 @@ class DyadicInterval:
             raise GeometryError(f"position k={self.k} outside [0, 2^{self.j})")
         if self.shift_thirds not in (0, 1, 2):
             raise GeometryError(f"shift_thirds must be 0, 1 or 2, got {self.shift_thirds!r}")
-        i0, i1 = _cell_range(self.grid, self.j, self.k, self.shift_thirds)
-        object.__setattr__(self, "_i0", i0)
-        object.__setattr__(self, "_i1", i1)
+        M, c = _edge_progression(self.grid, self.j, self.shift_thirds)
+        object.__setattr__(self, "_i0", min(self.grid.N, self.k * M + c))
+        object.__setattr__(self, "_i1", min(self.grid.N, (self.k + 1) * M + c))
 
     @property
     def cell_start(self) -> int:
@@ -296,11 +289,6 @@ class DyadicInterval:
         """Right endpoint after clipping to the domain."""
         raw = -self.grid.L + (3 * (self.k + 1) + self.shift_thirds) * self.length_unclipped / 3.0
         return min(self.grid.L, raw)
-
-    @property
-    def measure(self) -> float:
-        """Lebesgue measure represented on the grid: ``n_cells * h``."""
-        return self.n_cells * self.grid.h
 
     def children(self) -> "tuple[DyadicInterval, DyadicInterval]":
         """The two dyadic halves (unshifted families only)."""
@@ -365,34 +353,33 @@ def dyadic_intervals(
     jm = grid.J if j_max is None else j_max
     if not (0 <= jm <= grid.J):
         raise DomainError(f"j_max={j_max} outside [0, J={grid.J}]")
-    out: list[DyadicInterval] = []
-    for j in range(jm + 1):
-        for s in shifts:
-            p = _shift_to_thirds(s)
-            for k in range(1 << j):
-                iv = DyadicInterval(grid, j, k, p)
-                if not iv.is_empty:
-                    out.append(iv)
-    return out
+    ps = [_shift_to_thirds(s) for s in shifts]
+    ivs = (DyadicInterval(grid, j, k, p) for j in range(jm + 1) for p in ps for k in range(1 << j))
+    return [iv for iv in ivs if not iv.is_empty]
 
 
 def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(starts, stops)`` cell-index arrays, one pair per interval family.
 
     Each yield is one ``(j, shift)`` family with its empty members dropped;
-    member cells of interval ``m`` are ``starts[m]:stops[m]``.  Every family
-    is nonempty and tiles ``[starts[0], stops[-1])``: for every shift, each
-    stop is the next member's start, because ``stop(k)`` and ``start(k + 1)``
-    are the same integer formula, and clipping and dropping empty members
-    keep that.  Only clipping at the right edge empties a member, so the
-    empty members are a suffix and the yields are views, not copies.
+    member cells of interval ``m`` are ``starts[m]:stops[m]``.  Member ``k``
+    of the family shifted by ``p/3`` is ``[a0, a0 + l_j)``, ``a0 = -L + (k +
+    p/3) l_j``, and ``x_i >= a0  <=>  i >= ((3k + p) 2M - 3) / 6`` with ``M =
+    2^(J-j)``.  As ``kM`` is an integer, that ceiling is ``kM + c_p`` with
+    ``c_p = ceil((2pM - 3) / 6)``, exact in integers, and ``0 <= c_p <= M``.
+    So the edges are ``c_p, c_p + M, ...`` up to the first one ``>= N``,
+    clipped to ``N``, and the members past it are empty.  ``starts`` and
+    ``stops`` are the read-only views ``edges[:-1]`` and ``edges[1:]``: every
+    family is nonempty and tiles ``[starts[0], stops[-1])``.
     """
+    ps = [_shift_to_thirds(s) for s in scan.shifts]
     for j in range(scan.effective_j_max(grid) + 1):
-        k = np.arange(1 << j, dtype=np.int64)
-        for s in scan.shifts:
-            starts, stops = _cell_range(grid, j, k, _shift_to_thirds(s))
-            n = int(np.count_nonzero(stops > starts))
-            yield (starts[:n], stops[:n])
+        for p in ps:
+            M, c = _edge_progression(grid, j, p)
+            edges = np.arange(c, grid.N + M, M, dtype=np.int64)
+            edges[-1] = grid.N
+            edges.setflags(write=False)
+            yield (edges[:-1], edges[1:])
 
 
 def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

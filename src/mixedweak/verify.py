@@ -125,6 +125,7 @@ class InequalityReport:
     j_pair: tuple[int, int]
     margin: float
     runtime_s: float
+    stage_s: dict[str, float]
     drift: float
     stable: bool
     degenerate_symbol: bool = False
@@ -352,7 +353,8 @@ def _drive(
     per row column (``alt`` may be None); the fine call gets ``ts=None`` and
     picks the sweep, and its ``fields`` go on the report.  Without
     ``preflight`` (theorem 3: any positive u, its own v) the configured v is
-    never built and only u's A1 estimate is recorded.
+    never built and only u's A1 estimate is recorded.  ``stage_s`` times the
+    fine instance with its estimates, the fine sweep and the coarse run.
     """
     started = time.perf_counter()
     if cfg.J - 2 < 4:
@@ -365,9 +367,12 @@ def _drive(
         _require_hypotheses(estimates, cfg.force)
     else:
         estimates = {"A1_u": estimate_Ap(fine.u, 1.0, fine.scan)}
+    fine_at = time.perf_counter()
     ts, *sides, fields = sides_at(fine, None)
     rows = _rows(ts, *sides)
+    coarse_at = time.perf_counter()
     _, *coarse_sides, _ = sides_at(_instantiate(cfg, cfg.J - 2, with_v=preflight), ts)
+    done = time.perf_counter()
     best = max(rows, key=lambda row: row.ratio)
     sup_coarse = max(row.ratio for row in _rows(ts, *coarse_sides))
     if sup_coarse > 0.0:
@@ -385,6 +390,8 @@ def _drive(
         j_pair=(cfg.J - 2, cfg.J),
         margin=cfg.margin,
         runtime_s=time.perf_counter() - started,
+        stage_s={"preflight": fine_at - started, "fine": coarse_at - fine_at,
+                 "coarse": done - coarse_at},
         drift=drift,
         stable=stable,
         **fields,

@@ -481,11 +481,10 @@ def segmented_luxemburg_norms(
         fw, wsum = absf * w, np.add.reduceat(w, off)
     if np.any(wsum <= 0.0):
         raise DomainError("weight must have positive mass on every queried range")
-    mean = np.add.reduceat(fw, off) / wsum
 
     scale = _linear_scale(phi)
     if scale is not None:
-        return scale * mean
+        return scale * (np.add.reduceat(fw, off) / wsum)
 
     nz = np.flatnonzero(fw)
     first = np.searchsorted(nz, off)

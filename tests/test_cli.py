@@ -108,6 +108,10 @@ def test_verify_writes_deterministic_reports(tmp_path, capsys):
     assert set(rep["preflight"]) == {"A1_u", "A1_v", "A2_v_wrt_u"}
     # determinism: everything except the meta object is byte-identical
     assert rep == load_report(out2 / "verify-thm1.json")
+    meta = json.loads((out1 / "verify-thm1.json").read_text())["meta"]
+    assert set(meta["stage_s"]) == {"preflight", "fine", "coarse"}
+    assert all(s >= 0.0 for s in meta["stage_s"].values())
+    assert sum(meta["stage_s"].values()) <= meta["runtime_s"]
     csv1 = (out1 / "verify-thm1.csv").read_text()
     assert csv1 == (out2 / "verify-thm1.csv").read_text()
     assert csv1.splitlines()[0] == "t,lhs,rhs,ratio,alt"

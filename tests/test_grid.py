@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +201,91 @@ def test_interval_cells_match_float_membership(j, data):
         assert (idx[0], idx[-1] + 1) == (iv.cell_start, iv.cell_stop)
 
 
+def oracle_cell_range(grid, j, k, p):
+    """Cells ``[start, stop)`` of member ``k`` of family ``(j, p)`` by floor division.
+
+    ``a0 = -L + (k + p/3) l_j``, and ``x_i >= a0  <=>  i >= ((3k + p) 2^(J-j+1)
+    - 3) / 6``; both ceilings are taken exactly in integers and clipped to
+    [0, N].  ``k`` is a Python int or an int64 array.
+    """
+    scale = 1 << (grid.J - j + 1)
+    start = -((3 - (3 * k + p) * scale) // 6)
+    stop = -((3 - (3 * k + 3 + p) * scale) // 6)
+    if isinstance(k, np.ndarray):
+        return np.clip(start, 0, grid.N), np.clip(stop, 0, grid.N)
+    return max(0, min(start, grid.N)), max(0, min(stop, grid.N))
+
+
+def oracle_family(grid, j, p):
+    """Family ``(j, p)`` by the oracle, empty members dropped."""
+    starts, stops = oracle_cell_range(grid, j, np.arange(1 << j, dtype=np.int64), p)
+    keep = stops > starts
+    return starts[keep], stops[keep]
+
+
+def assert_scan_matches_oracle(grid, scan):
+    families = list(scan_cell_ranges(grid, scan))
+    keys = [(j, round(3 * s)) for j in range(scan.effective_j_max(grid) + 1) for s in scan.shifts]
+    assert len(families) == len(keys)
+    for (j, p), (starts, stops) in zip(keys, families):
+        want_starts, want_stops = oracle_family(grid, j, p)
+        assert starts.dtype == stops.dtype == np.int64
+        assert np.array_equal(starts, want_starts) and np.array_equal(stops, want_stops), (grid.J, j, p)
+
+
+def test_scan_and_intervals_match_oracle_exhaustively():
+    """Every member of every family, J = 1-12: the closed form is the floor-division formula."""
+    for J in range(1, 13):
+        g = Grid(2.0, J)
+        assert_scan_matches_oracle(g, DyadicScan())
+        for j in range(J + 1):
+            for p in (0, 1, 2):
+                for k in range(1 << j):
+                    iv = DyadicInterval(g, j, k, p)
+                    assert (iv.cell_start, iv.cell_stop) == oracle_cell_range(g, j, k, p)
+
+
+@pytest.mark.parametrize("J", [16, 20])
+def test_scan_matches_oracle_on_fine_grids(J):
+    assert_scan_matches_oracle(Grid(2.0, J), DyadicScan())
+
+
+@pytest.mark.parametrize("J", [24, 30])
+def test_interval_matches_oracle_at_sampled_members(J):
+    # the cell arithmetic reads only J and N; a real grid this fine would hold 2^J centers
+    g = SimpleNamespace(J=J, N=1 << J)
+    rng = np.random.default_rng(J)
+    for j in range(J + 1):
+        last = (1 << j) - 1
+        ks = {0, 1, last - 1, last} | set(rng.integers(0, last + 1, size=8).tolist())
+        for p in (0, 1, 2):
+            for k in sorted(k for k in ks if 0 <= k <= last):
+                iv = DyadicInterval(g, j, k, p)  # type: ignore[arg-type]
+                assert (iv.cell_start, iv.cell_stop) == oracle_cell_range(g, j, k, p), (j, k, p)
+
+
+def test_scan_yields_read_only_views():
+    for starts, stops in scan_cell_ranges(Grid(1.0, 6), DyadicScan()):
+        assert not starts.flags.writeable and not stops.flags.writeable
+        with pytest.raises(ValueError):
+            starts[0] = 1
+        with pytest.raises(ValueError):
+            stops[-1] = 1
+
+
+def test_scan_peak_memory_is_a_few_grid_arrays():
+    # one arange of edges per family, the yields views of it: nothing of size N is copied
+    g = make_grid(8.0, 16)
+    tracemalloc.start()
+    try:
+        for starts, stops in scan_cell_ranges(g, DyadicScan()):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * g.N
+
+
 @st.composite
 def dyadic_scans(draw, J):
     """A scan over any scales of a J grid and any nonempty subset of the shifts."""
@@ -222,6 +309,7 @@ def test_scan_cell_ranges_matches_interval_objects(data, J):
     # scan_cell_ranges groups by (j, shift); dyadic_intervals by (j, shift, k):
     # same grouping order, so the flat lists must agree exactly.
     assert got == want
+    assert_scan_matches_oracle(g, scan)
     assert len(families) == (j_max + 1) * len(scan.shifts)
     # every family is nonempty and tiles [starts[0], stops[-1]): each stop is the next start
     for starts, stops in families:

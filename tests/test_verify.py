@@ -290,6 +290,8 @@ def test_theorem1_small_scale_report():
     assert not rep.degenerate_symbol
     assert rep.sup_ratio == pytest.approx(0.8764, rel=0.05)
     assert math.isfinite(rep.sup_ratio) and rep.runtime_s > 0.0
+    assert set(rep.stage_s) == {"preflight", "fine", "coarse"}
+    assert 0.0 < sum(rep.stage_s.values()) <= rep.runtime_s
     # after normalization the split-form column coincides with the main RHS
     assert all(row.alt == row.rhs for row in rep.rows)
 
