@@ -120,11 +120,9 @@ class Grid:
         """Read-only array of the ``N`` cell centers, ascending."""
         return self._centers  # type: ignore[attr-defined]
 
-    def coarsened(self, dj: int = 2) -> "Grid":
-        """Same domain at resolution ``J - dj`` (used for refinement checks)."""
-        if dj < 0 or self.J - dj < 1:
-            raise ConfigurationError(f"cannot coarsen J={self.J} by dj={dj}")
-        return Grid(self.L, self.J - dj)
+    def coarsened(self) -> "Grid":
+        """Same domain at resolution ``J - 2`` (used for refinement checks)."""
+        return Grid(self.L, self.J - 2)
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of cells with ``|x_i| <= (1 - margin) * L``."""

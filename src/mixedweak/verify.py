@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -124,7 +124,6 @@ class InequalityReport:
     refinement_pair: tuple[float, float]
     j_pair: tuple[int, int]
     margin: float
-    runtime_s: float
     stage_s: dict[str, float]
     drift: float
     stable: bool
@@ -166,7 +165,10 @@ def _float(params: dict[str, str], key: str, default: str) -> float:
 def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
     if "path" not in params:
         raise ConfigurationError("custom family needs path=FILE")
-    vals = np.loadtxt(params["path"], dtype=np.float64).reshape(-1)
+    try:
+        vals = np.loadtxt(params["path"], dtype=np.float64).reshape(-1)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read custom family {params['path']}: {exc}") from exc
     if vals.size != grid.N:
         raise GridMismatchError(f"file holds {vals.size} samples, grid needs {grid.N}")
     return vals
@@ -224,16 +226,16 @@ def build_weight(grid: Grid, spec: str) -> Weight:
         return power_weight(grid, _float(params, "beta", "0"))
     if name == "const":
         value = _float(params, "value", "1")
-        return Weight(sample(lambda x: value + 0.0 * x, grid), family=spec, expr=lambda x: value + 0.0 * x)
+        return Weight(sample(lambda x: value + 0.0 * x, grid), expr=lambda x: value + 0.0 * x)
     if name == "chibump":
         a, b = _float(params, "a", "-1"), _float(params, "b", "1")
         floor = _float(params, "floor", "1e-3")
         if floor <= 0.0:
             raise ConfigurationError("chibump floor must be positive (weights are positive)")
         expr = lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0)  # noqa: E731
-        return Weight(sample(expr, grid), family=spec, expr=expr)
+        return Weight(sample(expr, grid), expr=expr)
     if name == "custom":
-        return Weight(SampledFunction(grid, _load_values(grid, params)), family=spec)
+        return Weight(SampledFunction(grid, _load_values(grid, params)))
     raise ConfigurationError(f"unknown weight family {name!r}")
 
 
@@ -258,14 +260,9 @@ def weak_lhs(
 
 
 def modular_rhs(
-    f: SampledFunction,
-    phi: YoungFunction,
-    u: Weight,
-    v: Weight,
-    t: float | np.ndarray,
-    scale: float = 1.0,
+    f: SampledFunction, phi: YoungFunction, u: Weight, v: Weight, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """int phi(scale |f| / t) u v dx by midpoint quadrature.
+    """int phi(|f| / t) u v dx by midpoint quadrature.
 
     ``t`` is one height (a float comes back) or an array of heights (one
     integral each).  Only the cells where f is nonzero are summed, since
@@ -273,7 +270,7 @@ def modular_rhs(
     """
     if u.grid != f.grid or v.grid != f.grid:
         raise GridMismatchError("modular_rhs needs f, u, v on one grid")
-    out = modular_mass(f.grid.h, scale * np.abs(f.values), phi, u.values * v.values, t)
+    out = modular_mass(f.grid.h, np.abs(f.values), phi, u.values * v.values, t)
     return out if out.ndim else float(out)
 
 
@@ -389,7 +386,6 @@ def _drive(
         refinement_pair=(sup_coarse, best.ratio),
         j_pair=(cfg.J - 2, cfg.J),
         margin=cfg.margin,
-        runtime_s=time.perf_counter() - started,
         stage_s={"preflight": fine_at - started, "fine": coarse_at - fine_at,
                  "coarse": done - coarse_at},
         drift=drift,
@@ -411,9 +407,9 @@ def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     return _drive("base_sawyer", cfg, sides_at)
 
 
-def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityReport:
+def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
     """Mixed weak-type bound for the order-m commutator against Phi_m."""
-    m = cfg.m if m is None else m
+    m = cfg.m
     if m not in (1, 2, 3):
         raise DomainError(f"commutator order must be 1, 2, or 3, got {m}")
     phi = LLogL(1.0, float(m))
@@ -441,7 +437,7 @@ def run_theorem2(cfg: ExperimentConfig, m: int | None = None) -> InequalityRepor
 
 def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
     """First-order commutator bound with Phi(t) = t(1 + log+ t)."""
-    return run_theorem2(cfg, 1)
+    return run_theorem2(replace(cfg, m=1))
 
 
 def _check_theorem3(r: float, delta: float, beta: float) -> None:
@@ -462,25 +458,18 @@ def build_theorem3_weight(grid: Grid, r: float, delta: float, beta: float) -> tu
     if r == 1.0 and delta == 0.0:
         return v, v
     phi = LLogL(r, delta)
-    w = Weight(SampledFunction(grid, 1.0 / phi(1.0 / v.values)), family=f"reciprocal r={r} delta={delta}")
+    w = Weight(SampledFunction(grid, 1.0 / phi(1.0 / v.values)))
     return v, w
 
 
-def run_theorem3(
-    cfg: ExperimentConfig,
-    r: float | None = None,
-    delta: float | None = None,
-    beta: float | None = None,
-) -> InequalityReport:
+def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
     """Weak modular bound for M_Phi against the power weight |x|^beta.
 
     No weight preflight: the theorem takes arbitrary positive u (the maximal
     function of u on the right absorbs it); u's A1 estimate is still recorded
     for the report.  The configured v is not read: the theorem's v is |x|^beta.
     """
-    r = cfg.r if r is None else r
-    delta = cfg.delta if delta is None else delta
-    beta = cfg.beta if beta is None else beta
+    r, delta, beta = cfg.r, cfg.delta, cfg.beta
     _check_theorem3(r, delta, beta)
 
     def sides_at(inst, ts):

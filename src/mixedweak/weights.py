@@ -60,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """A strictly positive sampled function with provenance metadata.
+    """A strictly positive sampled function.
 
     ``expr`` (when the weight came from a formula) lets refinement
     comparisons resample on a coarser grid; weights built from raw values
@@ -68,7 +68,6 @@ class Weight:
     """
 
     fn: SampledFunction
-    family: str = "custom"
     expr: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -97,14 +96,14 @@ class Weight:
         if grid == self.grid:
             return self
         if self.expr is not None:
-            return Weight(sample(self.expr, grid), self.family, self.expr)
+            return Weight(sample(self.expr, grid), self.expr)
         if grid.L != self.grid.L or grid.J > self.grid.J:
             raise GridMismatchError(
                 f"raw weight on J={self.grid.J} cannot be resampled to L={grid.L}, J={grid.J}"
             )
         block = 1 << (self.grid.J - grid.J)
         coarse = self.values.reshape(-1, block).mean(axis=1)
-        return Weight(SampledFunction(grid, coarse), self.family, None)
+        return Weight(SampledFunction(grid, coarse))
 
 
 def power_weight(grid: Grid, beta: float) -> Weight:
@@ -113,7 +112,6 @@ def power_weight(grid: Grid, beta: float) -> Weight:
         raise DomainError(f"power weight exponent must be finite, got {beta}")
     return Weight(
         sample(lambda x: np.abs(x) ** beta, grid),
-        family=f"power beta={beta:g}",
         expr=lambda x: np.abs(x) ** beta,
     )
 
@@ -125,11 +123,11 @@ def product_weight(a: Weight, b: Weight) -> Weight:
     if a.expr is not None and b.expr is not None:
         ea, eb = a.expr, b.expr
         expr = lambda x: ea(x) * eb(x)  # noqa: E731 - tiny closure
-    return Weight(a.fn * b.fn, family=f"({a.family})*({b.family})", expr=expr)
+    return Weight(a.fn * b.fn, expr=expr)
 
 
-def custom_weight(grid: Grid, values: np.ndarray, family: str = "custom") -> Weight:
-    return Weight(SampledFunction(grid, values), family=family)
+def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
+    return Weight(SampledFunction(grid, values))
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def _scan_max(grid: Grid, scan: DyadicScan, functional) -> float:
 
 def _refined(grid: Grid, value_at: Callable[[Grid], float]) -> ConstantEstimate:
     fine = value_at(grid)
-    coarse = value_at(grid.coarsened(2))
+    coarse = value_at(grid.coarsened())
     return ConstantEstimate(
         value=fine,
         refinement_pair=(coarse, fine),
@@ -289,8 +287,8 @@ def _oscillation_max(
     p: float,
 ) -> float:
     """sup over scanned Q of (avg-with-w of |b - b_Q|**p)**(1/p), b_Q unweighted."""
-    best = 0.0
-    for starts, stops in scan_cell_ranges(grid, scan):
+
+    def functional(starts, stops):
         lo, hi = starts[0], stops[-1]
         off = starts - lo
         lens = stops - starts
@@ -306,8 +304,9 @@ def _oscillation_max(
             osc = np.add.reduceat(dev * wblock, off) / np.add.reduceat(wblock, off)
         if p != 1.0:
             osc **= 1.0 / p
-        best = max(best, float(np.max(osc)))
-    return best
+        return osc
+
+    return _scan_max(grid, scan, functional)
 
 
 def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan(), p: float = 1.0) -> float:

@@ -9,6 +9,7 @@ stability bounds are the actual gate.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,12 +244,12 @@ def test_criterion_6_theorem2_higher_order():
     for m, J in ((2, 12), (3, 14)):
         for v in V_LIST:
             for i, f in enumerate(F_LIST):
-                report = run_theorem2(ExperimentConfig(J=J, f=f, u="power beta=-0.5", v=v), m)
+                report = run_theorem2(ExperimentConfig(J=J, f=f, u="power beta=-0.5", v=v, m=m))
                 assert math.isfinite(report.sup_ratio)
                 assert report.drift <= 0.2
                 assert report.sup_ratio == pytest.approx(pinned[(m, v)][i], rel=1e-3)
     cfg = ExperimentConfig(J=10, u="power beta=-0.5", v="power beta=-0.25")
-    assert run_theorem2(cfg, 1).rows == run_theorem1(cfg).rows
+    assert run_theorem2(replace(cfg, m=1)).rows == run_theorem1(cfg).rows
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     print(

@@ -9,6 +9,7 @@ removed or renamed binding is caught here.
 import inspect
 from pathlib import Path
 
+import mixedweak.cli
 import mixedweak.grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,3 +26,26 @@ def test_scan_cell_ranges_is_a_generator():
     # the tracer times a generator one step at a time, and a generator holds
     # one family at a time; a list-returning scan would do neither
     assert inspect.isgeneratorfunction(mixedweak.grid.scan_cell_ranges)
+
+
+def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
+    # check_hooks only proves the bindings exist; a command table that held
+    # its own references to the runners would leave the hooked entries
+    # uncalled and the verify layer reading 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for subcommand in ("verify-thm1", "estimate"):
+            argv = [subcommand, "--grid-J", "8", "--out", str(tmp_path), "--format", "json"]
+            # the default indicator is not yet refinement-stable at J = 8 (exit 1)
+            assert mixedweak.cli.main(argv) in (0, 1)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["cli.calls"] == 2
+    assert counts["verify.experiments"] == 1
+    assert counts["singular.calls"] == 2
+    assert counts["weights.calls"] > 0 and counts["grid.calls"] > 0

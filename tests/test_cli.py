@@ -250,3 +250,40 @@ def test_estimate_reports_scanned_constants(tmp_path):
     assert header == "name,value,stable,coarse,fine"
     # every estimate, bmo_b included, pairs grid J with J - 2, even below make_grid's band
     assert main(["estimate", "--config", cfg, "--grid-J", "5", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "subcommand,section",
+    [("verify-thm1", "f"), ("estimate", "weight.v"), ("verify-thm1", "b")],
+)
+def test_unreadable_custom_family_exits_two(tmp_path, capsys, subcommand, section):
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("1.0 2.0\nthree four\n")
+    for path in (tmp_path / "absent.txt", malformed):
+        # the comment marker drops the configured family after the custom one
+        text = BASE_CFG.replace(f"{section}.family = ", f"{section}.family = custom path={path} #")
+        cfg = write_cfg(tmp_path, text)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read custom family") and str(path) in err
+
+
+def test_every_report_says_how_long_it_ran(tmp_path):
+    cfg = write_cfg(tmp_path)
+    for subcommand in ("verify-base", "verify-thm1", "verify-thm2", "verify-thm3",
+                       "estimate", "decompose", "maximal"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        meta = json.loads((out / f"{subcommand}.json").read_text())["meta"]
+        assert meta["runtime_s"] > 0.0
+        assert ("stage_s" in meta) == subcommand.startswith("verify-")
+
+
+def test_invalid_shifts_exit_two_from_flag_and_config(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify-thm1", "--shifts", "2", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "shifts must be 1 or 3" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, BASE_CFG + "scan.shifts = 2\n")
+    assert main(["verify-thm1", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "scan.shifts: cannot parse '2'" in capsys.readouterr().err

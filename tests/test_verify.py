@@ -8,6 +8,7 @@ loose bands since only refinement stability, not the value, is meaningful.
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,8 +174,6 @@ def test_modular_rhs_closed_forms():
     assert modular_rhs(f, Identity(), one, one, 0.5) == 2.0
     want = 2.0 * (1.0 + math.log(2.0))
     assert modular_rhs(f, LLogL(1, 1), one, one, 0.5) == pytest.approx(want, rel=1e-12)
-    scaled = modular_rhs(f, Identity(), one, one, 0.5, scale=3.0)
-    assert scaled == pytest.approx(6.0, rel=1e-14)
     assert modular_rhs(sample_f(grid, "zero"), LLogL(1, 1), one, one, 1.0) == 0.0
     with pytest.raises(DomainError):
         modular_rhs(f, Identity(), one, one, -1.0)
@@ -289,20 +288,20 @@ def test_theorem1_small_scale_report():
     assert rep.theorem == "theorem1"
     assert not rep.degenerate_symbol
     assert rep.sup_ratio == pytest.approx(0.8764, rel=0.05)
-    assert math.isfinite(rep.sup_ratio) and rep.runtime_s > 0.0
+    assert math.isfinite(rep.sup_ratio)
     assert set(rep.stage_s) == {"preflight", "fine", "coarse"}
-    assert 0.0 < sum(rep.stage_s.values()) <= rep.runtime_s
+    assert 0.0 < sum(rep.stage_s.values())
     # after normalization the split-form column coincides with the main RHS
     assert all(row.alt == row.rhs for row in rep.rows)
 
 
 def test_theorem2_m1_reduces_to_theorem1():
     cfg = ExperimentConfig(L=8.0, J=7, u="const", v="const")
-    assert run_theorem2(cfg, 1).rows == run_theorem1(cfg).rows
+    assert run_theorem2(replace(cfg, m=1)).rows == run_theorem1(cfg).rows
     with pytest.raises(DomainError):
-        run_theorem2(cfg, 0)
+        run_theorem2(replace(cfg, m=0))
     with pytest.raises(DomainError):
-        run_theorem2(cfg, 4)
+        run_theorem2(replace(cfg, m=4))
 
 
 def test_constant_symbol_degenerates_to_zero_rows():
@@ -387,9 +386,9 @@ def test_theorem3_exponents_are_checked_before_any_grid_is_built():
     with pytest.raises(ConfigurationError):
         run_theorem3(cfg)
     with pytest.raises(HypothesisError, match="beta must be < -1"):
-        run_theorem3(cfg, beta=-0.5)
+        run_theorem3(replace(cfg, beta=-0.5))
     with pytest.raises(DomainError):
-        run_theorem3(cfg, r=0.5)
+        run_theorem3(replace(cfg, r=0.5))
 
 
 def test_theorem3_zero_function():

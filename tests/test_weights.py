@@ -105,12 +105,12 @@ def test_weight_positivity_guard():
 def test_weight_resample_expr_and_block_mean():
     g = make_grid(8.0, 8)
     w = power_weight(g, -0.5)
-    coarse = w.resample(g.coarsened(2))
+    coarse = w.resample(g.coarsened())
     # formula-backed: true resample, not averaging
-    np.testing.assert_allclose(coarse.values, np.abs(g.coarsened(2).centers) ** -0.5)
+    np.testing.assert_allclose(coarse.values, np.abs(g.coarsened().centers) ** -0.5)
     raw = custom_weight(g, w.values)
     assert w.resample(g) is w and raw.resample(g) is raw
-    blocked = raw.resample(g.coarsened(2))
+    blocked = raw.resample(g.coarsened())
     np.testing.assert_allclose(blocked.values, w.values.reshape(-1, 4).mean(axis=1))
     with pytest.raises(GridMismatchError):
         raw.resample(make_grid(8.0, 10))
