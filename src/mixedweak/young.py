@@ -465,7 +465,10 @@ def segmented_luxemburg_norms(
     doubling amount after that, until the modular avg_w phi(|f| / lam) is
     <= 1 - 1e-13, so a recomputation in another summation order still reads
     <= 1.  For finite-valued phi and f not a.e. zero it is >= 1 - 1e-6, and
-    lam exceeds the exact norm by a few parts in 1e13.
+    lam exceeds the exact norm by a few parts in 1e13.  So for any weight
+    lam <= max|f| / phi^{-1}(1) * (1 + 1e-12) on every range, since the
+    modular at max|f| / phi^{-1}(1) is at most phi(phi^{-1}(1)) = 1; the
+    Orlicz maximal function skips the ranges whose bound cannot raise it.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)

@@ -17,7 +17,6 @@ import pytest
 from mixedweak.czd import cz_decompose, validate_decomposition
 from mixedweak.grid import DyadicInterval, SampledFunction, dyadic_intervals, make_grid, sample
 from mixedweak.maximal import (
-    brute_force_maximal,
     compare_llogl_iterated,
     hl_maximal,
     iterated_maximal,
@@ -51,6 +50,7 @@ from mixedweak.young import (
     luxemburg_norm,
     modular_inf,
 )
+from oracles import brute_force_maximal
 
 
 def chi11(x):

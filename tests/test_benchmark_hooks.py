@@ -38,14 +38,18 @@ def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for subcommand in ("verify-thm1", "estimate"):
+        for subcommand in ("verify-thm1", "estimate", "verify-thm3"):
             argv = [subcommand, "--grid-J", "8", "--out", str(tmp_path), "--format", "json"]
             # the default indicator is not yet refinement-stable at J = 8 (exit 1)
             assert mixedweak.cli.main(argv) in (0, 1)
     finally:
         tracer.uninstall()
     counts = tracer.counts
-    assert counts["cli.calls"] == 2
-    assert counts["verify.experiments"] == 1
+    assert counts["cli.calls"] == 3
+    assert counts["verify.experiments"] == 2
     assert counts["singular.calls"] == 2
     assert counts["weights.calls"] > 0 and counts["grid.calls"] > 0
+    # theorem 3 runs M_Phi(fv) and M u on both grids; the Orlicz solver still
+    # runs through the hooked binding, or the young layer would read 0
+    assert counts["maximal.calls"] == 4
+    assert counts["young.calls"] > 0

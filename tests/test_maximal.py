@@ -13,7 +13,6 @@ from mixedweak import maximal
 from mixedweak._errors import DomainError, GridMismatchError, RangeError
 from mixedweak.grid import DyadicScan, SampledFunction, make_grid, sample
 from mixedweak.maximal import (
-    brute_force_maximal,
     compare_llogl_iterated,
     hl_maximal,
     iterated_maximal,
@@ -21,7 +20,8 @@ from mixedweak.maximal import (
     weak_modular_check,
 )
 from mixedweak.weights import custom_weight, power_weight
-from mixedweak.young import ExpL, Identity, LLogL, Power
+from mixedweak.young import ExpL, Identity, LLogL, Power, Step
+from oracles import brute_force_maximal, per_family_orlicz_maximal
 from test_young import bisection_luxemburg_norms
 
 SEED = 20260823
@@ -147,6 +147,53 @@ def test_orlicz_sandwiched_by_brute_force_luxemburg_sup(phi, seed, weighted):
     # bounds a Luxemburg norm by 3 times that of a scanned interval holding it
     assert np.all(scanned <= brute * (1.0 + 1e-9))
     assert np.all(brute <= 3.0 * scanned)
+
+
+ORACLE_PHIS = [Identity(), LLogL(1.0, 1.0), LLogL(2.0, 1.0), LLogL(0.5, 1.0), Power(2.0), ExpL(1.0), Step(2.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    J=st.integers(min_value=4, max_value=8),
+    kind=st.sampled_from(["sparse", "dense", "single", "zero"]),
+    phi=st.sampled_from(ORACLE_PHIS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    weighted=st.booleans(),
+    shifts=st.sets(st.sampled_from([0.0, 1.0 / 3.0, 2.0 / 3.0]), min_size=1).map(sorted),
+    j_max=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+)
+def test_skipping_members_is_bitwise_exact(J, kind, phi, seed, weighted, shifts, j_max):
+    rng = np.random.default_rng(seed)
+    g = make_grid(4.0, J)
+    vals = rng.standard_normal(g.N) * np.exp(2.0 * rng.standard_normal(g.N))
+    if kind == "sparse":
+        vals *= rng.random(g.N) < 0.1
+    elif kind == "single":
+        vals = np.where(np.arange(g.N) == rng.integers(g.N), vals, 0.0)
+    elif kind == "zero":
+        vals = np.zeros(g.N)
+    f = SampledFunction(g, vals)
+    w = custom_weight(g, np.exp(rng.standard_normal(g.N))) if weighted else None
+    scan = DyadicScan(j_max=j_max, shifts=tuple(shifts))
+    got = orlicz_maximal(f, phi, scan, w).values
+    assert np.array_equal(got, per_family_orlicz_maximal(f, phi, scan, w))
+
+
+def test_theorem3_data_solves_a_few_grids_of_cells(monkeypatch):
+    # chi_[0,1] |x|^-1.5 at J = 16: 49 families, but only the members near the
+    # spike can raise the running maximum; solving them all is 49 N cells
+    g = make_grid(8.0, 16)
+    fv = SampledFunction(g, chi01(g.centers) * np.abs(g.centers) ** -1.5)
+    solved = [0]
+    segmented = maximal.segmented_luxemburg_norms
+
+    def counted_block(phi, values, weights, starts, stops):
+        solved[0] += int(stops[-1] - starts[0])
+        return segmented(phi, values, weights, starts, stops)
+
+    monkeypatch.setattr(maximal, "segmented_luxemburg_norms", counted_block)
+    orlicz_maximal(fv, LLogL(2.0, 1.0))
+    assert 0 < solved[0] <= 8 * g.N
 
 
 def test_newton_iterations_on_theorem3_data(monkeypatch):

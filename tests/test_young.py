@@ -483,6 +483,35 @@ def test_newton_norms_match_bisection_oracle(phi, seed, log_amp, spikes, spread)
         assert 1.0 - 1e-6 <= modular <= 1.0, (phi, modular)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    phi=st.sampled_from(
+        [Identity(), LLogL(1.0, 1.0), LLogL(2.0, 1.0), LLogL(0.5, 1.0), Power(2.0), ExpL(1.0), Step(2.0)]
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=64),
+    constant=st.booleans(),
+    spread=st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0)),
+)
+def test_norm_never_exceeds_max_over_unit_argument(phi, seed, n, constant, spread):
+    # the Orlicz maximal function skips a range on this bound; a constant |f|
+    # puts the modular at the bound exactly to phi(c) = 1, the tightest case
+    rng = np.random.default_rng(seed)
+    if constant:
+        vals = np.full(n, 10.0 ** rng.uniform(-3.0, 3.0))
+    else:
+        vals = rng.standard_normal(n) * np.exp(2.0 * rng.standard_normal(n)) * (rng.random(n) < 0.7)
+    w = None if spread is None else np.exp(spread * rng.standard_normal(n))
+    cuts = np.unique(rng.integers(1, max(n, 2), size=rng.integers(0, 8)))
+    cuts = cuts[cuts < n]
+    starts = np.concatenate(([0], cuts)).astype(np.int64)
+    stops = np.concatenate((cuts, [n])).astype(np.int64)
+    got = segmented_luxemburg_norms(phi, vals, w, starts, stops)
+    cap = np.maximum.reduceat(np.abs(vals), starts) / float(phi.inverse(1.0))
+    # measured worst case 6.0e-13, after one raise to the feasible side
+    assert np.all(got <= cap * (1.0 + 1e-12))
+
+
 def test_newton_refuses_a_zero_step_from_an_overflowing_slope():
     # at the right end u = 18.833 (in units of 1/max|f|) phi = expm1(2 u^2) is
     # finite but its slope is not, so g / phi' is 0 and must not read as converged
