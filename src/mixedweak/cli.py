@@ -140,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--r", type=float, metavar="REAL", help="Young power exponent")
     shared.add_argument("--delta", type=float, metavar="REAL", help="Young log exponent")
     shared.add_argument("--beta", type=float, metavar="REAL", help="power-weight exponent")
-    shared.add_argument("--t-min", dest="t_min", type=float, metavar="REAL")
+    shared.add_argument("--t-min", dest="t_min", type=float, metavar="REAL",
+                        help="lowest sweep height; for decompose, the stopping height "
+                             "(default twice the v-average of f over [-L, L])")
     shared.add_argument("--t-max", dest="t_max", type=float, metavar="REAL")
     shared.add_argument("--t-steps", dest="steps", type=int, metavar="INT")
     shared.add_argument("--jmax", dest="j_max", type=int, metavar="INT",

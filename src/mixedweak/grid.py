@@ -46,7 +46,7 @@ __all__ = [
     "THIRD_SHIFTS",
     "make_grid",
     "sample",
-    "integrate",
+    "block_average",
     "superlevel_mass",
     "modular_mass",
     "dyadic_intervals",
@@ -223,6 +223,21 @@ def sample(expr: Callable[[np.ndarray], np.ndarray], grid: Grid) -> SampledFunct
     return SampledFunction(grid, vals)
 
 
+def block_average(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Project ``N * 2**k`` samples (k >= 0) of a finer grid onto ``grid``'s cells.
+
+    Each cell of ``grid`` is the union of ``2**k`` consecutive finer cells, and
+    its value is their mean; any other sample count is refused.
+    """
+    block, rest = divmod(values.size, grid.N)
+    if rest or block < 1 or block & (block - 1):
+        raise GridMismatchError(
+            f"{values.size} samples do not refine the {grid.N} cells of J={grid.J}: "
+            f"need {grid.N} * 2**k"
+        )
+    return values.reshape(-1, block).mean(axis=1)
+
+
 @dataclass(frozen=True)
 class DyadicInterval:
     """One interval of a (possibly thirds-shifted) dyadic family, clipped to the domain.
@@ -393,30 +408,6 @@ def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarr
     offs = np.cumsum(lens) - lens
     idx = np.arange(int(lens.sum())) - np.repeat(offs, lens) + np.repeat(starts, lens)
     return idx, seg
-
-
-def integrate(
-    f: SampledFunction,
-    interval: DyadicInterval | None = None,
-    weight: SampledFunction | None = None,
-) -> float:
-    """Midpoint-rule integral of ``f`` (times ``weight``) over an interval.
-
-    With ``interval=None`` the integral runs over the whole domain.  Exact
-    for functions that are constant on cells, which is the only sense in
-    which data exists here.
-    """
-    sl = slice(None)
-    if interval is not None:
-        if interval.grid != f.grid:
-            raise GridMismatchError("interval and integrand live on different grids")
-        sl = interval.cell_slice
-    vals = f.values[sl]
-    if weight is not None:
-        if weight.grid != f.grid:
-            raise GridMismatchError("weight and integrand live on different grids")
-        vals = vals * weight.values[sl]
-    return float(f.grid.h * np.sum(vals))
 
 
 def _positive_heights(heights) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Maximal operators: Hardy-Littlewood, iterated, and Orlicz variants.
+"""Maximal operators: the Hardy-Littlewood and Orlicz maximal functions.
 
 All of them are pointwise sups of interval quantities over the scanned
 dyadic(+shifted) families, so they share one engine: per scanned family,
@@ -33,18 +33,14 @@ the one-third-trick factor 3.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ._errors import DomainError, GridMismatchError
+from ._errors import GridMismatchError
 from .grid import DyadicScan, SampledFunction, scan_cell_ranges
-from .grid import _positive_heights, modular_mass, superlevel_mass
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .weights import Weight
 from .young import (
     Identity,
-    LLogL,
     YoungFunction,
     _linear_scale,
     _unit_argument,
@@ -53,10 +49,7 @@ from .young import (
 
 __all__ = [
     "hl_maximal",
-    "iterated_maximal",
     "orlicz_maximal",
-    "compare_llogl_iterated",
-    "weak_modular_check",
 ]
 
 
@@ -111,60 +104,3 @@ def orlicz_maximal(
 def hl_maximal(f: SampledFunction, scan: DyadicScan = DyadicScan()) -> SampledFunction:
     """Scanned Hardy-Littlewood maximal function sup_{Q ni x} avg_Q |f|."""
     return orlicz_maximal(f, Identity(), scan)
-
-
-def iterated_maximal(
-    f: SampledFunction, m: int, scan: DyadicScan = DyadicScan()
-) -> SampledFunction:
-    """M^m f by literal composition, reusing the same scan every pass."""
-    if m < 1:
-        raise DomainError(f"iteration count must be >= 1, got {m}")
-    out = f
-    for _ in range(m):
-        out = hl_maximal(out, scan)
-    return out
-
-
-def compare_llogl_iterated(
-    f: SampledFunction, m: int, scan: DyadicScan = DyadicScan()
-) -> tuple[float, float]:
-    """Two-sided pointwise constants between M_{L(logL)^m} f and M^{m+1} f.
-
-    Returns (min, max) of the ratio over the grid; cells where both sides
-    vanish are skipped (only possible for f identically zero, which is
-    rejected).
-    """
-    if m < 1:
-        raise DomainError(f"comparison order must be >= 1, got {m}")
-    if not np.any(f.values):
-        raise DomainError("comparison needs f not identically zero")
-    orlicz = orlicz_maximal(f, LLogL(1.0, float(m)), scan).values
-    iterated = iterated_maximal(f, m + 1, scan).values
-    keep = (orlicz != 0.0) | (iterated != 0.0)
-    ratio = orlicz[keep] / iterated[keep]
-    return float(np.min(ratio)), float(np.max(ratio))
-
-
-def weak_modular_check(
-    g: SampledFunction,
-    phi: YoungFunction,
-    u: Weight,
-    t_values: Sequence[float],
-    scan: DyadicScan = DyadicScan(),
-) -> list[tuple[float, float, float]]:
-    """Rows (t, u{M_phi g > t}, int phi(g/t) Mu dx) of the weak modular bound.
-
-    The left side is the u-measure of the superlevel set of the Orlicz
-    maximal function; the right side majorizes it up to a constant when u is
-    arbitrary (its maximal function absorbs the roughness).
-    """
-    if np.any(g.values < 0.0):
-        raise DomainError("weak modular check needs g >= 0")
-    if u.grid != g.grid:
-        raise GridMismatchError("u must live on the grid of g")
-    ts = _positive_heights(t_values)
-    mg = orlicz_maximal(g, phi, scan).values
-    mu = hl_maximal(u.fn, scan).values
-    lhs = superlevel_mass(g.grid.h, mg, u.values, ts)
-    rhs = modular_mass(g.grid.h, g.values, phi, mu, ts)
-    return list(zip(ts.tolist(), lhs.tolist(), rhs.tolist()))

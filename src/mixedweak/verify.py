@@ -32,9 +32,8 @@ from ._errors import (
     GridMismatchError,
     HypothesisError,
     PreflightError,
-    RangeError,
 )
-from .grid import THIRD_SHIFTS, DyadicScan, Grid, SampledFunction, make_grid, sample
+from .grid import THIRD_SHIFTS, DyadicScan, Grid, SampledFunction, block_average, make_grid, sample
 from .grid import modular_mass, superlevel_mass
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
@@ -58,7 +57,6 @@ __all__ = [
     "run_theorem1",
     "run_theorem2",
     "run_theorem3",
-    "solve_scale_a",
     "theorem3_set_partition",
 ]
 
@@ -163,15 +161,19 @@ def _float(params: dict[str, str], key: str, default: str) -> float:
 
 
 def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
+    """The samples of a ``custom path=FILE`` family on ``grid``.
+
+    A file of ``grid.N * 2**k`` samples is block-averaged onto the grid, so
+    one file written at the fine resolution serves the coarse grid of the
+    refinement comparison too.
+    """
     if "path" not in params:
         raise ConfigurationError("custom family needs path=FILE")
     try:
         vals = np.loadtxt(params["path"], dtype=np.float64).reshape(-1)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read custom family {params['path']}: {exc}") from exc
-    if vals.size != grid.N:
-        raise GridMismatchError(f"file holds {vals.size} samples, grid needs {grid.N}")
-    return vals
+    return block_average(vals, grid)
 
 
 def sample_f(grid: Grid, spec: str) -> SampledFunction:
@@ -499,48 +501,7 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
     return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, sides_at, preflight=False)
 
 
-# --- scale solver and proof-set diagnostics -------------------------------
-
-
-def solve_scale_a(F: SampledFunction, gamma: float, lam: float) -> float:
-    """Smallest a with a * int_{|y| <= a^gamma} F dy >= lam, to relative 1e-8.
-
-    The discretized map is a nondecreasing step-and-ramp function of a, so
-    bisection with the left-continuous convention (return the feasible end)
-    finds the generalized root; quadrature jumps land on cell boundaries.
-    """
-    if gamma <= 0.0 or lam <= 0.0:
-        raise DomainError(f"need gamma > 0 and lambda > 0, got gamma={gamma}, lambda={lam}")
-    if np.any(F.values < 0.0):
-        raise DomainError("scale solver needs F >= 0")
-    if not np.any(F.values > 0.0):
-        raise DomainError("scale solver needs F not identically zero")
-    grid = F.grid
-    absx = np.abs(grid.centers)
-    order = np.argsort(absx)
-    xs = absx[order]
-    cmass = np.cumsum(F.values[order]) * grid.h
-
-    def mass_within(s: float) -> float:
-        idx = int(np.searchsorted(xs, s, side="right"))
-        return float(cmass[idx - 1]) if idx else 0.0
-
-    a_max = grid.L ** (1.0 / gamma)
-    top = a_max * float(cmass[-1])
-    if lam > top * (1.0 + 1e-12):
-        raise RangeError(
-            f"lambda={lam:.6g} unattainable: the truncated domain caps the map at {top:.6g}"
-        )
-    lo, hi = 0.0, a_max
-    for _ in range(200):
-        if hi - lo <= 1e-8 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid * mass_within(mid**gamma) >= lam:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+# --- proof-set diagnostics ------------------------------------------------
 
 
 def theorem3_set_partition(x: float, k: int) -> frozenset[str]:

@@ -1,10 +1,10 @@
 """Weight classes and the numerical estimators for their constants.
 
-Muckenhoupt constants, reverse Hoelder constants, weighted A_p constants,
-BMO-type oscillation norms, John-Nirenberg tails, and the fundamental ratio
-(uv)(Q) / (v(Q) inf_Q u) are all suprema of interval functionals.  Each
-estimator walks the dyadic(+thirds-shifted) families of a ``DyadicScan``
-and pairs the result with the same computation on the twice-coarsened grid.
+Muckenhoupt constants, weighted A_p constants, the BMO norm and the
+fundamental ratio (uv)(Q) / (v(Q) inf_Q u) are all suprema of interval
+functionals.  Each estimator walks the dyadic(+thirds-shifted) families of a
+``DyadicScan`` and pairs the result with the same computation on the
+twice-coarsened grid.
 Every family tiles one block of cells, so its per-interval sums are prefix
 sums or ``np.add.reduceat`` over that block, and its cell minima and maxima
 are ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  The ``stable`` flag
@@ -23,38 +23,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ._errors import DomainError, GeometryError, GridMismatchError
+from ._errors import DomainError, GridMismatchError
 from .grid import (
-    DyadicInterval,
     DyadicScan,
     Grid,
     SampledFunction,
+    block_average,
     sample,
     scan_cell_ranges,
 )
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
-from .young import ExpL, LuxemburgQuery, luxemburg_norm
 
 __all__ = [
     "Weight",
     "ConstantEstimate",
     "power_weight",
-    "product_weight",
     "custom_weight",
     "estimate_Ap",
-    "estimate_RH",
-    "estimate_RH_inf",
     "estimate_Ap_u",
     "bmo_norm",
-    "bmo_w_norm",
-    "jn_tail",
-    "dilated_average_gap",
     "fundamental_ratio",
-    "weighted_expL_vs_plain",
 ]
 
 
@@ -97,13 +89,11 @@ class Weight:
             return self
         if self.expr is not None:
             return Weight(sample(self.expr, grid), self.expr)
-        if grid.L != self.grid.L or grid.J > self.grid.J:
+        if grid.L != self.grid.L:
             raise GridMismatchError(
-                f"raw weight on J={self.grid.J} cannot be resampled to L={grid.L}, J={grid.J}"
+                f"raw weight on L={self.grid.L} cannot be resampled to L={grid.L}"
             )
-        block = 1 << (self.grid.J - grid.J)
-        coarse = self.values.reshape(-1, block).mean(axis=1)
-        return Weight(SampledFunction(grid, coarse))
+        return Weight(SampledFunction(grid, block_average(self.values, grid)))
 
 
 def power_weight(grid: Grid, beta: float) -> Weight:
@@ -114,16 +104,6 @@ def power_weight(grid: Grid, beta: float) -> Weight:
         sample(lambda x: np.abs(x) ** beta, grid),
         expr=lambda x: np.abs(x) ** beta,
     )
-
-
-def product_weight(a: Weight, b: Weight) -> Weight:
-    if a.grid != b.grid:
-        raise GridMismatchError("weight product needs a common grid")
-    expr = None
-    if a.expr is not None and b.expr is not None:
-        ea, eb = a.expr, b.expr
-        expr = lambda x: ea(x) * eb(x)  # noqa: E731 - tiny closure
-    return Weight(a.fn * b.fn, expr=expr)
 
 
 def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
@@ -182,7 +162,7 @@ def _refined(grid: Grid, value_at: Callable[[Grid], float]) -> ConstantEstimate:
     )
 
 
-# --- Muckenhoupt / reverse Hoelder estimators ------------------------------
+# --- Muckenhoupt estimators -----------------------------------------------
 
 
 def estimate_Ap(w: Weight, p: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
@@ -194,43 +174,6 @@ def estimate_Ap(w: Weight, p: float, scan: DyadicScan = DyadicScan()) -> Constan
     respect to Lebesgue measure, the unit weight.
     """
     return estimate_Ap_u(w, custom_weight(w.grid, np.ones(w.grid.N)), p, scan)
-
-
-def estimate_RH(w: Weight, s: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
-    """Scanned reverse Hoelder constant: sup (avg_Q w**s)**(1/s) / avg_Q w."""
-    if s <= 1.0:
-        raise DomainError(f"reverse Hoelder needs s > 1, got {s}")
-
-    def value_at(grid: Grid) -> float:
-        vals = w.resample(grid).values
-        pw = _prefix(vals)
-        ps = _prefix(vals**s)
-
-        def functional(starts, stops):
-            lens = stops - starts
-            return ((ps[stops] - ps[starts]) / lens) ** (1.0 / s) * lens / (pw[stops] - pw[starts])
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(w.grid, value_at)
-
-
-def estimate_RH_inf(w: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
-    """RH_infinity proxy: sup over intervals of max_Q w / avg_Q w."""
-
-    def value_at(grid: Grid) -> float:
-        vals = w.resample(grid).values
-        pw = _prefix(vals)
-
-        def functional(starts, stops):
-            lens = stops - starts
-            maxs = _reduce_ranges(np.maximum, vals, starts, stops)
-            maxs *= lens
-            return maxs / (pw[stops] - pw[starts])
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(w.grid, value_at)
 
 
 def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
@@ -286,7 +229,11 @@ def _oscillation_max(
     scan: DyadicScan,
     p: float,
 ) -> float:
-    """sup over scanned Q of (avg-with-w of |b - b_Q|**p)**(1/p), b_Q unweighted."""
+    """sup over scanned Q of (avg-with-w of |b - b_Q|**p)**(1/p), b_Q unweighted.
+
+    ``bmo_norm`` passes no weight; the weighted form serves the test oracle
+    ``bmo_w_norm``, so both run through this one scan.
+    """
 
     def functional(starts, stops):
         lo, hi = starts[0], stops[-1]
@@ -314,73 +261,3 @@ def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan(), p: float = 1.0
     if p < 1.0:
         raise DomainError(f"oscillation exponent must be >= 1, got {p}")
     return _oscillation_max(b.grid, b.values, None, scan, p)
-
-
-def bmo_w_norm(b: SampledFunction, w: Weight, scan: DyadicScan = DyadicScan()) -> float:
-    """Weighted-oscillation norm sup_Q (1/w(Q)) int_Q |b - b_Q| w, b_Q unweighted."""
-    if w.grid != b.grid:
-        raise GridMismatchError("b and w must share a grid")
-    return _oscillation_max(b.grid, b.values, w.values, scan, 1.0)
-
-
-def jn_tail(
-    b: SampledFunction, Q: DyadicInterval, lambdas: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Empirical oscillation tails |{x in Q : |b - b_Q| > lam}| / |Q| per lam."""
-    if Q.grid != b.grid:
-        raise GeometryError("interval and function live on different grids")
-    if Q.is_empty:
-        raise GeometryError("tail fractions need a nonempty interval")
-    vals = b.values[Q.cell_slice]
-    dev = np.abs(vals - float(np.mean(vals)))
-    out = []
-    for lam in lambdas:
-        if lam < 0.0:
-            raise DomainError(f"tail height must be nonnegative, got {lam}")
-        out.append((float(lam), float(np.count_nonzero(dev > lam)) / dev.size))
-    return out
-
-
-def dilated_average_gap(b: SampledFunction, Q: DyadicInterval, k: int) -> float:
-    """|b_Q - b_{2^k Q}| with the concentric dilate clipped to the domain.
-
-    Dilate membership is by closed endpoints (the dilate endpoints can tie
-    with cell centers, unlike the thirds-shifted lattice).  k = 0 is the
-    interval itself, gap 0.
-    """
-    if Q.grid != b.grid:
-        raise GeometryError("interval and function live on different grids")
-    if Q.is_empty:
-        raise GeometryError("cannot dilate an interval with no cells")
-    if k < 0:
-        raise DomainError(f"dilation exponent must be >= 0, got {k}")
-    if k == 0:
-        return 0.0
-    grid = b.grid
-    center = 0.5 * (Q.a + Q.b)
-    half = 0.5 * (Q.b - Q.a) * float(2**k)
-    lo = max(-grid.L, center - half)
-    hi = min(grid.L, center + half)
-    i0 = int(np.searchsorted(grid.centers, lo, side="left"))
-    i1 = int(np.searchsorted(grid.centers, hi, side="right"))
-    if i1 <= i0 or i0 > Q.cell_start or i1 < Q.cell_stop:
-        raise GeometryError(f"degenerate dilate [{lo}, {hi}] for k={k}")
-    mean_q = float(np.mean(b.values[Q.cell_slice]))
-    mean_d = float(np.mean(b.values[i0:i1]))
-    return abs(mean_q - mean_d)
-
-
-def weighted_expL_vs_plain(
-    b: SampledFunction, Q: DyadicInterval, w: Weight
-) -> tuple[float, float]:
-    """Both exponential-Orlicz norms of b - b_Q on Q: (w-weighted, plain)."""
-    if w.grid != b.grid:
-        raise GridMismatchError("b and w must share a grid")
-    if Q.grid != b.grid:
-        raise GeometryError("interval and function live on different grids")
-    mean_q = float(np.mean(b.values[Q.cell_slice]))
-    dev = SampledFunction(b.grid, b.values - mean_q)
-    phi = ExpL(1.0)
-    weighted = luxemburg_norm(LuxemburgQuery(dev, Q, phi, w.fn))
-    plain = luxemburg_norm(LuxemburgQuery(dev, Q, phi))
-    return weighted, plain

@@ -51,17 +51,11 @@ __all__ = [
     "LegendreConjugate",
     "LuxemburgQuery",
     "DualityGap",
-    "TripleCompositionResult",
     "complementary",
     "luxemburg_norm",
     "segmented_luxemburg_norms",
     "modular_inf",
-    "holder_pair",
     "duality_gap",
-    "triple_composition_check",
-    "submultiplicativity_constant",
-    "inverse_envelope_constant",
-    "conjugate_equivalence_constant",
 ]
 
 
@@ -368,9 +362,10 @@ def complementary(phi: YoungFunction, exact: bool = False) -> YoungFunction:
     matching coefficient, the linear/step pair conjugate to each other.  For
     ``LLogL(1, alpha)`` the default is the classical equivalent form
     ``ExpL(alpha)``; the equivalence holds up to constants only for large
-    arguments (see :func:`conjugate_equivalence_constant`), so callers that
-    need the duality identity pointwise pass ``exact=True`` to route through
-    the numeric Legendre transform instead.  Everything else is numeric.
+    arguments (the test oracle ``conjugate_equivalence_constant`` measures
+    it), so callers that need the duality identity pointwise pass
+    ``exact=True`` to route through the numeric Legendre transform instead.
+    Everything else is numeric.
     """
     scale = _linear_scale(phi)
     if scale is not None:
@@ -625,31 +620,6 @@ def modular_inf(q: LuxemburgQuery) -> float:
     return float(min(fc, fd, objective(norm)))
 
 
-def holder_pair(
-    f: SampledFunction,
-    g: SampledFunction,
-    Q: DyadicInterval,
-    phi: YoungFunction,
-    w: SampledFunction | None = None,
-) -> tuple[float, float]:
-    """Both sides of the generalized Hoelder inequality on Q.
-
-    Returns ``(avg_w |f g|, 2 ||f||_phi ||g||_conj)``.  The conjugate used on
-    the right dominates the exact complementary function pointwise, so the
-    inequality lhs <= rhs is a theorem, not a heuristic.
-    """
-    lhs_f = abs(f * g)
-    sl = Q.cell_slice
-    wq = None if w is None else w.values[sl]
-    wv = np.ones(Q.n_cells) if wq is None else wq
-    lhs = float(np.sum(lhs_f.values[sl] * wv) / np.sum(wv))
-    bar = complementary(phi)
-    rhs = 2.0 * luxemburg_norm(LuxemburgQuery(f, Q, phi, w)) * luxemburg_norm(
-        LuxemburgQuery(g, Q, bar, w)
-    )
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class DualityGap:
     """Ratio PhiInv(t) * BarPhiInv(t) / t and its check against [0.95, 2.05]."""
@@ -671,89 +641,3 @@ def duality_gap(phi: YoungFunction, t: float) -> DualityGap:
     bar = complementary(phi, exact=True)
     ratio = phi.inverse(t) * bar.inverse(t) / t
     return DualityGap(ratio=ratio, passed=bool(0.95 <= ratio <= 2.05))
-
-
-@dataclass(frozen=True)
-class TripleCompositionResult:
-    """Fitted constant for C(s t) <= K (A(s) + B(t)) over a log lattice."""
-
-    constant: float
-    skipped: int
-    total: int
-    warning: bool
-
-
-def triple_composition_check(
-    A: YoungFunction, B: YoungFunction, C: YoungFunction, samples: int = 60
-) -> TripleCompositionResult:
-    """Fit K = sup C(s t) / (A(s) + B(t)) over (s, t) in [1e-3, 1e3]^2.
-
-    Overflowing lattice points are skipped and counted; more than 1% skips
-    sets the warning flag.
-    """
-    if samples < 2:
-        raise ConfigurationError(f"need at least 2 lattice samples per axis, got {samples}")
-    s = np.logspace(-3.0, 3.0, samples)
-    t = np.logspace(-3.0, 3.0, samples)
-    ss, tt = np.meshgrid(s, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = C._eval_array(ss * tt)
-        den = A._eval_array(ss) + B._eval_array(tt)
-        ratio = num / den
-    valid = np.isfinite(ratio) & (den > 0.0)
-    skipped = int(ratio.size - valid.sum())
-    warning = skipped > 0.01 * ratio.size
-    constant = float(np.max(ratio[valid])) if valid.any() else math.inf
-    return TripleCompositionResult(constant, skipped, int(ratio.size), warning)
-
-
-def submultiplicativity_constant(
-    phi: YoungFunction, t_min: float = 1e-3, t_max: float = 1e3, samples: int = 200
-) -> float:
-    """Fitted sup of phi(a b) / (phi(a) phi(b)) over a log lattice."""
-    a = np.logspace(math.log10(t_min), math.log10(t_max), samples)
-    aa, bb = np.meshgrid(a, a)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = phi._eval_array(aa * bb) / (phi._eval_array(aa) * phi._eval_array(bb))
-    return float(np.max(ratio[np.isfinite(ratio)]))
-
-
-def inverse_envelope_constant(
-    r: float, delta: float, z_min: float = 1.0, z_max: float = 1e6, samples: int = 400
-) -> float:
-    """Fitted D for the inverse bound of phi(z) = z**r (1 + log+ z)**delta.
-
-    Checks (1/D) g(z) <= phiInv(z) <= D g(z) for the candidate envelope
-    g(z) = z**(1/r) (1 + log+ z)**(-delta/r) and returns the smallest D that
-    works on the lattice.
-    """
-    phi = LLogL(r, delta)
-    z = np.logspace(math.log10(z_min), math.log10(z_max), samples)
-    inv = phi.inverse(z)
-    logplus = np.where(z > 1.0, np.log(np.maximum(z, 1.0)), 0.0)
-    g = z ** (1.0 / r) * (1.0 + logplus) ** (-delta / r)
-    ratio = inv / g
-    return float(max(np.max(ratio), np.max(1.0 / ratio)))
-
-
-def conjugate_equivalence_constant(
-    phi: LLogL, t_min: float = 2.0, t_max: float = 12.0, samples: int = 500
-) -> float:
-    """Fitted two-sided constant between the equivalent and exact conjugates.
-
-    Measures sup max(equiv/exact, exact/equiv) over [t_min, t_max], where
-    ``equiv = ExpL(delta)`` and ``exact`` is the numeric Legendre conjugate.
-    No constant exists down to t = 0 (the exact conjugate vanishes on [0, 1]),
-    which is the reason the default window starts past the linear stretch.
-    For delta = 1 the value is e^2 - e^(2 - t_max), just under e^2.
-    """
-    if not (isinstance(phi, LLogL) and phi.r == 1.0 and phi.delta > 0.0):
-        raise DomainError("equivalence constant is defined for the LLogL(1, delta) family")
-    equiv = ExpL(phi.delta)
-    exact = complementary(phi, exact=True)
-    t = np.logspace(math.log10(t_min), math.log10(t_max), samples)
-    e_vals = equiv.eval(t)
-    x_vals = exact.eval(t)
-    good = (x_vals > 0.0) & np.isfinite(e_vals)
-    ratio = e_vals[good] / x_vals[good]
-    return float(max(np.max(ratio), np.max(1.0 / ratio)))

@@ -16,29 +16,20 @@ import pytest
 
 from mixedweak.czd import cz_decompose, validate_decomposition
 from mixedweak.grid import DyadicInterval, SampledFunction, dyadic_intervals, make_grid, sample
-from mixedweak.maximal import (
-    compare_llogl_iterated,
-    hl_maximal,
-    iterated_maximal,
-)
-from mixedweak.singular import HILBERT_KERNEL, commutator, hilbert, kernel_smoothness_check
+from mixedweak.maximal import hl_maximal
+from mixedweak.singular import commutator, hilbert
 from mixedweak.verify import (
     ExperimentConfig,
     run_theorem1,
     run_theorem2,
     run_theorem3,
-    solve_scale_a,
 )
 from mixedweak.weights import (
     bmo_norm,
-    bmo_w_norm,
     custom_weight,
-    dilated_average_gap,
     estimate_Ap,
     fundamental_ratio,
-    jn_tail,
     power_weight,
-    weighted_expL_vs_plain,
 )
 from mixedweak.young import (
     ExpAlphaL,
@@ -50,7 +41,18 @@ from mixedweak.young import (
     luxemburg_norm,
     modular_inf,
 )
-from oracles import brute_force_maximal
+from oracles import (
+    HILBERT_KERNEL,
+    bmo_w_norm,
+    brute_force_maximal,
+    compare_llogl_iterated,
+    dilated_average_gap,
+    iterated_maximal,
+    jn_tail,
+    kernel_smoothness_check,
+    solve_scale_a,
+    weighted_expL_vs_plain,
+)
 
 
 def chi11(x):

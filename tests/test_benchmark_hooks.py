@@ -6,6 +6,7 @@ gone; the benchmark's own self tests are not part of the default suite, so a
 removed or renamed binding is caught here.
 """
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import mixedweak.cli
 import mixedweak.grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(mixedweak.grid.__file__).resolve().parent
 
 
 def test_every_hooked_binding_resolves(monkeypatch):
@@ -53,3 +55,28 @@ def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
     # runs through the hooked binding, or the young layer would read 0
     assert counts["maximal.calls"] == 4
     assert counts["young.calls"] > 0
+
+
+def test_every_public_name_is_reached(monkeypatch):
+    # a name in an ``__all__`` is there because a subcommand, a benchmark
+    # workload or another package module uses it; a helper only the tests
+    # call belongs in tests/oracles.py
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = {part for hook in tracing.HOOKS for part in tracing._split(hook.attr) if part}
+    exported = set()
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif path.parent == PACKAGE and isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported.update((path.stem, elt.value) for elt in node.value.elts)
+    unreached = sorted(f"{module}.{name}" for module, name in exported if name not in used)
+    assert not unreached, f"only the tests reach {', '.join(unreached)}"

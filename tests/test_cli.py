@@ -14,7 +14,7 @@ from mixedweak.cli import build_parser, main, parse_config, read_config
 from mixedweak.czd import cz_decompose
 from mixedweak.grid import make_grid
 from mixedweak.maximal import orlicz_maximal
-from mixedweak.verify import build_weight, sample_f
+from mixedweak.verify import build_weight, sample_b, sample_f
 from mixedweak.weights import estimate_Ap
 from mixedweak.young import LLogL
 
@@ -266,6 +266,47 @@ def test_unreadable_custom_family_exits_two(tmp_path, capsys, subcommand, sectio
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read custom family") and str(path) in err
+
+
+def test_custom_files_at_the_fine_resolution_serve_the_coarse_grid(tmp_path, capsys):
+    # the J - 2 grid of every refinement pair block-averages the J-grid file,
+    # so the fine rows are the formula run's; drift may differ
+    grid = make_grid(8.0, 8)
+    families = {
+        "f": sample_f(grid, "indicator a=0 b=1").values,
+        "b": sample_b(grid, "log").values,
+        "weight.u": build_weight(grid, "power beta=-0.5").values,
+        "weight.v": build_weight(grid, "power beta=-0.25").values,
+    }
+    formula = BASE_CFG.replace("u.family = const", "u.family = power beta=-0.5")
+    formula = formula.replace("v.family = const", "v.family = power beta=-0.25")
+    custom = formula
+    for section, values in families.items():
+        path = tmp_path / f"{section}.txt"
+        np.savetxt(path, values)
+        custom = custom.replace(f"{section}.family = ", f"{section}.family = custom path={path} #")
+    for subcommand in ("verify-thm1", "verify-base", "verify-thm3", "estimate"):
+        reports = []
+        for name, text in (("formula", formula), ("custom", custom)):
+            cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            reports.append((main([subcommand, "--config", cfg, "--out", str(out)]),
+                            load_report(out / f"{subcommand}.json")))
+        (code, rep), (custom_code, custom_rep) = reports
+        assert custom_code == code
+        if subcommand == "estimate":
+            for key, est in rep.items():
+                assert custom_rep[key]["refinement_pair"][1] == est["refinement_pair"][1]
+        else:
+            for column in ("t", "lhs", "rhs", "ratio", "alt"):
+                assert custom_rep["rows"][column] == rep["rows"][column]
+    # a length that is not N * 2**k still exits 2
+    for count in (3 * grid.N, grid.N // 2):
+        path = tmp_path / "odd.txt"
+        np.savetxt(path, np.ones(count))
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("f.family = ", f"f.family = custom path={path} #"))
+        assert main(["verify-thm1", "--config", cfg, "--out", str(tmp_path / "odd")]) == 2
+        assert f"{count} samples do not refine the {grid.N} cells" in capsys.readouterr().err
 
 
 def test_every_report_says_how_long_it_ran(tmp_path):

@@ -24,11 +24,11 @@ from mixedweak.grid import (
     DyadicScan,
     Grid,
     dyadic_intervals,
-    integrate,
     make_grid,
     sample,
     scan_cell_ranges,
 )
+from oracles import integrate
 
 
 def test_grid_basic_geometry():

@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from mixedweak import maximal
 from mixedweak._errors import DomainError, GridMismatchError, RangeError
 from mixedweak.grid import DyadicScan, SampledFunction, make_grid, sample
-from mixedweak.maximal import (
-    compare_llogl_iterated,
-    hl_maximal,
-    iterated_maximal,
-    orlicz_maximal,
-    weak_modular_check,
-)
+from mixedweak.maximal import hl_maximal, orlicz_maximal
 from mixedweak.weights import custom_weight, power_weight
 from mixedweak.young import ExpL, Identity, LLogL, Power, Step
-from oracles import brute_force_maximal, per_family_orlicz_maximal
+from oracles import (
+    brute_force_maximal,
+    compare_llogl_iterated,
+    iterated_maximal,
+    per_family_orlicz_maximal,
+    weak_modular_check,
+)
 from test_young import bisection_luxemburg_norms
 
 SEED = 20260823

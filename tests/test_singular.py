@@ -13,15 +13,9 @@ from hypothesis import strategies as st
 
 from mixedweak._errors import DomainError, GridMismatchError
 from mixedweak.grid import SampledFunction, make_grid, sample
-from mixedweak.maximal import iterated_maximal
-from mixedweak.singular import (
-    HILBERT_KERNEL,
-    ConvolutionKernel,
-    commutator,
-    hilbert,
-    kernel_smoothness_check,
-)
+from mixedweak.singular import commutator, hilbert
 from mixedweak.weights import bmo_norm, power_weight
+from oracles import HILBERT_KERNEL, ConvolutionKernel, iterated_maximal, kernel_smoothness_check
 
 
 def chi11(x):

@@ -46,12 +46,12 @@ from mixedweak.verify import (
     run_theorem3,
     sample_b,
     sample_f,
-    solve_scale_a,
     theorem3_set_partition,
     weak_lhs,
 )
 from mixedweak.weights import Weight
 from mixedweak.young import Identity, LLogL, Power
+from oracles import solve_scale_a
 
 
 def unit_weight(grid):

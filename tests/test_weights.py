@@ -25,16 +25,18 @@ from mixedweak.weights import (
     ConstantEstimate,
     Weight,
     bmo_norm,
-    bmo_w_norm,
     custom_weight,
-    dilated_average_gap,
     estimate_Ap,
     estimate_Ap_u,
+    fundamental_ratio,
+    power_weight,
+)
+from oracles import (
+    bmo_w_norm,
+    dilated_average_gap,
     estimate_RH,
     estimate_RH_inf,
-    fundamental_ratio,
     jn_tail,
-    power_weight,
     product_weight,
     weighted_expL_vs_plain,
 )

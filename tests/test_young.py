@@ -34,13 +34,15 @@ from mixedweak.young import (
     Power,
     Step,
     complementary,
-    conjugate_equivalence_constant,
     duality_gap,
-    holder_pair,
-    inverse_envelope_constant,
     luxemburg_norm,
     modular_inf,
     segmented_luxemburg_norms,
+)
+from oracles import (
+    conjugate_equivalence_constant,
+    holder_pair,
+    inverse_envelope_constant,
     submultiplicativity_constant,
     triple_composition_check,
 )
