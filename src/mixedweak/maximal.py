@@ -10,17 +10,17 @@ depth.
 
 Only the members whose norm could raise the running maximum go to the
 Luxemburg solver, and both skips are exact, so the output is bitwise what
-solving every member would give.  A member without a cell where |f| w > 0
-has norm 0, which cannot raise a maximum that starts at |f| / c >= 0: each
+solving every member would give.  A member without a cell where f != 0 has
+norm 0, which cannot raise a maximum that starts at |f| / c >= 0: each
 family is cut to the members from the first to the last one that meets
 the support.  For a phi that is not linear, the norm on I is at most
-max_I |f| / c with c = phi^{-1}(1), whatever the weight, because the
-modular there is at most phi(c) = 1; a member whose bound (times 1 + 1e-9,
-far above the solver's 1e-12 excess) does not exceed the least running
-value over its cells is skipped too.  Families run coarse to fine, so the
-long intervals raise the running maximum first and most fine members away
-from the peaks of |f| are skipped.  The members left form runs of adjacent
-intervals; each run tiles its own block and is one solver call.
+max_I |f| / c with c = phi^{-1}(1), because the modular there is at most
+phi(c) = 1; a member whose bound (times 1 + 1e-9, far above the solver's
+1e-12 excess) does not exceed the least running value over its cells is
+skipped too.  Families run coarse to fine, so the long intervals raise the
+running maximum first and most fine members away from the peaks of |f| are
+skipped.  The members left form runs of adjacent intervals; each run tiles
+its own block and is one solver call.
 
 ``hl_maximal`` is ``orlicz_maximal`` with the identity Young function; the
 linear fast path inside the segmented Luxemburg solver turns that into the
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._errors import GridMismatchError
 from .grid import DyadicScan, SampledFunction, scan_cell_ranges
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
-from .weights import Weight
 from .young import (
     Identity,
     YoungFunction,
@@ -57,27 +55,23 @@ def orlicz_maximal(
     f: SampledFunction,
     phi: YoungFunction,
     scan: DyadicScan = DyadicScan(),
-    w: Weight | None = None,
 ) -> SampledFunction:
-    """M_{phi,w} f: sup over scanned intervals containing x of the Luxemburg norm.
+    """M_phi f: sup over scanned intervals containing x of the Luxemburg norm.
 
-    With ``phi = Identity`` and no weight this is the scanned Hardy-Littlewood
-    maximal function.  Each family is cut to the members between the first
-    and the last cell where |f| w > 0; for a phi that is not linear, a member
-    is also skipped when its cap max_I |f| / phi^{-1}(1) cannot exceed the
-    running maximum on any of its cells.  Both skips leave the output bitwise
+    With ``phi = Identity`` this is the scanned Hardy-Littlewood maximal
+    function.  Each family is cut to the members between the first and the
+    last cell where f != 0; for a phi that is not linear, a member is also
+    skipped when its cap max_I |f| / phi^{-1}(1) cannot exceed the running
+    maximum on any of its cells.  Both skips leave the output bitwise
     unchanged (see the module docstring).  Every run of adjacent kept members
     is one call to the segmented solver and one running maximum of its block.
     """
-    if w is not None and w.grid != f.grid:
-        raise GridMismatchError("maximal weight must live on the grid of f")
     absf = np.abs(f.values)
-    wvals = None if w is None else w.values
     c = _unit_argument(phi)
     capped = _linear_scale(phi) is None
     # single-cell Luxemburg norm in closed form; keeps Mf >= |f| at any depth
     out = absf / c
-    nz = np.flatnonzero(absf if wvals is None else absf * wvals)
+    nz = np.flatnonzero(absf)
     if nz.size == 0:
         return SampledFunction(f.grid, out)
     for starts, stops in scan_cell_ranges(f.grid, scan):
@@ -95,7 +89,7 @@ def orlicz_maximal(
         else:
             ends = np.array([0, starts.size])
         for a, b in zip(ends[::2], ends[1::2]):
-            norms = segmented_luxemburg_norms(phi, absf, wvals, starts[a:b], stops[a:b])
+            norms = segmented_luxemburg_norms(phi, absf, None, starts[a:b], stops[a:b])
             block = out[starts[a] : stops[b - 1]]
             np.maximum(block, np.repeat(norms, stops[a:b] - starts[a:b]), out=block)
     return SampledFunction(f.grid, out)

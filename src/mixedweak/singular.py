@@ -49,15 +49,14 @@ def hilbert(f: SampledFunction) -> SampledFunction:
 def commutator(b: SampledFunction, f: SampledFunction, m: int) -> SampledFunction:
     """Order-m commutator T_b^m f with the symbol difference kernel.
 
-    m = 0 is the plain transform; m = 1 agrees with b T(f) - T(b f) at the
-    quadrature level because both routes exclude the same diagonal cell.
+    m = 0 is the plain transform (one batched transform of b^0 f = f); m = 1
+    agrees with b T(f) - T(b f) at the quadrature level because both routes
+    exclude the same diagonal cell.
     """
     if m < 0:
         raise DomainError(f"commutator order must be >= 0, got {m}")
     if b.grid != f.grid:
         raise GridMismatchError("symbol and argument must share a grid")
-    if m == 0:
-        return hilbert(f)
     bv = b.values - 0.5 * (float(np.max(b.values)) + float(np.min(b.values)))
     powers = bv ** np.arange(m + 1)[:, None]  # row k is b^k
     binomial = np.array([math.comb(m, k) * (-1) ** k for k in range(m + 1)], dtype=np.float64)

@@ -37,7 +37,8 @@ from .grid import THIRD_SHIFTS, DyadicScan, Grid, SampledFunction, block_average
 from .grid import modular_mass, superlevel_mass
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
-from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, estimate_Ap_u, power_weight
+from .weights import STABILITY_BAR, ConstantEstimate, Weight, bmo_norm, estimate_Ap
+from .weights import estimate_Ap_u, power_weight
 from .young import Identity, LLogL, YoungFunction
 
 __all__ = [
@@ -59,11 +60,6 @@ __all__ = [
     "run_theorem3",
     "theorem3_set_partition",
 ]
-
-
-#: a run is refinement-stable when its sup-ratio moves by at most this
-#: fraction of the coarse value between grids J - 2 and J
-STABILITY_BAR = 0.2
 
 
 @dataclass(frozen=True)
@@ -131,19 +127,43 @@ class InequalityReport:
 
 # --- family grammar -------------------------------------------------------
 
+#: the parameters each family takes; f, b and weight families share the names
+_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    "indicator": ("a", "b", "height"),
+    "bumps": ("centers", "width"),
+    "cusp": ("gamma", "a", "b"),
+    "zero": (),
+    "log": (),
+    "sawtoothlog": (),
+    "const": ("value",),
+    "power": ("beta",),
+    "chibump": ("a", "b", "floor"),
+    "custom": ("path",),
+}
+
 
 def parse_family(spec: str) -> tuple[str, dict[str, str]]:
-    """Split "name key=value ..." into the name and its raw parameters."""
+    """Split "name key=value ..." into the name and its raw parameters.
+
+    A key the named family does not take, or a key given twice, is refused;
+    an unknown name is left to the caller, which knows the family's kind.
+    """
     parts = spec.split()
     if not parts:
         raise ConfigurationError("empty family specification")
+    name, allowed = parts[0], _FAMILY_PARAMS.get(parts[0])
     params: dict[str, str] = {}
     for token in parts[1:]:
         if "=" not in token:
             raise ConfigurationError(f"family parameter {token!r} is not key=value")
         key, value = token.split("=", 1)
+        if key in params:
+            raise ConfigurationError(f"family {name!r} repeats parameter {key!r}")
+        if allowed is not None and key not in allowed:
+            takes = ", ".join(allowed) or "no parameters"
+            raise ConfigurationError(f"family {name!r} has no parameter {key!r} (takes {takes})")
         params[key] = value
-    return parts[0], params
+    return name, params
 
 
 def _floats(params: dict[str, str], key: str, default: str) -> list[float]:
@@ -173,7 +193,10 @@ def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
         vals = np.loadtxt(params["path"], dtype=np.float64).reshape(-1)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read custom family {params['path']}: {exc}") from exc
-    return block_average(vals, grid)
+    try:
+        return block_average(vals, grid)
+    except GridMismatchError as exc:
+        raise ConfigurationError(f"custom family {params['path']}: {exc}") from exc
 
 
 def sample_f(grid: Grid, spec: str) -> SampledFunction:

@@ -8,8 +8,10 @@ twice-coarsened grid.
 Every family tiles one block of cells, so its per-interval sums are prefix
 sums or ``np.add.reduceat`` over that block, and its cell minima and maxima
 are ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  The ``stable`` flag
-(relative gap below 20%) is what separates weights that belong to a class
-from those that merely have finite samples.
+(relative gap below ``STABILITY_BAR``) is what separates weights that belong
+to a class from those that merely have finite samples.  The BMO norm is the
+paper's plain mean oscillation sup_Q avg_Q |b - b_Q|; its p-th-power and
+weighted forms are a test oracle (``tests/oracles.py``).
 
 Scanned suprema are lower bounds for the supremum over all cell-aligned
 intervals.  With full-depth scans the one-third trick bounds that
@@ -39,6 +41,7 @@ from .grid import (
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 
 __all__ = [
+    "STABILITY_BAR",
     "Weight",
     "ConstantEstimate",
     "power_weight",
@@ -110,12 +113,19 @@ def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
     return Weight(SampledFunction(grid, values))
 
 
+#: refinement-stability bar: an estimate is stable when its grids differ by
+#: less than this fraction of the fine value; ``verify`` holds a run's sup-ratio
+#: to at most this fraction of the coarse value (merged, they flip verdicts)
+STABILITY_BAR = 0.2
+
+
 @dataclass(frozen=True)
 class ConstantEstimate:
     """A scanned supremum together with its refinement diagnostics.
 
     ``refinement_pair`` holds (value on the twice-coarsened grid, value on
-    the native grid); ``stable`` is their relative gap tested against 20%.
+    the native grid); ``stable`` is their relative gap tested against
+    ``STABILITY_BAR``.
     """
 
     value: float
@@ -126,7 +136,7 @@ class ConstantEstimate:
 def _stability(coarse: float, fine: float) -> bool:
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         return False
-    return abs(fine - coarse) < 0.2 * max(abs(fine), 1e-300)
+    return abs(fine - coarse) < STABILITY_BAR * max(abs(fine), 1e-300)
 
 
 # --- interval machinery ---------------------------------------------------
@@ -219,21 +229,12 @@ def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> 
     return estimate_Ap_u(u, v, 1.0, scan)
 
 
-# --- oscillation norms -----------------------------------------------------
+# --- the BMO norm ----------------------------------------------------------
 
 
-def _oscillation_max(
-    grid: Grid,
-    bvals: np.ndarray,
-    wvals: np.ndarray | None,
-    scan: DyadicScan,
-    p: float,
-) -> float:
-    """sup over scanned Q of (avg-with-w of |b - b_Q|**p)**(1/p), b_Q unweighted.
-
-    ``bmo_norm`` passes no weight; the weighted form serves the test oracle
-    ``bmo_w_norm``, so both run through this one scan.
-    """
+def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan()) -> float:
+    """Scanned BMO norm: sup_Q avg_Q |b - b_Q|."""
+    bvals = b.values
 
     def functional(starts, stops):
         lo, hi = starts[0], stops[-1]
@@ -242,22 +243,6 @@ def _oscillation_max(
         block = bvals[lo:hi]
         means = np.add.reduceat(block, off) / lens
         dev = np.abs(block - np.repeat(means, lens))
-        if p != 1.0:
-            dev **= p
-        if wvals is None:
-            osc = np.add.reduceat(dev, off) / lens
-        else:
-            wblock = wvals[lo:hi]
-            osc = np.add.reduceat(dev * wblock, off) / np.add.reduceat(wblock, off)
-        if p != 1.0:
-            osc **= 1.0 / p
-        return osc
+        return np.add.reduceat(dev, off) / lens
 
-    return _scan_max(grid, scan, functional)
-
-
-def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan(), p: float = 1.0) -> float:
-    """Scanned BMO norm: sup_Q (avg_Q |b - b_Q|**p)**(1/p)."""
-    if p < 1.0:
-        raise DomainError(f"oscillation exponent must be >= 1, got {p}")
-    return _oscillation_max(b.grid, b.values, None, scan, p)
+    return _scan_max(b.grid, scan, functional)

@@ -8,11 +8,12 @@ right-continuous generalized inverse ``inverse(y) = sup{t : phi(t) <= y}``
 generalized form is what makes step-type conjugates behave in the duality
 identity ``t <= PhiInv(t) * BarPhiInv(t) <= 2t``).
 
-Complementary functions come in three flavors: exact closed forms (powers,
-the linear/step pair), the classical equivalent form ``exp(t^(1/alpha)) - 1``
-for ``t (1 + log+ t)^alpha``, and a numeric Legendre transform on a dense
-log-spaced slope lattice for everything else.  The numeric conjugate is a
-max-affine function; its generalized inverse is the exact identity
+Complementary functions are exact: closed forms for the powers and the
+linear/step pair, and a numeric Legendre transform on a dense log-spaced
+slope lattice for everything else, ``t (1 + log+ t)^alpha`` included (its
+classical equivalent form ``exp(t^(1/alpha)) - 1`` breaks the lower side of
+the duality identity at small t).  The numeric conjugate is a max-affine
+function; its generalized inverse is the exact identity
 ``BarPhiInv(y) = inf_s (y + phi(s)) / s`` restricted to the lattice, found
 by a searchsorted lookup of the affine piece active at height y (one lookup
 per height, no heights-by-lattice temporary).  That keeps the duality
@@ -355,17 +356,16 @@ def _cached_legendre(phi: YoungFamily) -> LegendreConjugate:
     return LegendreConjugate(phi)
 
 
-def complementary(phi: YoungFunction, exact: bool = False) -> YoungFunction:
-    """Complementary Young function of ``phi``.
+def complementary(phi: YoungFunction) -> YoungFunction:
+    """Exact complementary Young function of ``phi``.
 
     Closed forms where they exist: powers conjugate to powers with the
-    matching coefficient, the linear/step pair conjugate to each other.  For
-    ``LLogL(1, alpha)`` the default is the classical equivalent form
-    ``ExpL(alpha)``; the equivalence holds up to constants only for large
-    arguments (the test oracle ``conjugate_equivalence_constant`` measures
-    it), so callers that need the duality identity pointwise pass
-    ``exact=True`` to route through the numeric Legendre transform instead.
-    Everything else is numeric.
+    matching coefficient, the linear/step pair conjugate to each other.
+    Everything else, ``LLogL(1, alpha)`` included, is the numeric Legendre
+    transform.  The classical equivalent form ``ExpL(alpha)`` of that family
+    agrees with it only up to constants for large arguments (the test oracle
+    ``conjugate_equivalence_constant`` measures how far), so it is never
+    returned here.
     """
     scale = _linear_scale(phi)
     if scale is not None:
@@ -376,8 +376,6 @@ def complementary(phi: YoungFunction, exact: bool = False) -> YoungFunction:
         rp = phi.r / (phi.r - 1.0)
         coef = (phi.r - 1.0) / phi.r * (phi.coef * phi.r) ** (-1.0 / (phi.r - 1.0))
         return Power(rp, coef)
-    if isinstance(phi, LLogL) and not exact and phi.r == 1.0 and phi.delta > 0.0:
-        return ExpL(phi.delta)
     return _cached_legendre(phi)
 
 
@@ -631,13 +629,13 @@ class DualityGap:
 def duality_gap(phi: YoungFunction, t: float) -> DualityGap:
     """Check the two-sided duality identity t <= PhiInv(t)*BarPhiInv(t) <= 2t.
 
-    Always uses the exact conjugate (numeric Legendre where no closed form
-    exists): the equivalent exponential form deliberately breaks the lower
-    bound for small t, which is why it is never used here.  Tolerance 0.05 on
-    each side absorbs the lattice error of the numeric transform.
+    The conjugate is :func:`complementary`'s exact one (numeric Legendre
+    where no closed form exists): the equivalent exponential form of
+    ``LLogL(1, alpha)`` breaks the lower bound for small t.  Tolerance 0.05
+    on each side absorbs the lattice error of the numeric transform.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"duality check needs finite t > 0, got {t}")
-    bar = complementary(phi, exact=True)
+    bar = complementary(phi)
     ratio = phi.inverse(t) * bar.inverse(t) / t
     return DualityGap(ratio=ratio, passed=bool(0.95 <= ratio <= 2.05))

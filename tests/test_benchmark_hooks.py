@@ -17,6 +17,23 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(mixedweak.grid.__file__).resolve().parent
 
 
+def _sources():
+    """(path, syntax tree) of every package and benchmark module."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    return [(path, ast.parse(path.read_text())) for path in paths]
+
+
+def _exported(tree):
+    """The names a module's ``__all__`` lists."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def test_every_hooked_binding_resolves(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
@@ -64,19 +81,58 @@ def test_every_public_name_is_reached(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     used = {part for hook in tracing.HOOKS for part in tracing._split(hook.attr) if part}
     exported = set()
-    for path in sources:
-        tree = ast.parse(path.read_text())
+    for path, tree in _sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif path.parent == PACKAGE and isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                exported.update((path.stem, elt.value) for elt in node.value.elts)
+        if path.parent == PACKAGE:
+            exported.update((path.stem, name) for name in _exported(tree))
     unreached = sorted(f"{module}.{name}" for module, name in exported if name not in used)
     assert not unreached, f"only the tests reach {', '.join(unreached)}"
+
+
+def _passes(call, param, position):
+    """Whether ``call`` passes ``param`` (at ``position`` when positional)."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_of_a_public_function_is_passed():
+    # a defaulted parameter of an exported function that no package or
+    # benchmark call passes selects a variant that only the tests use; a call
+    # with *args or **kwargs counts as passing every parameter.  Calls are
+    # matched by function name, and the guard sees whether a parameter is
+    # passed, not with which value: one that every call passes with the same
+    # value (as ``complementary(exact=True)`` was) goes unflagged.
+    sources = _sources()
+    defaulted = {}
+    for path, tree in sources:
+        exported = _exported(tree) if path.parent == PACKAGE else set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
+                params.update((arg.arg, None) for arg, default in
+                              zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+                defaulted[path.stem, node.name] = params
+    calls = [node for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = sorted(
+        f"{module}.{name}({param})"
+        for (module, name), params in defaulted.items()
+        for param, position in params.items()
+        if not any(
+            getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+            and _passes(call, param, position)
+            for call in calls
+        )
+    )
+    assert not unpassed, f"no package or benchmark call passes {', '.join(unpassed)}"

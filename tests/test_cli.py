@@ -268,6 +268,25 @@ def test_unreadable_custom_family_exits_two(tmp_path, capsys, subcommand, sectio
         assert err.startswith("error: cannot read custom family") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "section,family,needle",
+    [
+        ("weight.v", "power bta=-0.25", "family 'power' has no parameter 'bta'"),
+        ("f", "indicator a=0 a=1", "family 'indicator' repeats parameter 'a'"),
+        ("b", "log beta=1", "family 'log' has no parameter 'beta'"),
+    ],
+)
+def test_misspelled_or_repeated_family_parameter_exits_two(
+    tmp_path, capsys, section, family, needle
+):
+    # each of these used to run on the family's defaults (v = 1 for the first)
+    text = BASE_CFG.replace(f"{section}.family = ", f"{section}.family = {family} #")
+    assert main(["verify-thm1", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 2
+    assert needle in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match="no parameter 'bta'"):
+        build_weight(make_grid(8.0, 6), "power bta=-0.5")
+
+
 def test_custom_files_at_the_fine_resolution_serve_the_coarse_grid(tmp_path, capsys):
     # the J - 2 grid of every refinement pair block-averages the J-grid file,
     # so the fine rows are the formula run's; drift may differ
@@ -306,7 +325,8 @@ def test_custom_files_at_the_fine_resolution_serve_the_coarse_grid(tmp_path, cap
         np.savetxt(path, np.ones(count))
         cfg = write_cfg(tmp_path, BASE_CFG.replace("f.family = ", f"f.family = custom path={path} #"))
         assert main(["verify-thm1", "--config", cfg, "--out", str(tmp_path / "odd")]) == 2
-        assert f"{count} samples do not refine the {grid.N} cells" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{count} samples do not refine the {grid.N} cells" in err and str(path) in err
 
 
 def test_every_report_says_how_long_it_ran(tmp_path):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedweak import maximal
-from mixedweak._errors import DomainError, GridMismatchError, RangeError
+from mixedweak._errors import DomainError, RangeError
 from mixedweak.grid import DyadicScan, SampledFunction, make_grid, sample
 from mixedweak.maximal import hl_maximal, orlicz_maximal
-from mixedweak.weights import custom_weight, power_weight
+from mixedweak.weights import power_weight
 from mixedweak.young import ExpL, Identity, LLogL, Power, Step
 from oracles import (
     brute_force_maximal,
@@ -103,8 +103,6 @@ def test_orlicz_identity_collapses_to_hl_bitwise():
     f = SampledFunction(g, rng.standard_normal(g.N))
     plain = hl_maximal(f).values
     assert np.array_equal(orlicz_maximal(f, Identity()).values, plain)
-    unit = custom_weight(g, np.ones(g.N))
-    assert np.array_equal(orlicz_maximal(f, Identity(), w=unit).values, plain)
 
 
 def test_orlicz_of_constant_is_the_constant():
@@ -113,17 +111,11 @@ def test_orlicz_of_constant_is_the_constant():
     np.testing.assert_allclose(out, 2.5, rtol=1e-12)
 
 
-def test_orlicz_weight_grid_guard():
-    g = make_grid(8.0, 7)
-    with pytest.raises(GridMismatchError):
-        orlicz_maximal(sample(chi01, g), Identity(), w=power_weight(make_grid(8.0, 8), -0.5))
-
-
-def brute_force_orlicz_maximal(f, phi, w=None):
+def brute_force_orlicz_maximal(f, phi):
     """Test-only oracle: sup of the bisection norms over all cell-aligned intervals."""
     n = f.grid.N
     starts, stops = np.triu_indices(n + 1, k=1)
-    norms = bisection_luxemburg_norms(phi, f.values, w, starts, stops)
+    norms = bisection_luxemburg_norms(phi, f.values, None, starts, stops)
     out = np.zeros(n)
     for a, b, norm in zip(starts, stops, norms):
         np.maximum(out[a:b], norm, out=out[a:b])
@@ -134,15 +126,13 @@ def brute_force_orlicz_maximal(f, phi, w=None):
 @given(
     phi=st.sampled_from([LLogL(1.0, 1.0), LLogL(2.0, 1.0), Power(2.0), ExpL(1.0)]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    weighted=st.booleans(),
 )
-def test_orlicz_sandwiched_by_brute_force_luxemburg_sup(phi, seed, weighted):
+def test_orlicz_sandwiched_by_brute_force_luxemburg_sup(phi, seed):
     rng = np.random.default_rng(seed)
     g = make_grid(4.0, 6)
     f = SampledFunction(g, rng.standard_normal(g.N) * (rng.random(g.N) < 0.6))
-    w = custom_weight(g, np.exp(rng.standard_normal(g.N))) if weighted else None
-    scanned = orlicz_maximal(f, phi, w=w).values
-    brute = brute_force_orlicz_maximal(f, phi, None if w is None else w.values)
+    scanned = orlicz_maximal(f, phi).values
+    brute = brute_force_orlicz_maximal(f, phi)
     # every scanned interval is cell-aligned; by convexity the one-third trick
     # bounds a Luxemburg norm by 3 times that of a scanned interval holding it
     assert np.all(scanned <= brute * (1.0 + 1e-9))
@@ -158,11 +148,10 @@ ORACLE_PHIS = [Identity(), LLogL(1.0, 1.0), LLogL(2.0, 1.0), LLogL(0.5, 1.0), Po
     kind=st.sampled_from(["sparse", "dense", "single", "zero"]),
     phi=st.sampled_from(ORACLE_PHIS),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    weighted=st.booleans(),
     shifts=st.sets(st.sampled_from([0.0, 1.0 / 3.0, 2.0 / 3.0]), min_size=1).map(sorted),
     j_max=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
 )
-def test_skipping_members_is_bitwise_exact(J, kind, phi, seed, weighted, shifts, j_max):
+def test_skipping_members_is_bitwise_exact(J, kind, phi, seed, shifts, j_max):
     rng = np.random.default_rng(seed)
     g = make_grid(4.0, J)
     vals = rng.standard_normal(g.N) * np.exp(2.0 * rng.standard_normal(g.N))
@@ -173,10 +162,9 @@ def test_skipping_members_is_bitwise_exact(J, kind, phi, seed, weighted, shifts,
     elif kind == "zero":
         vals = np.zeros(g.N)
     f = SampledFunction(g, vals)
-    w = custom_weight(g, np.exp(rng.standard_normal(g.N))) if weighted else None
     scan = DyadicScan(j_max=j_max, shifts=tuple(shifts))
-    got = orlicz_maximal(f, phi, scan, w).values
-    assert np.array_equal(got, per_family_orlicz_maximal(f, phi, scan, w))
+    got = orlicz_maximal(f, phi, scan).values
+    assert np.array_equal(got, per_family_orlicz_maximal(f, phi, scan))
 
 
 def test_theorem3_data_solves_a_few_grids_of_cells(monkeypatch):

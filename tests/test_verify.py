@@ -117,7 +117,7 @@ def test_sample_f_custom_round_trips_through_file(tmp_path):
     assert np.array_equal(sample_f(grid, f"custom path={path}").values, vals)
     short = tmp_path / "short.txt"
     np.savetxt(short, vals[:-1])
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ConfigurationError, match="short.txt: 31 samples do not refine"):
         sample_f(grid, f"custom path={short}")
 
 

@@ -37,6 +37,7 @@ from oracles import (
     estimate_RH,
     estimate_RH_inf,
     jn_tail,
+    oscillation_max,
     product_weight,
     weighted_expL_vs_plain,
 )
@@ -307,7 +308,7 @@ def test_bmo_oracle_sandwich_and_p_equivalence():
     oracle1 = naive_bmo(b.values)
     assert scan1 <= oracle1 * (1.0 + 1e-12) <= 6.0 * scan1
     # p = 2 dominates p = 1 (power-mean) but stays within a fixed factor
-    p2 = bmo_norm(b, p=2.0)
+    p2 = oscillation_max(g6, b.values, None, DyadicScan(), 2.0)
     assert scan1 <= p2 * (1.0 + 1e-12)
     assert p2 <= 2.0 * scan1
 
@@ -499,7 +500,8 @@ def test_reduceat_estimators_match_per_interval_numpy(case):
     assert rh == scanned_max(g, scan, lambda a, z: v[a:z].max() * (z - a) / (pv[z] - pv[a]))
     # oscillations are sums in another order; abs covers symbols that are nearly constant
     tol = 1e-12 * float(np.max(np.abs(x)))
-    osc = {p: bmo_norm(b, scan, p) for p in (1.0, 2.0)}
+    osc = {1.0: bmo_norm(b, scan), 2.0: oscillation_max(g, x, None, scan, 2.0)}
+    assert osc[1.0] == oscillation_max(g, x, None, scan, 1.0)
     for p in osc:
         want = scanned_max(
             g, scan, lambda a, z: (np.abs(x[a:z] - x[a:z].mean()) ** p).mean() ** (1.0 / p)

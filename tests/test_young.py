@@ -169,8 +169,7 @@ def test_complementary_closed_forms():
 
 def test_complementary_equivalent_vs_exact_form():
     phi = LLogL(1.0, 1.0)
-    assert complementary(phi) == ExpL(1.0)
-    exact = complementary(phi, exact=True)
+    exact = complementary(phi)
     assert isinstance(exact, LegendreConjugate)
     # piecewise closed form: 0 on [0,1], t-1 on [1,2], e^(t-2) beyond
     assert exact.eval(0.5) == 0.0
@@ -181,7 +180,7 @@ def test_complementary_equivalent_vs_exact_form():
 
 def test_complementary_refuses_nonconvex():
     with pytest.raises(DomainError):
-        complementary(ExpL(2.0), exact=True)
+        complementary(ExpL(2.0))
 
 
 def test_convexity_is_required_by_legendre_and_modular_inf():
@@ -218,7 +217,7 @@ def lattice_min_inverse(phi, y, chunk=8):
 
 def test_legendre_inverse_of_many_heights_matches_lattice_min():
     # 10^4 heights at once: one lookup per height, no heights x lattice temporary
-    phi = complementary(LLogL(1.0, 1.0), exact=True)
+    phi = complementary(LLogL(1.0, 1.0))
     y = np.logspace(-12.0, 8.0, 10**4)
     fast = phi.inverse(y)
     assert fast.shape == y.shape
@@ -432,7 +431,7 @@ NEWTON_FAMILIES = [
     ExpL(1.0),
     ExpL(2.0),  # not convex: the right end of the bracket has to move out
     ExpAlphaL(0.5, 2.0),
-    complementary(LLogL(1.0, 1.0), exact=True),
+    complementary(LLogL(1.0, 1.0)),
 ]
 
 
@@ -699,7 +698,7 @@ def test_duality_gap_needs_exact_conjugate():
     # with the equivalent exponential conjugate the lower bound fails at small t;
     # this pins the design choice of routing duality through the exact transform
     phi = LLogL(1.0, 1.0)
-    equiv = complementary(phi)
+    equiv = ExpL(1.0)
     t = 1e-3
     ratio_equiv = phi.inverse(t) * equiv.inverse(t) / t
     assert ratio_equiv < 0.95
