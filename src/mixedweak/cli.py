@@ -1,11 +1,13 @@
 """Command-line front end: config parsing, dispatch, deterministic reports.
 
-Each config key and each flag sets one ``ExperimentConfig`` field.  Each
-subcommand returns an ``_Outcome``; ``main`` times it, prints its summary and
-writes its report as JSON and CSV.  Reports are byte-identical across reruns
-of the same configuration; wall-clock metadata lives in a separate ``meta``
-object so determinism checks can ignore it.  Files are written to a
-temporary name and renamed, so a crash never leaves a truncated report behind.
+Each config key and each flag sets one ``ExperimentConfig`` field.  Every
+subcommand accepts every config key, since one file serves several, but only
+the flags of the fields it reads.  Each subcommand returns an ``_Outcome``;
+``main`` times it, prints its summary and writes its report as JSON and CSV.
+Reports are byte-identical across reruns of the same configuration;
+wall-clock metadata lives in a separate ``meta`` object so determinism checks
+can ignore it.  Files are written to a temporary name and renamed, so a crash
+never leaves a truncated report behind.
 
 Exit codes: 0 when the run's acceptance predicate holds, 1 when the run
 completed but the predicate failed (or the weight preflight refused), 2 for
@@ -23,6 +25,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -46,7 +49,7 @@ from .verify import (
     theorem3_set_partition,
     weak_lhs,
 )
-from .weights import ConstantEstimate, Weight, _refined, bmo_norm, estimate_Ap, fundamental_ratio
+from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, fundamental_ratio, refined
 from .young import Identity, LLogL
 
 __all__ = ["main", "parse_config", "read_config"]
@@ -130,34 +133,22 @@ def parse_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", help="section.key = value config file")
-    shared.add_argument("--out", metavar="DIR", default="reports", help="report directory")
-    shared.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    shared.add_argument("--grid-J", dest="J", type=int, metavar="INT")
-    shared.add_argument("--grid-L", dest="L", type=float, metavar="REAL")
-    shared.add_argument("--m", type=int, metavar="INT", help="commutator order")
-    shared.add_argument("--r", type=float, metavar="REAL", help="Young power exponent")
-    shared.add_argument("--delta", type=float, metavar="REAL", help="Young log exponent")
-    shared.add_argument("--beta", type=float, metavar="REAL", help="power-weight exponent")
-    shared.add_argument("--t-min", dest="t_min", type=float, metavar="REAL",
-                        help="lowest sweep height; for decompose, the stopping height "
-                             "(default twice the v-average of f over [-L, L])")
-    shared.add_argument("--t-max", dest="t_max", type=float, metavar="REAL")
-    shared.add_argument("--t-steps", dest="steps", type=int, metavar="INT")
-    shared.add_argument("--jmax", dest="j_max", type=int, metavar="INT",
-                        help="finest scan scale j (0 is the whole domain; default J)")
-    shared.add_argument("--shifts", type=_shifts, metavar="{1,3}", help="dyadic grids per scan")
-    shared.add_argument("--margin", type=float, metavar="REAL")
-    shared.add_argument("--force", action="store_true", help="run despite unstable weight constants")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", metavar="PATH", help="section.key = value config file")
+    io.add_argument("--out", metavar="DIR", default="reports", help="report directory")
+    io.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
     parser = argparse.ArgumentParser(
         prog="mixedweak",
         description="Numerical verification of mixed weak-type inequalities.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (descr, _) in _COMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=descr)
+    for name, (descr, _, reads) in _COMMANDS.items():
+        # no abbreviations: --m must not stand for --margin where --m is not taken
+        cmd = sub.add_parser(name, parents=[io] if reads else [], help=descr, allow_abbrev=False)
+        for dest, (flag, spec) in _FLAGS.items():
+            if dest in reads:
+                cmd.add_argument(flag, dest=dest, **spec)
     return parser
 
 
@@ -268,10 +259,15 @@ def _cmd_verify(name: str, cfg: ExperimentConfig) -> _Outcome:
 
 def _cmd_estimate(cfg: ExperimentConfig) -> _Outcome:
     grid, scan = make_grid(cfg.L, cfg.J), cfg.scan()
-    u, v = build_weight(grid, cfg.u), build_weight(grid, cfg.v)
-    estimates = preflight_weights(u, v, scan)
-    estimates["fundamental"] = fundamental_ratio(u, v, scan)
-    estimates["bmo_b"] = _refined(grid, lambda g: bmo_norm(sample_b(g, cfg.b), scan))
+    fine, coarse = (
+        SimpleNamespace(u=build_weight(g, cfg.u), v=build_weight(g, cfg.v), b=sample_b(g, cfg.b),
+                        scan=scan)
+        for g in (grid, grid.coarsened())
+    )
+    estimates = preflight_weights(fine, coarse)
+    estimates["fundamental"] = refined(fundamental_ratio(coarse.u, coarse.v, scan),
+                                       fundamental_ratio(fine.u, fine.v, scan))
+    estimates["bmo_b"] = refined(bmo_norm(coarse.b, scan), bmo_norm(fine.b, scan))
     rows = [(name, _clean(est.value), est.stable, *map(_clean, est.refinement_pair))
             for name, est in estimates.items()]
     summary = " ".join(
@@ -345,7 +341,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
         ("modular closed form",
          abs(modular_rhs(chi, LLogL(1, 1), one, one, 0.5) - 2.0 * (1.0 + math.log(2.0))) < 1e-12),
         ("weak lhs below level", weak_lhs(chi, one, one, 2.0) == 0.0),
-        ("constant weight is A1-sharp", estimate_Ap(one, 1.0).value == 1.0),
+        ("constant weight is A1-sharp", estimate_Ap(one, 1.0) == 1.0),
         ("maximal of constant", bool(np.all(hl_maximal(one.fn).values == 1.0))),
         ("transform of even is odd", bool(np.max(np.abs(hf.values + hf.values[::-1])) < 1e-12)),
         ("decomposition reconstructs",
@@ -360,25 +356,52 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
     return _Outcome("\n".join(lines), 0 if failed == 0 else 1)
 
 
-#: subcommand -> (help line, command)
-_COMMANDS: dict[str, tuple[str, Callable[[ExperimentConfig], _Outcome]]] = {
+#: ExperimentConfig field -> (the flag that sets it, its argparse keywords)
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "J": ("--grid-J", dict(type=int, metavar="INT")),
+    "L": ("--grid-L", dict(type=float, metavar="REAL")),
+    "m": ("--m", dict(type=int, metavar="INT", help="commutator order")),
+    "r": ("--r", dict(type=float, metavar="REAL", help="Young power exponent")),
+    "delta": ("--delta", dict(type=float, metavar="REAL", help="Young log exponent")),
+    "beta": ("--beta", dict(type=float, metavar="REAL", help="power-weight exponent")),
+    "t_min": ("--t-min", dict(type=float, metavar="REAL",
+                              help="lowest sweep height; for decompose, the stopping height "
+                                   "(default twice the v-average of f over [-L, L])")),
+    "t_max": ("--t-max", dict(type=float, metavar="REAL")),
+    "steps": ("--t-steps", dict(type=int, metavar="INT")),
+    "j_max": ("--jmax", dict(type=int, metavar="INT",
+                             help="finest scan scale j (0 is the whole domain; default J)")),
+    "shifts": ("--shifts", dict(type=_shifts, metavar="{1,3}", help="dyadic grids per scan")),
+    "margin": ("--margin", dict(type=float, metavar="REAL")),
+    "force": ("--force", dict(action="store_true", help="run despite unstable weight constants")),
+}
+_GRID, _SCAN = ("J", "L"), ("j_max", "shifts")
+_SWEEP = (*_GRID, "t_min", "t_max", "steps", *_SCAN, "margin")
+
+#: subcommand -> (help line, command, the fields its flags set); a subcommand
+#: that reads any field also takes --config, --out and --format
+_COMMANDS: dict[str, tuple[str, Callable[[ExperimentConfig], _Outcome], tuple[str, ...]]] = {
     "verify-base": ("weak (1,1)-type run for the plain transform",
-                    partial(_cmd_verify, "verify-base")),
-    "verify-thm1": ("first-order commutator run", partial(_cmd_verify, "verify-thm1")),
-    "verify-thm2": ("higher-order commutator run (--m 1|2|3)", partial(_cmd_verify, "verify-thm2")),
+                    partial(_cmd_verify, "verify-base"), (*_SWEEP, "force")),
+    "verify-thm1": ("first-order commutator run", partial(_cmd_verify, "verify-thm1"),
+                    (*_SWEEP, "force")),
+    "verify-thm2": ("higher-order commutator run (--m 1|2|3)", partial(_cmd_verify, "verify-thm2"),
+                    (*_SWEEP, "m", "force")),
     "verify-thm3": ("Orlicz maximal run against a singular power weight",
-                    partial(_cmd_verify, "verify-thm3")),
-    "estimate": ("weight and symbol constant estimates", _cmd_estimate),
-    "decompose": ("weighted stopping-time decomposition with validation", _cmd_decompose),
-    "maximal": ("dump Orlicz maximal function samples", _cmd_maximal),
-    "selftest": ("run the built-in closed-form corpus", _cmd_selftest),
+                    partial(_cmd_verify, "verify-thm3"), (*_SWEEP, "r", "delta", "beta")),
+    "estimate": ("weight and symbol constant estimates", _cmd_estimate, (*_GRID, *_SCAN)),
+    "decompose": ("weighted stopping-time decomposition with validation", _cmd_decompose,
+                  (*_GRID, "t_min")),
+    "maximal": ("dump Orlicz maximal function samples", _cmd_maximal,
+                (*_GRID, "r", "delta", *_SCAN)),
+    "selftest": ("run the built-in closed-form corpus", _cmd_selftest, ()),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, args)
+        cfg = parse_config(getattr(args, "config", None), args)
         started = time.perf_counter()
         result = _COMMANDS[args.subcommand][1](cfg)
         runtime_s = time.perf_counter() - started

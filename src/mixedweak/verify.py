@@ -10,10 +10,12 @@ constants in the inequalities are never hard-coded: refinement stability of
 the sup-ratio is the acceptance signal, carried as the report's drift and
 verdict.  All runners share one driver and differ only in their sides.
 
-Weight-hypothesis preflight refuses runs whose estimated constants are
-unstable (the run would measure noise), unless forced: forcing is exactly
-how the negative controls demonstrate that the harness can tell a failed
-hypothesis from a satisfied one.
+A run samples its configuration on the fine grid and on ``Grid.coarsened()``
+and reads nothing else: the weight-hypothesis preflight pairs each constant's
+estimates on the two, and the coarse sweep runs on the coarse instance.  The
+preflight refuses runs whose estimated constants are unstable (the run would
+measure noise), unless forced: forcing is exactly how the negative controls
+demonstrate that the harness can tell a failed hypothesis from a satisfied one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .grid import modular_mass, superlevel_mass
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
 from .weights import STABILITY_BAR, ConstantEstimate, Weight, bmo_norm, estimate_Ap
-from .weights import estimate_Ap_u, power_weight
+from .weights import estimate_Ap_u, power_weight, refined
 from .young import Identity, LLogL, YoungFunction
 
 __all__ = [
@@ -199,11 +201,19 @@ def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
         raise ConfigurationError(f"custom family {params['path']}: {exc}") from exc
 
 
+def _interval(name: str, params: dict[str, str], a: str, b: str) -> tuple[float, float]:
+    lo, hi = _float(params, "a", a), _float(params, "b", b)
+    if lo >= hi:
+        # with a >= b no cell center lies inside the interval
+        raise ConfigurationError(f"family {name!r} needs a < b, got a={lo!r} b={hi!r}")
+    return lo, hi
+
+
 def sample_f(grid: Grid, spec: str) -> SampledFunction:
     """Input-function families: indicator, bump sum, power cusp, custom file."""
     name, params = parse_family(spec)
     if name == "indicator":
-        a, b = _float(params, "a", "0"), _float(params, "b", "1")
+        a, b = _interval(name, params, "0", "1")
         height = _float(params, "height", "1")
         return sample(lambda x: np.where((x >= a) & (x <= b), height, 0.0), grid)
     if name == "bumps":
@@ -214,7 +224,7 @@ def sample_f(grid: Grid, spec: str) -> SampledFunction:
         )
     if name == "cusp":
         gamma = _float(params, "gamma", "0.25")
-        a, b = _float(params, "a", "0"), _float(params, "b", "1")
+        a, b = _interval(name, params, "0", "1")
         if gamma >= 1.0:
             raise ConfigurationError(f"cusp exponent must be < 1 for integrability, got {gamma}")
         return sample(
@@ -251,14 +261,13 @@ def build_weight(grid: Grid, spec: str) -> Weight:
         return power_weight(grid, _float(params, "beta", "0"))
     if name == "const":
         value = _float(params, "value", "1")
-        return Weight(sample(lambda x: value + 0.0 * x, grid), expr=lambda x: value + 0.0 * x)
+        return Weight(sample(lambda x: value + 0.0 * x, grid))
     if name == "chibump":
-        a, b = _float(params, "a", "-1"), _float(params, "b", "1")
+        a, b = _interval(name, params, "-1", "1")
         floor = _float(params, "floor", "1e-3")
         if floor <= 0.0:
             raise ConfigurationError("chibump floor must be positive (weights are positive)")
-        expr = lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0)  # noqa: E731
-        return Weight(sample(expr, grid), expr=expr)
+        return Weight(sample(lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0), grid))
     if name == "custom":
         return Weight(SampledFunction(grid, _load_values(grid, params)))
     raise ConfigurationError(f"unknown weight family {name!r}")
@@ -321,15 +330,18 @@ def _sweep(cfg: ExperimentConfig, signal: SampledFunction, top: float | None = N
     return np.geomspace(t_min, t_max, cfg.steps)  # one step gives [t_min] exactly
 
 
-def preflight_weights(
-    u: Weight, v: Weight, scan: DyadicScan
-) -> dict[str, ConstantEstimate]:
-    """The membership estimates the two-weight theorems hypothesize."""
-    return {
-        "A1_u": estimate_Ap(u, 1.0, scan),
-        "A1_v": estimate_Ap(v, 1.0, scan),
-        "A2_v_wrt_u": estimate_Ap_u(v, u, 2.0, scan),
-    }
+def preflight_weights(fine: SimpleNamespace, coarse: SimpleNamespace) -> dict[str, ConstantEstimate]:
+    """The membership estimates the two-weight theorems hypothesize: u's A1
+    constant, and v's A1 and A2(u) constants when the instances carry a v.
+
+    ``fine`` and ``coarse`` carry ``u``, ``v`` and ``scan`` on a grid and on
+    its ``coarsened()`` grid; each estimate pairs a constant's value on the two.
+    """
+    constants = {"A1_u": lambda i: estimate_Ap(i.u, 1.0, i.scan)}
+    if fine.v is not None:
+        constants["A1_v"] = lambda i: estimate_Ap(i.v, 1.0, i.scan)
+        constants["A2_v_wrt_u"] = lambda i: estimate_Ap_u(i.v, i.u, 2.0, i.scan)
+    return {name: refined(at(coarse), at(fine)) for name, at in constants.items()}
 
 
 def _require_hypotheses(estimates: dict[str, ConstantEstimate], force: bool) -> None:
@@ -351,8 +363,7 @@ def _require_hypotheses(estimates: dict[str, ConstantEstimate], force: bool) -> 
 # --- runners --------------------------------------------------------------
 
 
-def _instantiate(cfg: ExperimentConfig, J: int, with_v: bool) -> SimpleNamespace:
-    grid = make_grid(cfg.L, J)
+def _instantiate(cfg: ExperimentConfig, grid: Grid, with_v: bool) -> SimpleNamespace:
     f, u = sample_f(grid, cfg.f), build_weight(grid, cfg.u)
     v = build_weight(grid, cfg.v) if with_v else None
     return SimpleNamespace(grid=grid, f=f, u=u, v=v, scan=cfg.scan())
@@ -369,31 +380,30 @@ def _rows(ts: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, alt: np.ndarray | No
 def _drive(
     theorem: str, cfg: ExperimentConfig, sides_at: Callable, preflight: bool = True
 ) -> InequalityReport:
-    """Measure on grid J, then on J - 2 at the same heights, and report.
+    """Build grid J and its coarsened grid J - 2, then measure on both at the same heights.
 
     ``sides_at(inst, ts)`` returns ``(ts, lhs, rhs, alt, fields)``, one array
     per row column (``alt`` may be None); the fine call gets ``ts=None`` and
     picks the sweep, and its ``fields`` go on the report.  Without
     ``preflight`` (theorem 3: any positive u, its own v) the configured v is
     never built and only u's A1 estimate is recorded.  ``stage_s`` times the
-    fine instance with its estimates, the fine sweep and the coarse run.
+    two instances with their estimates, the fine sweep and the coarse sweep.
     """
     started = time.perf_counter()
     if cfg.J - 2 < 4:
         raise ConfigurationError(
             f"refinement comparison needs J >= 6 so the coarse grid stays valid, got J={cfg.J}"
         )
-    fine = _instantiate(cfg, cfg.J, with_v=preflight)
+    fine = _instantiate(cfg, make_grid(cfg.L, cfg.J), with_v=preflight)
+    coarse = _instantiate(cfg, fine.grid.coarsened(), with_v=preflight)
+    estimates = preflight_weights(fine, coarse)
     if preflight:
-        estimates = preflight_weights(fine.u, fine.v, fine.scan)
         _require_hypotheses(estimates, cfg.force)
-    else:
-        estimates = {"A1_u": estimate_Ap(fine.u, 1.0, fine.scan)}
     fine_at = time.perf_counter()
     ts, *sides, fields = sides_at(fine, None)
     rows = _rows(ts, *sides)
     coarse_at = time.perf_counter()
-    _, *coarse_sides, _ = sides_at(_instantiate(cfg, cfg.J - 2, with_v=preflight), ts)
+    _, *coarse_sides, _ = sides_at(coarse, ts)
     done = time.perf_counter()
     best = max(rows, key=lambda row: row.ratio)
     sup_coarse = max(row.ratio for row in _rows(ts, *coarse_sides))
@@ -409,7 +419,7 @@ def _drive(
         argmax_t=best.t,
         preflight=estimates,
         refinement_pair=(sup_coarse, best.ratio),
-        j_pair=(cfg.J - 2, cfg.J),
+        j_pair=(coarse.grid.J, fine.grid.J),
         margin=cfg.margin,
         stage_s={"preflight": fine_at - started, "fine": coarse_at - fine_at,
                  "coarse": done - coarse_at},

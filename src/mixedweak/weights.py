@@ -3,13 +3,15 @@
 Muckenhoupt constants, weighted A_p constants, the BMO norm and the
 fundamental ratio (uv)(Q) / (v(Q) inf_Q u) are all suprema of interval
 functionals.  Each estimator walks the dyadic(+thirds-shifted) families of a
-``DyadicScan`` and pairs the result with the same computation on the
-twice-coarsened grid.
+``DyadicScan`` on its inputs' own grid and returns the scanned sup.
 Every family tiles one block of cells, so its per-interval sums are prefix
 sums or ``np.add.reduceat`` over that block, and its cell minima and maxima
-are ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  The ``stable`` flag
-(relative gap below ``STABILITY_BAR``) is what separates weights that belong
-to a class from those that merely have finite samples.  The BMO norm is the
+are ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  A caller that wants
+to know whether a constant holds still under refinement builds its inputs on
+a grid and on ``Grid.coarsened()``, runs the estimator on both, and pairs the
+two values with ``refined``: its ``stable`` flag (relative gap below
+``STABILITY_BAR``) is what separates weights that belong to a class from
+those that merely have finite samples.  The BMO norm is the
 paper's plain mean oscillation sup_Q avg_Q |b - b_Q|; its p-th-power and
 weighted forms are a test oracle (``tests/oracles.py``).
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .grid import (
     DyadicScan,
     Grid,
     SampledFunction,
-    block_average,
     sample,
     scan_cell_ranges,
 )
@@ -44,6 +44,7 @@ __all__ = [
     "STABILITY_BAR",
     "Weight",
     "ConstantEstimate",
+    "refined",
     "power_weight",
     "custom_weight",
     "estimate_Ap",
@@ -55,15 +56,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """A strictly positive sampled function.
-
-    ``expr`` (when the weight came from a formula) lets refinement
-    comparisons resample on a coarser grid; weights built from raw values
-    fall back to block averaging.
-    """
+    """A strictly positive sampled function."""
 
     fn: SampledFunction
-    expr: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if np.any(self.fn.values <= 0.0):
@@ -81,32 +76,12 @@ class Weight:
     def values(self) -> np.ndarray:
         return self.fn.values
 
-    def resample(self, grid: Grid) -> "Weight":
-        """The same weight on another grid.
-
-        Formula-backed weights are re-sampled; raw weights can only be block
-        averaged onto a coarser grid with the same domain.  On its own grid a
-        weight is returned as it is.
-        """
-        if grid == self.grid:
-            return self
-        if self.expr is not None:
-            return Weight(sample(self.expr, grid), self.expr)
-        if grid.L != self.grid.L:
-            raise GridMismatchError(
-                f"raw weight on L={self.grid.L} cannot be resampled to L={grid.L}"
-            )
-        return Weight(SampledFunction(grid, block_average(self.values, grid)))
-
 
 def power_weight(grid: Grid, beta: float) -> Weight:
     """w(x) = |x|**beta; finite at every sample because 0 is never a center."""
     if not math.isfinite(beta):
         raise DomainError(f"power weight exponent must be finite, got {beta}")
-    return Weight(
-        sample(lambda x: np.abs(x) ** beta, grid),
-        expr=lambda x: np.abs(x) ** beta,
-    )
+    return Weight(sample(lambda x: np.abs(x) ** beta, grid))
 
 
 def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
@@ -133,10 +108,15 @@ class ConstantEstimate:
     stable: bool
 
 
-def _stability(coarse: float, fine: float) -> bool:
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        return False
-    return abs(fine - coarse) < STABILITY_BAR * max(abs(fine), 1e-300)
+def refined(coarse: float, fine: float) -> ConstantEstimate:
+    """Pair one constant's values on ``Grid.coarsened()`` and on the grid itself.
+
+    Stable means both are finite and they differ by less than
+    ``STABILITY_BAR`` times the fine value.
+    """
+    stable = (math.isfinite(coarse) and math.isfinite(fine)
+              and abs(fine - coarse) < STABILITY_BAR * max(abs(fine), 1e-300))
+    return ConstantEstimate(value=fine, refinement_pair=(coarse, fine), stable=stable)
 
 
 # --- interval machinery ---------------------------------------------------
@@ -162,20 +142,10 @@ def _scan_max(grid: Grid, scan: DyadicScan, functional) -> float:
     return best
 
 
-def _refined(grid: Grid, value_at: Callable[[Grid], float]) -> ConstantEstimate:
-    fine = value_at(grid)
-    coarse = value_at(grid.coarsened())
-    return ConstantEstimate(
-        value=fine,
-        refinement_pair=(coarse, fine),
-        stable=_stability(coarse, fine),
-    )
-
-
 # --- Muckenhoupt estimators -----------------------------------------------
 
 
-def estimate_Ap(w: Weight, p: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
+def estimate_Ap(w: Weight, p: float, scan: DyadicScan = DyadicScan()) -> float:
     """Scanned A_p constant: sup over intervals of the A_p average product.
 
     For p = 1 the functional is avg_Q w / min_Q w (cell min, exact for
@@ -186,7 +156,7 @@ def estimate_Ap(w: Weight, p: float, scan: DyadicScan = DyadicScan()) -> Constan
     return estimate_Ap_u(w, custom_weight(w.grid, np.ones(w.grid.N)), p, scan)
 
 
-def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
+def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan()) -> float:
     """A_p constant of v with respect to the measure u dx.
 
     All averages in the A_p functional are taken against u dx; p = 1 uses
@@ -196,32 +166,27 @@ def estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan(
         raise DomainError(f"A_p(u) needs p >= 1, got {p}")
     if v.grid != u.grid:
         raise GridMismatchError("v and u must share a grid")
+    vv, uu = v.values, u.values
+    pu = _prefix(uu)
+    pvu = _prefix(vv * uu)
+    if p == 1.0:
+        def functional(starts, stops):
+            avg = (pvu[stops] - pvu[starts]) / (pu[stops] - pu[starts])
+            return avg / _reduce_ranges(np.minimum, vv, starts, stops)
 
-    def value_at(grid: Grid) -> float:
-        vv = v.resample(grid).values
-        uu = u.resample(grid).values
-        pu = _prefix(uu)
-        pvu = _prefix(vv * uu)
-        if p == 1.0:
-            def functional(starts, stops):
-                avg = (pvu[stops] - pvu[starts]) / (pu[stops] - pu[starts])
-                return avg / _reduce_ranges(np.minimum, vv, starts, stops)
+    else:
+        pdu = _prefix(vv ** (-1.0 / (p - 1.0)) * uu)
 
-        else:
-            pdu = _prefix(vv ** (-1.0 / (p - 1.0)) * uu)
+        def functional(starts, stops):
+            umass = pu[stops] - pu[starts]
+            avg = (pvu[stops] - pvu[starts]) / umass
+            dual = (pdu[stops] - pdu[starts]) / umass
+            return avg * dual ** (p - 1.0)
 
-            def functional(starts, stops):
-                umass = pu[stops] - pu[starts]
-                avg = (pvu[stops] - pvu[starts]) / umass
-                dual = (pdu[stops] - pdu[starts]) / umass
-                return avg * dual ** (p - 1.0)
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(v.grid, value_at)
+    return _scan_max(v.grid, scan, functional)
 
 
-def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
+def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> float:
     """Scanned sup of (uv)(Q) / (v(Q) * min_Q u), the key two-weight ratio.
 
     This is the A_1 constant of u with respect to the measure v dx.

@@ -41,14 +41,7 @@ from mixedweak.grid import (
     superlevel_mass,
 )
 from mixedweak.maximal import hl_maximal, orlicz_maximal
-from mixedweak.weights import (
-    ConstantEstimate,
-    Weight,
-    _prefix,
-    _reduce_ranges,
-    _refined,
-    _scan_max,
-)
+from mixedweak.weights import Weight, _prefix, _reduce_ranges, _scan_max
 from mixedweak.young import (
     ExpL,
     LLogL,
@@ -248,48 +241,36 @@ def conjugate_equivalence_constant(
 def product_weight(a: Weight, b: Weight) -> Weight:
     if a.grid != b.grid:
         raise GridMismatchError("weight product needs a common grid")
-    expr = None
-    if a.expr is not None and b.expr is not None:
-        ea, eb = a.expr, b.expr
-        expr = lambda x: ea(x) * eb(x)  # noqa: E731 - tiny closure
-    return Weight(a.fn * b.fn, expr=expr)
+    return Weight(a.fn * b.fn)
 
 
-def estimate_RH(w: Weight, s: float, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
+def estimate_RH(w: Weight, s: float, scan: DyadicScan = DyadicScan()) -> float:
     """Scanned reverse Hoelder constant: sup (avg_Q w**s)**(1/s) / avg_Q w."""
     if s <= 1.0:
         raise DomainError(f"reverse Hoelder needs s > 1, got {s}")
+    vals = w.values
+    pw = _prefix(vals)
+    ps = _prefix(vals**s)
 
-    def value_at(grid: Grid) -> float:
-        vals = w.resample(grid).values
-        pw = _prefix(vals)
-        ps = _prefix(vals**s)
+    def functional(starts, stops):
+        lens = stops - starts
+        return ((ps[stops] - ps[starts]) / lens) ** (1.0 / s) * lens / (pw[stops] - pw[starts])
 
-        def functional(starts, stops):
-            lens = stops - starts
-            return ((ps[stops] - ps[starts]) / lens) ** (1.0 / s) * lens / (pw[stops] - pw[starts])
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(w.grid, value_at)
+    return _scan_max(w.grid, scan, functional)
 
 
-def estimate_RH_inf(w: Weight, scan: DyadicScan = DyadicScan()) -> ConstantEstimate:
+def estimate_RH_inf(w: Weight, scan: DyadicScan = DyadicScan()) -> float:
     """RH_infinity proxy: sup over intervals of max_Q w / avg_Q w."""
+    vals = w.values
+    pw = _prefix(vals)
 
-    def value_at(grid: Grid) -> float:
-        vals = w.resample(grid).values
-        pw = _prefix(vals)
+    def functional(starts, stops):
+        lens = stops - starts
+        maxs = _reduce_ranges(np.maximum, vals, starts, stops)
+        maxs *= lens
+        return maxs / (pw[stops] - pw[starts])
 
-        def functional(starts, stops):
-            lens = stops - starts
-            maxs = _reduce_ranges(np.maximum, vals, starts, stops)
-            maxs *= lens
-            return maxs / (pw[stops] - pw[starts])
-
-        return _scan_max(grid, scan, functional)
-
-    return _refined(w.grid, value_at)
+    return _scan_max(w.grid, scan, functional)
 
 
 def oscillation_max(

@@ -74,6 +74,27 @@ def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
     assert counts["young.calls"] > 0
 
 
+def test_every_flag_the_benchmark_passes_still_parses():
+    # each subcommand takes only the flags it reads, so a flag dropped from a
+    # subcommand would fail every benchmark experiment that passes it
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    commands = set(mixedweak.cli._COMMANDS)
+    argvs = [
+        [elt.value for elt in node.elts if isinstance(elt, ast.Constant)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List) and node.elts
+        and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in commands
+    ]
+    assert len(argvs) >= 4
+    parser = mixedweak.cli.build_parser()
+    for subcommand, *rest in argvs:
+        # the benchmark appends --out and --format to every argv
+        for flag in {*(tok for tok in rest if tok.startswith("--")), "--out", "--format"}:
+            value = "json" if flag == "--format" else "1"
+            _, unknown = parser.parse_known_args([subcommand, flag, value])
+            assert flag not in unknown, f"{subcommand} no longer takes {flag}"
+
+
 def test_every_public_name_is_reached(monkeypatch):
     # a name in an ``__all__`` is there because a subcommand, a benchmark
     # workload or another package module uses it; a helper only the tests

@@ -200,6 +200,31 @@ def test_seed_flag_is_gone(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-base", "--m", "3"],
+        ["verify-thm1", "--m", "3"],
+        ["verify-thm2", "--beta", "-2"],
+        ["verify-thm3", "--force"],
+        ["estimate", "--margin", "0.3"],
+        ["decompose", "--jmax", "3"],
+        ["maximal", "--t-max", "5"],
+        ["selftest", "--out", "reports"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_two(tmp_path, capsys, argv):
+    # each of these used to run and silently drop the flag; --m is not taken
+    # as an abbreviation of --margin either
+    if argv[0] != "selftest":
+        argv = [*argv, "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_decompose_artifacts_match_direct_call(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "dec"
@@ -245,7 +270,7 @@ def test_estimate_reports_scanned_constants(tmp_path):
     rep = load_report(out / "estimate.json")
     assert set(rep) == {"A1_u", "A1_v", "A2_v_wrt_u", "fundamental", "bmo_b"}
     grid = make_grid(8.0, 8)
-    assert rep["A1_u"]["value"] == estimate_Ap(build_weight(grid, "const"), 1.0).value == 1.0
+    assert rep["A1_u"]["value"] == estimate_Ap(build_weight(grid, "const"), 1.0) == 1.0
     header = (out / "estimate.csv").read_text().splitlines()[0]
     assert header == "name,value,stable,coarse,fine"
     # every estimate, bmo_b included, pairs grid J with J - 2, even below make_grid's band

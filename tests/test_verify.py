@@ -49,7 +49,7 @@ from mixedweak.verify import (
     theorem3_set_partition,
     weak_lhs,
 )
-from mixedweak.weights import Weight
+from mixedweak.weights import Weight, estimate_Ap
 from mixedweak.young import Identity, LLogL, Power
 from oracles import solve_scale_a
 
@@ -145,6 +145,23 @@ def test_build_weight_families():
         build_weight(grid, "chibump floor=0")
     with pytest.raises(ConfigurationError):
         build_weight(grid, "gaussian")
+
+
+@pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5")])
+def test_interval_families_refuse_a_reversed_or_empty_interval(tmp_path, capsys, a, b):
+    # with a >= b no cell center is inside, so a run would measure nothing
+    # (indicator f: sup_ratio 0, "stable") or only the floor (chibump u: A1_u 1)
+    grid = make_grid(4.0, 6)
+    for family, build in (("indicator", sample_f), ("cusp", sample_f), ("chibump", build_weight)):
+        with pytest.raises(ConfigurationError, match=f"family '{family}' needs a < b, "
+                                                     f"got a={float(a)!r} b={float(b)!r}"):
+            build(grid, f"{family} a={a} b={b}")
+    for subcommand, key, family in (("verify-thm1", "f", "indicator"),
+                                    ("estimate", "weight.u", "chibump")):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"grid.J = 8\n{key}.family = {family} a={a} b={b}\n")
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"family '{family}' needs a < b" in capsys.readouterr().err
 
 
 # --- the two sides ---------------------------------------------------------
@@ -457,7 +474,9 @@ def test_report_verdict_edge_pairs():
 def test_cli_verdict_is_the_reports(tmp_path, capsys, subcommand, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    argv = [subcommand, "--config", str(path), "--out", str(tmp_path), "--force"]
+    argv = [subcommand, "--config", str(path), "--out", str(tmp_path)]
+    if subcommand == "verify-thm1":  # theorem 3 has no preflight, so no --force
+        argv.append("--force")
     rep = {"verify-thm1": run_theorem1, "verify-thm3": run_theorem3}[subcommand](
         parse_config(str(path), build_parser().parse_args(argv))
     )
@@ -466,6 +485,34 @@ def test_cli_verdict_is_the_reports(tmp_path, capsys, subcommand, text):
     assert body["drift"] == rep.drift
     assert body["stable"] is rep.stable
     assert f"drift={rep.drift:.3g}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["formula", "custom"])
+def test_preflight_reads_the_coarse_runs_own_inputs(tmp_path, source):
+    # one coarse instance, built on Grid.coarsened(), feeds both the coarse
+    # sweep and every refinement pair; estimate pairs the same inputs
+    fine_grid = make_grid(8.0, 8)
+    specs = {"u": "power beta=-0.5", "v": "power beta=-0.25"}
+    if source == "custom":  # files at 4N samples, block-averaged onto each grid
+        for name, spec in specs.items():
+            path = tmp_path / f"{name}.txt"
+            np.savetxt(path, build_weight(make_grid(8.0, 10), spec).values)
+            specs[name] = f"custom path={path}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"grid.J = 8\nweight.u.family = {specs['u']}\n"
+                    f"weight.v.family = {specs['v']}\n")
+    reports = {}
+    for subcommand in ("verify-thm1", "estimate"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", str(path), "--out", str(out), "--format", "json"]) in (0, 1)
+        reports[subcommand] = json.loads((out / f"{subcommand}.json").read_text())["report"]
+    preflight = reports["verify-thm1"]["preflight"]
+    assert list(preflight) == ["A1_u", "A1_v", "A2_v_wrt_u"]
+    assert preflight == {name: reports["estimate"][name] for name in preflight}
+    coarse_u = build_weight(fine_grid.coarsened(), specs["u"])
+    assert preflight["A1_u"]["refinement_pair"][0] == estimate_Ap(
+        coarse_u, 1.0, ExperimentConfig().scan()
+    )
 
 
 # --- scale solver ----------------------------------------------------------

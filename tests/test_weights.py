@@ -30,6 +30,7 @@ from mixedweak.weights import (
     estimate_Ap_u,
     fundamental_ratio,
     power_weight,
+    refined,
 )
 from oracles import (
     bmo_w_norm,
@@ -94,6 +95,11 @@ def naive_bmo_w(bvals, wvals):
     )
 
 
+def on_both(g, constant):
+    """``constant(grid)`` on ``g.coarsened()`` and on ``g``, as one refinement pair."""
+    return refined(constant(g.coarsened()), constant(g))
+
+
 # --- Weight type ----------------------------------------------------------
 
 
@@ -105,27 +111,10 @@ def test_weight_positivity_guard():
     assert np.all(w.values > 0.0)
 
 
-def test_weight_resample_expr_and_block_mean():
-    g = make_grid(8.0, 8)
-    w = power_weight(g, -0.5)
-    coarse = w.resample(g.coarsened())
-    # formula-backed: true resample, not averaging
-    np.testing.assert_allclose(coarse.values, np.abs(g.coarsened().centers) ** -0.5)
-    raw = custom_weight(g, w.values)
-    assert w.resample(g) is w and raw.resample(g) is raw
-    blocked = raw.resample(g.coarsened())
-    np.testing.assert_allclose(blocked.values, w.values.reshape(-1, 4).mean(axis=1))
-    with pytest.raises(GridMismatchError):
-        raw.resample(make_grid(8.0, 10))
-    with pytest.raises(GridMismatchError):
-        raw.resample(make_grid(4.0, 6))
-
-
 def test_product_weight_composes_exprs():
     g = make_grid(8.0, 6)
     p = product_weight(power_weight(g, -0.5), power_weight(g, 0.25))
     np.testing.assert_allclose(p.values, np.abs(g.centers) ** -0.25, rtol=1e-12)
-    assert p.expr is not None
     with pytest.raises(GridMismatchError):
         product_weight(power_weight(g, 1.0), power_weight(make_grid(8.0, 7), 1.0))
 
@@ -135,9 +124,8 @@ def test_product_weight_composes_exprs():
 
 def test_Ap_of_constant_weight_is_one_exactly():
     g = make_grid(8.0, 6)
-    one = custom_weight(g, np.ones(g.N))
     for p in (1.0, 1.5, 2.0):
-        est = estimate_Ap(one, p)
+        est = on_both(g, lambda h: estimate_Ap(custom_weight(h, np.ones(h.N)), p))
         assert est.value == 1.0
         assert est.stable
         assert est.refinement_pair == (1.0, 1.0)
@@ -154,13 +142,12 @@ def test_Ap_guards():
 
 
 def test_A1_power_weight_stable_and_oracle_sandwiched():
-    w = power_weight(make_grid(8.0, 10), -0.5)
-    est = estimate_Ap(w, 1.0)
+    est = on_both(make_grid(8.0, 10), lambda h: estimate_Ap(power_weight(h, -0.5), 1.0))
     assert est.stable
     assert 2.0 <= est.value <= 2.5  # continuum A1 constant of |x|^(-1/2) is 1 + sqrt 2
     g6 = make_grid(8.0, 6)
     w6 = power_weight(g6, -0.5)
-    scan_val = estimate_Ap(w6, 1.0).value
+    scan_val = estimate_Ap(w6, 1.0)
     oracle = naive_A1(w6.values)
     assert scan_val <= oracle * (1.0 + 1e-12)
     assert oracle <= 3.0 * scan_val
@@ -169,13 +156,13 @@ def test_A1_power_weight_stable_and_oracle_sandwiched():
 def test_Ap_oracle_sandwich_p2():
     g6 = make_grid(8.0, 6)
     w6 = power_weight(g6, -0.5)
-    scan_val = estimate_Ap(w6, 2.0).value
+    scan_val = estimate_Ap(w6, 2.0)
     oracle = naive_Ap(w6.values, 2.0)
     assert scan_val <= oracle * (1.0 + 1e-12) <= 9.0 * scan_val
 
 
 def test_A2_of_nonmember_weight_grows():
-    est = estimate_Ap(power_weight(make_grid(8.0, 10), -2.0), 2.0)
+    est = on_both(make_grid(8.0, 10), lambda h: estimate_Ap(power_weight(h, -2.0), 2.0))
     coarse, fine = est.refinement_pair
     assert not est.stable
     assert fine > 2.0 * coarse  # mass at the singularity doubles the estimate and more
@@ -183,7 +170,7 @@ def test_A2_of_nonmember_weight_grows():
 
 def test_Ap_monotone_in_p_for_power_weight():
     w = power_weight(make_grid(8.0, 8), -0.5)
-    vals = [estimate_Ap(w, p).value for p in (1.0, 1.5, 2.0, 3.0)]
+    vals = [estimate_Ap(w, p) for p in (1.0, 1.5, 2.0, 3.0)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -192,8 +179,8 @@ def test_Ap_monotone_in_p_for_power_weight():
 def test_Ap_monotone_in_p_property(logs):
     g = make_grid(1.0, 4)
     w = custom_weight(g, np.exp(np.asarray(logs)))
-    v1 = estimate_Ap(w, 1.5).value
-    v2 = estimate_Ap(w, 2.5).value
+    v1 = estimate_Ap(w, 1.5)
+    v2 = estimate_Ap(w, 2.5)
     assert v2 <= v1 * (1.0 + 1e-9)
 
 
@@ -202,15 +189,15 @@ def test_Ap_monotone_in_p_property(logs):
 
 def test_RH_constant_weight():
     g = make_grid(8.0, 6)
-    est = estimate_RH(custom_weight(g, np.ones(g.N)), 2.0)
+    est = on_both(g, lambda h: estimate_RH(custom_weight(h, np.ones(h.N)), 2.0))
     assert est.value == 1.0 and est.stable
 
 
 def test_RH_power_weight_integrability_threshold():
-    w = power_weight(make_grid(8.0, 10), -0.5)
-    ok = estimate_RH(w, 1.5)
+    g = make_grid(8.0, 10)
+    ok = on_both(g, lambda h: estimate_RH(power_weight(h, -0.5), 1.5))
     assert ok.stable and ok.value < 1.5
-    bad = estimate_RH(w, 3.0)  # w^3 = |x|^(-3/2) is not locally integrable
+    bad = on_both(g, lambda h: estimate_RH(power_weight(h, -0.5), 3.0))  # w^3 = |x|^(-3/2) is not locally integrable
     assert not bad.stable
     coarse, fine = bad.refinement_pair
     assert fine > coarse
@@ -219,23 +206,24 @@ def test_RH_power_weight_integrability_threshold():
 def test_RH_oracle_sandwich():
     g6 = make_grid(8.0, 6)
     w6 = power_weight(g6, -0.5)
-    scan_val = estimate_RH(w6, 1.5).value
+    scan_val = estimate_RH(w6, 1.5)
     oracle = naive_RH(w6.values, 1.5)
     assert scan_val <= oracle * (1.0 + 1e-12) <= 3.0 * scan_val
 
 
 def test_RH_inf_proxy_lemma_facts():
     g = make_grid(8.0, 10)
-    # inverse of an A1 weight is RH_inf
-    inv = power_weight(g, 0.5)
-    est = estimate_RH_inf(inv)
-    assert est.stable
+
+    def inv(h):  # inverse of an A1 weight is RH_inf
+        return power_weight(h, 0.5)
+
+    def other(h):
+        return Weight(sample(lambda x: (1.0 + np.abs(x)) ** 0.3, h))
+
+    assert on_both(g, lambda h: estimate_RH_inf(inv(h))).stable
     # product of two RH_inf-stable weights stays RH_inf-stable
-    other = Weight(
-        sample(lambda x: (1.0 + np.abs(x)) ** 0.3, g), expr=lambda x: (1.0 + np.abs(x)) ** 0.3
-    )
-    assert estimate_RH_inf(other).stable
-    assert estimate_RH_inf(product_weight(inv, other)).stable
+    assert on_both(g, lambda h: estimate_RH_inf(other(h))).stable
+    assert on_both(g, lambda h: estimate_RH_inf(product_weight(inv(h), other(h)))).stable
 
 
 # --- weighted A_p ---------------------------------------------------------
@@ -246,9 +234,7 @@ def test_Ap_u_reduces_to_Ap_for_lebesgue_measure():
     v = power_weight(g, -0.25)
     one = custom_weight(g, np.ones(g.N))
     for p in (1.0, 2.0):
-        assert estimate_Ap_u(v, one, p).value == pytest.approx(
-            estimate_Ap(v, p).value, rel=1e-14
-        )
+        assert estimate_Ap_u(v, one, p) == pytest.approx(estimate_Ap(v, p), rel=1e-14)
 
 
 def test_Ap_u_of_constant_v_is_one():
@@ -256,16 +242,18 @@ def test_Ap_u_of_constant_v_is_one():
     one = custom_weight(g, np.ones(g.N))
     u = power_weight(g, -0.5)
     for p in (1.0, 2.0, 3.0):
-        assert estimate_Ap_u(one, u, p).value == pytest.approx(1.0, rel=1e-14)
+        assert estimate_Ap_u(one, u, p) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_Ap_u_power_pair_stable_and_oracle():
-    g = make_grid(8.0, 10)
-    est = estimate_Ap_u(power_weight(g, -0.25), power_weight(g, -0.5), 2.0)
+    est = on_both(
+        make_grid(8.0, 10),
+        lambda h: estimate_Ap_u(power_weight(h, -0.25), power_weight(h, -0.5), 2.0),
+    )
     assert est.stable
     g6 = make_grid(8.0, 6)
     v6, u6 = power_weight(g6, -0.25), power_weight(g6, -0.5)
-    scan_val = estimate_Ap_u(v6, u6, 2.0).value
+    scan_val = estimate_Ap_u(v6, u6, 2.0)
     oracle = max(
         (v6.values[i:j] * u6.values[i:j]).sum()
         / u6.values[i:j].sum()
@@ -278,10 +266,13 @@ def test_Ap_u_power_pair_stable_and_oracle():
 def test_product_of_tested_pair_lands_in_A2():
     # u in A1 and v in A_p(u) stable imply uv in A_p stable
     g = make_grid(8.0, 10)
-    u, v = power_weight(g, -0.5), power_weight(g, -0.25)
-    assert estimate_Ap(u, 1.0).stable
-    assert estimate_Ap_u(v, u, 2.0).stable
-    assert estimate_Ap(product_weight(u, v), 2.0).stable
+
+    def pair(h):
+        return power_weight(h, -0.5), power_weight(h, -0.25)
+
+    assert on_both(g, lambda h: estimate_Ap(pair(h)[0], 1.0)).stable
+    assert on_both(g, lambda h: estimate_Ap_u(pair(h)[1], pair(h)[0], 2.0)).stable
+    assert on_both(g, lambda h: estimate_Ap(product_weight(*pair(h)), 2.0)).stable
 
 
 # --- BMO-type norms -------------------------------------------------------
@@ -340,7 +331,7 @@ def test_bmo_vs_weighted_bmo_inequality_with_estimated_A1():
     g = make_grid(8.0, 9)
     b = sample(lambda x: np.log(np.abs(x)), g)
     w = power_weight(g, -0.5)
-    a1 = estimate_Ap(w, 1.0).value
+    a1 = estimate_Ap(w, 1.0)
     plain = bmo_norm(b)
     weighted = bmo_w_norm(b, w)
     assert plain <= a1 * weighted * (1.0 + 1e-12)
@@ -420,20 +411,20 @@ def test_fundamental_ratio_trivial_and_reduction():
     g = make_grid(8.0, 8)
     one = custom_weight(g, np.ones(g.N))
     v = power_weight(g, -0.25)
-    assert fundamental_ratio(one, v).value == 1.0
+    assert fundamental_ratio(one, v) == 1.0
     u = power_weight(g, -0.5)
-    assert fundamental_ratio(u, one).value == pytest.approx(estimate_Ap(u, 1.0).value, rel=1e-14)
+    assert fundamental_ratio(u, one) == pytest.approx(estimate_Ap(u, 1.0), rel=1e-14)
 
 
 def test_fundamental_ratio_power_pair():
-    est = fundamental_ratio(
-        power_weight(make_grid(8.0, 10), -0.5), power_weight(make_grid(8.0, 10), -0.25)
+    est = on_both(
+        make_grid(8.0, 10), lambda h: fundamental_ratio(power_weight(h, -0.5), power_weight(h, -0.25))
     )
     assert est.stable
     g6 = make_grid(8.0, 6)
     u6, v6 = power_weight(g6, -0.5), power_weight(g6, -0.25)
     oracle = naive_fundamental(u6.values, v6.values)
-    scan = fundamental_ratio(u6, v6).value
+    scan = fundamental_ratio(u6, v6)
     assert scan <= oracle * (1.0 + 1e-12) <= 3.0 * scan
 
 
@@ -494,9 +485,9 @@ def test_reduceat_estimators_match_per_interval_numpy(case):
     g, v, x = w.grid, w.values, b.values
     pv = np.concatenate(([0.0], np.cumsum(v)))
     # the cell min and max are exact, and the averages are the same prefix-sum differences
-    a1 = estimate_Ap(w, 1.0, scan).value
+    a1 = estimate_Ap(w, 1.0, scan)
     assert a1 == scanned_max(g, scan, lambda a, z: (pv[z] - pv[a]) / (z - a) / v[a:z].min())
-    rh = estimate_RH_inf(w, scan).value
+    rh = estimate_RH_inf(w, scan)
     assert rh == scanned_max(g, scan, lambda a, z: v[a:z].max() * (z - a) / (pv[z] - pv[a]))
     # oscillations are sums in another order; abs covers symbols that are nearly constant
     tol = 1e-12 * float(np.max(np.abs(x)))
@@ -548,11 +539,15 @@ def test_estimator_peak_memory_is_a_few_grid_arrays(estimate):
 
 
 def test_constant_estimate_stable_flag_consistency():
+    g = make_grid(8.0, 8)
     for est in (
-        estimate_Ap(power_weight(make_grid(8.0, 8), -0.5), 1.0),
-        estimate_RH(power_weight(make_grid(8.0, 8), -0.5), 3.0),
+        on_both(g, lambda h: estimate_Ap(power_weight(h, -0.5), 1.0)),
+        on_both(g, lambda h: estimate_RH(power_weight(h, -0.5), 3.0)),
     ):
         coarse, fine = est.refinement_pair
         assert est.value == fine
         assert est.stable == (abs(fine - coarse) < 0.2 * abs(fine))
         assert isinstance(est, ConstantEstimate)
+    # the bar is fine-relative and strict, and a non-finite value is never stable
+    assert not refined(1.0, 1.25).stable and refined(1.0, 1.2).stable
+    assert not refined(math.inf, 1.0).stable and not refined(1.0, math.nan).stable
