@@ -399,9 +399,9 @@ def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarr
     """Flatten cell-index ranges into (cell index, owning range) arrays.
 
     Each produced pair records which range a cell occurrence belongs to, so
-    per-range sums are a single ``bincount`` away.  Nothing in the package
-    calls it, since every scanned family tiles one block and is reduced with
-    ``reduceat``; it is kept only for test oracles and the benchmark's hooks.
+    per-range sums are a single ``bincount`` away.  The Orlicz maximal
+    function gathers a batch of runs from several scanned families with the
+    cell indices, into one buffer that the runs' member ranges tile.
     """
     lens = stops - starts
     seg = np.repeat(np.arange(starts.size), lens)

@@ -513,7 +513,10 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         phi = LLogL(r, delta)
         fv = inst.f * v.fn
         quotient = orlicz_maximal(fv, phi, inst.scan).values / v.values
-        mu = hl_maximal(inst.u.fn, inst.scan).values
+        # the right side reads Mu only where fv != 0
+        nz = np.flatnonzero(fv.values)
+        span = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        mu = hl_maximal(inst.u.fn, inst.scan, cells=span).values
         interior = grid.interior_mask(cfg.margin)
         inner, uw = quotient[interior], (inst.u.values * w.values)[interior]
         if ts is None:

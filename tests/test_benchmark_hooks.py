@@ -64,6 +64,10 @@ def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     counts = tracer.counts
+    # the Orlicz maximal function gathers its batches of runs through its own
+    # grid binding; the young and weights bindings of it are never called
+    gathers = [s for s in tracer.spans if s.name == "mixedweak.grid.flatten_cell_ranges"]
+    assert gathers and all(tracer.spans[s.parent].layer == "maximal" for s in gathers)
     assert counts["cli.calls"] == 3
     assert counts["verify.experiments"] == 2
     assert counts["singular.calls"] == 2

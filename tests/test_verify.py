@@ -32,7 +32,7 @@ from mixedweak.grid import (
     sample,
     superlevel_mass,
 )
-from mixedweak.maximal import orlicz_maximal
+from mixedweak.maximal import hl_maximal, orlicz_maximal
 from mixedweak.verify import (
     STABILITY_BAR,
     ExperimentConfig,
@@ -413,6 +413,24 @@ def test_theorem3_zero_function():
     rep = run_theorem3(cfg)
     assert all(r.ratio == 0.0 for r in rep.rows)
     assert rep.extras == {"weak_orlicz_rhs": 0.0, "weak_orlicz_sup": 0.0}
+
+
+@pytest.mark.parametrize("f", ["indicator a=0.01 b=2", "indicator a=-2 b=-0.01"])
+def test_theorem3_right_sides_read_the_unrestricted_maximal_function(f):
+    # the run computes Mu only on the span of fv's nonzero cells; on the cells
+    # the modular reads it must be the full-grid Mu, bitwise.  u's spike sits
+    # just outside that span, so an interval that reaches it from an end cell
+    # of the span sets Mu there
+    cfg = ExperimentConfig(L=8.0, J=10, f=f, u="power beta=-0.5", r=2, delta=1, beta=-1.5)
+    rep = run_theorem3(cfg)
+    grid = make_grid(cfg.L, cfg.J)
+    v, _ = build_theorem3_weight(grid, cfg.r, cfg.delta, cfg.beta)
+    fv = np.abs((sample_f(grid, cfg.f) * v.fn).values)
+    mu = hl_maximal(build_weight(grid, cfg.u).fn, cfg.scan()).values
+    ts = np.array([row.t for row in rep.rows])
+    rhs = modular_mass(grid.h, fv, LLogL(cfg.r, cfg.delta), mu, np.append(ts, 1.0))
+    assert [row.rhs for row in rep.rows] == rhs[:-1].tolist()
+    assert rep.extras["weak_orlicz_rhs"] == rhs[-1]
 
 
 def test_theorem3_default_sweep_closes_at_twice_the_interior_quotient_top():
