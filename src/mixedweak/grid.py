@@ -19,7 +19,8 @@ Cell membership of an interval is decided in exact integer arithmetic
 (thirds never hit a cell center), so scans are reproducible and immune to
 floating-point ties.  Member ``k`` of the scale-``j`` family shifted by ``p/3``
 starts at cell ``min(N, k M + c_p)`` with ``M = 2**(J - j)`` and
-``c_p = ceil((2 p M - 3) / 6)``: each scanned family is one ``arange`` of edges.
+``c_p = ceil((2 p M - 3) / 6)``: each scanned family is one arithmetic
+progression of edges (``scan_progressions``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "superlevel_mass",
     "modular_mass",
     "dyadic_intervals",
+    "scan_progressions",
     "scan_cell_ranges",
     "flatten_cell_ranges",
 ]
@@ -371,6 +373,22 @@ def dyadic_intervals(
     return [iv for iv in ivs if not iv.is_empty]
 
 
+def scan_progressions(grid: Grid, scan: DyadicScan) -> Iterator[tuple[int, int]]:
+    """Yield ``(M, c)`` per scanned family, scales coarse to fine.
+
+    Member ``k`` of the family is ``[c + k M, min(N, c + (k + 1) M))`` for
+    ``c + k M < N``: a family has ``(N - c) // M`` members of length ``M``
+    and, when ``(N - c) % M != 0``, one clipped last member.  A prefix sum
+    ``P`` (length ``N + 1``) is read at the edges as the view ``P[c::M]``,
+    with ``P[N]`` closing the clipped member.  At ``M = 1`` the ``2/3`` shift
+    has ``c = 1 = M`` and no clipped member.
+    """
+    ps = [_shift_to_thirds(s) for s in scan.shifts]
+    for j in range(scan.effective_j_max(grid) + 1):
+        for p in ps:
+            yield _edge_progression(grid, j, p)
+
+
 def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(starts, stops)`` cell-index arrays, one pair per interval family.
 
@@ -385,14 +403,11 @@ def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray,
     ``stops`` are the read-only views ``edges[:-1]`` and ``edges[1:]``: every
     family is nonempty and tiles ``[starts[0], stops[-1])``.
     """
-    ps = [_shift_to_thirds(s) for s in scan.shifts]
-    for j in range(scan.effective_j_max(grid) + 1):
-        for p in ps:
-            M, c = _edge_progression(grid, j, p)
-            edges = np.arange(c, grid.N + M, M, dtype=np.int64)
-            edges[-1] = grid.N
-            edges.setflags(write=False)
-            yield (edges[:-1], edges[1:])
+    for M, c in scan_progressions(grid, scan):
+        edges = np.arange(c, grid.N + M, M, dtype=np.int64)
+        edges[-1] = grid.N
+        edges.setflags(write=False)
+        yield (edges[:-1], edges[1:])
 
 
 def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

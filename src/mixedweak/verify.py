@@ -386,8 +386,9 @@ def _drive(
     per row column (``alt`` may be None); the fine call gets ``ts=None`` and
     picks the sweep, and its ``fields`` go on the report.  Without
     ``preflight`` (theorem 3: any positive u, its own v) the configured v is
-    never built and only u's A1 estimate is recorded.  ``stage_s`` times the
-    two instances with their estimates, the fine sweep and the coarse sweep.
+    never built, no weight constant is estimated and the report's
+    ``preflight`` is empty.  ``stage_s`` times the two instances with their
+    estimates, the fine sweep and the coarse sweep.
     """
     started = time.perf_counter()
     if cfg.J - 2 < 4:
@@ -396,8 +397,9 @@ def _drive(
         )
     fine = _instantiate(cfg, make_grid(cfg.L, cfg.J), with_v=preflight)
     coarse = _instantiate(cfg, fine.grid.coarsened(), with_v=preflight)
-    estimates = preflight_weights(fine, coarse)
+    estimates = {}
     if preflight:
+        estimates = preflight_weights(fine, coarse)
         _require_hypotheses(estimates, cfg.force)
     fine_at = time.perf_counter()
     ts, *sides, fields = sides_at(fine, None)
@@ -501,8 +503,9 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
     """Weak modular bound for M_Phi against the power weight |x|^beta.
 
     No weight preflight: the theorem takes arbitrary positive u (the maximal
-    function of u on the right absorbs it); u's A1 estimate is still recorded
-    for the report.  The configured v is not read: the theorem's v is |x|^beta.
+    function of u on the right absorbs it), so no weight constant is
+    estimated and the report's ``preflight`` is empty.  The configured v is
+    not read: the theorem's v is |x|^beta.
     """
     r, delta, beta = cfg.r, cfg.delta, cfg.beta
     _check_theorem3(r, delta, beta)

@@ -1,8 +1,8 @@
 """Test-only reference implementations and proof-lemma helpers.
 
-Nothing in the package calls these.  The maximal oracles are slow on
-purpose: each computes its operator the plain way, so a fast path can be
-checked against it on small grids.  The other helpers are numerical forms of
+Nothing in the package calls these.  The maximal oracles and the per-family
+weight estimators are slow on purpose: each computes its operator the plain
+way, so a fast path can be checked against it on small grids.  The other helpers are numerical forms of
 the lemmas the paper's proofs lean on: Hoelder for Young pairs, triple
 composition, reverse Hoelder and John-Nirenberg tails, p-th-power and
 weighted oscillation norms, dilated averages, the iterated maximal function,
@@ -41,7 +41,7 @@ from mixedweak.grid import (
     superlevel_mass,
 )
 from mixedweak.maximal import hl_maximal, orlicz_maximal
-from mixedweak.weights import Weight, _prefix, _reduce_ranges, _scan_max
+from mixedweak.weights import Weight, _prefix
 from mixedweak.young import (
     ExpL,
     LLogL,
@@ -233,6 +233,73 @@ def conjugate_equivalence_constant(
     good = (x_vals > 0.0) & np.isfinite(e_vals)
     ratio = e_vals[good] / x_vals[good]
     return float(max(np.max(ratio), np.max(1.0 / ratio)))
+
+
+# --- weights: the per-family gather path ----------------------------------
+
+
+def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
+    return Weight(SampledFunction(grid, values))
+
+
+def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts, stops) -> np.ndarray:
+    """``ufunc`` over each range of a family that tiles ``[starts[0], stops[-1])``."""
+    lo = starts[0]
+    return ufunc.reduceat(vals[lo : stops[-1]], starts - lo)
+
+
+def _scan_max(grid: Grid, scan: DyadicScan, functional) -> float:
+    best = -math.inf
+    for starts, stops in scan_cell_ranges(grid, scan):
+        best = max(best, float(np.max(functional(starts, stops))))
+    return best
+
+
+def per_family_estimate_Ap_u(v: Weight, u: Weight, p: float, scan: DyadicScan = DyadicScan()) -> float:
+    """A_p constant of v with respect to the measure u dx, one family at a time.
+
+    Each family gathers its prefix sums through its ``(starts, stops)`` index
+    arrays and takes its cell minima with ``np.minimum.reduceat``; the
+    estimators in ``weights`` must equal it bit for bit.
+    """
+    if p < 1.0:
+        raise DomainError(f"A_p(u) needs p >= 1, got {p}")
+    if v.grid != u.grid:
+        raise GridMismatchError("v and u must share a grid")
+    vv, uu = v.values, u.values
+    pu = _prefix(uu)
+    pvu = _prefix(vv * uu)
+    if p == 1.0:
+        def functional(starts, stops):
+            avg = (pvu[stops] - pvu[starts]) / (pu[stops] - pu[starts])
+            return avg / _reduce_ranges(np.minimum, vv, starts, stops)
+
+    else:
+        pdu = _prefix(vv ** (-1.0 / (p - 1.0)) * uu)
+
+        def functional(starts, stops):
+            umass = pu[stops] - pu[starts]
+            avg = (pvu[stops] - pvu[starts]) / umass
+            dual = (pdu[stops] - pdu[starts]) / umass
+            return avg * dual ** (p - 1.0)
+
+    return _scan_max(v.grid, scan, functional)
+
+
+def per_family_bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan()) -> float:
+    """Scanned BMO norm sup_Q avg_Q |b - b_Q|, each mean spread with ``np.repeat``."""
+    bvals = b.values
+
+    def functional(starts, stops):
+        lo, hi = starts[0], stops[-1]
+        off = starts - lo
+        lens = stops - starts
+        block = bvals[lo:hi]
+        means = np.add.reduceat(block, off) / lens
+        dev = np.abs(block - np.repeat(means, lens))
+        return np.add.reduceat(dev, off) / lens
+
+    return _scan_max(b.grid, scan, functional)
 
 
 # --- weights: reverse Hoelder, products, weighted oscillation, tails, dilates ---

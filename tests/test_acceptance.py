@@ -26,7 +26,6 @@ from mixedweak.verify import (
 )
 from mixedweak.weights import (
     bmo_norm,
-    custom_weight,
     estimate_Ap,
     fundamental_ratio,
     power_weight,
@@ -47,6 +46,7 @@ from oracles import (
     bmo_w_norm,
     brute_force_maximal,
     compare_llogl_iterated,
+    custom_weight,
     dilated_average_gap,
     iterated_maximal,
     jn_tail,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from mixedweak._errors import DomainError, GridMismatchError, HeightError
 from mixedweak.czd import cz_decompose, validate_decomposition
 from mixedweak.grid import DyadicInterval, SampledFunction, make_grid, sample
-from mixedweak.weights import custom_weight, power_weight
+from mixedweak.weights import power_weight
+from oracles import custom_weight
 
 SEED = 20260823
 

@@ -5,6 +5,7 @@ data, unit weights); measured sup-ratios at small grids are frozen with
 loose bands since only refinement stability, not the value, is meaningful.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -385,6 +386,30 @@ def test_theorem3_small_scale_report():
     assert abs(fine - coarse) / coarse < 0.2
     assert rep.extras["weak_orlicz_rhs"] > 0.0
     assert rep.extras["weak_orlicz_sup"] == pytest.approx(0.2461, rel=0.05)
+
+
+def test_theorem3_estimates_no_weight_constant(monkeypatch):
+    # the theorem hypothesizes nothing of u, so no constant is estimated and
+    # the report's preflight is empty; the pinned bits are those of the run
+    # that still estimated A1_u on both grids, so the sides are untouched
+    import mixedweak.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem 3 estimated a weight constant")
+
+    for name in ("preflight_weights", "estimate_Ap", "estimate_Ap_u", "bmo_norm"):
+        monkeypatch.setattr(verify, name, refuse)
+    cfg = ExperimentConfig(L=8.0, J=10, f="indicator a=0.25 b=1", u="power beta=-0.5",
+                           r=2, delta=1, beta=-1.5)
+    rep = run_theorem3(cfg)
+    assert rep.preflight == {}
+    assert rep.sup_ratio.hex() == "0x1.a8d77cf72be0ep-3"
+    assert rep.argmax_t.hex() == "0x1.17c53c633b885p+0"
+    assert rep.drift.hex() == "0x1.94efb26157724p-8"
+    assert rep.refinement_pair[0].hex() == "0x1.a63b9b8dd3d63p-3"
+    assert rep.stable
+    rows = repr([(r.t, r.lhs, r.rhs, r.ratio, r.alt) for r in rep.rows])
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "76c84fefd4109e1e"
 
 
 def test_theorem3_identity_case_matches_weak_orlicz_form():

@@ -18,6 +18,7 @@ from mixedweak.grid import (
     Grid,
     SampledFunction,
     dyadic_intervals,
+    _edge_progression,
     make_grid,
     sample,
 )
@@ -25,20 +26,23 @@ from mixedweak.weights import (
     ConstantEstimate,
     Weight,
     bmo_norm,
-    custom_weight,
     estimate_Ap,
     estimate_Ap_u,
     fundamental_ratio,
+    _sums,
     power_weight,
     refined,
 )
 from oracles import (
     bmo_w_norm,
+    custom_weight,
     dilated_average_gap,
     estimate_RH,
     estimate_RH_inf,
     jn_tail,
     oscillation_max,
+    per_family_bmo_norm,
+    per_family_estimate_Ap_u,
     product_weight,
     weighted_expL_vs_plain,
 )
@@ -514,25 +518,83 @@ def test_reduceat_estimators_match_per_interval_numpy(case):
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda b, w: estimate_Ap(w, 1.0),
-        lambda b, w: estimate_RH_inf(w),
-        lambda b, w: bmo_norm(b),
-        lambda b, w: bmo_w_norm(b, w),
+        lambda b, w, v: estimate_Ap(w, 1.0),
+        lambda b, w, v: estimate_RH_inf(w),
+        lambda b, w, v: bmo_norm(b),
+        lambda b, w, v: bmo_w_norm(b, w),
+        lambda b, w, v: estimate_Ap_u(v, w, 2.0),
+        lambda b, w, v: fundamental_ratio(w, v),
     ],
-    ids=["A1", "RH_inf", "bmo", "bmo_w"],
+    ids=["A1", "RH_inf", "bmo", "bmo_w", "A2_u", "fundamental"],
 )
 def test_estimator_peak_memory_is_a_few_grid_arrays(estimate):
-    # each family is reduced on its own block: no per-scale tables, no flattened copies
+    # the prefix sums, one family's reads and one level of the A1 min pyramid
+    # are live at a time; a pyramid that kept every level would hold J grid
+    # arrays (the peaks are the same on a first and on a repeated call)
     g = make_grid(8.0, 16)
     b = sample(lambda x: np.log(np.abs(x)), g)
-    w = power_weight(g, -0.5)
+    w, v = power_weight(g, -0.5), power_weight(g, -0.25)
     tracemalloc.start()
     try:
-        estimate(b, w)
+        estimate(b, w, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 8 * g.N
+    assert peak < 8 * 8 * g.N
+
+
+# --- strided reads against the per-family gather path ----------------------
+
+
+@st.composite
+def weight_pairs_and_scans(draw):
+    J = draw(st.integers(min_value=4, max_value=12))
+    grid = Grid(8.0, J)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def weight():
+        if draw(st.booleans()):
+            return Weight(SampledFunction(grid, rng.lognormal(0.0, 1.5, grid.N)))
+        return power_weight(grid, draw(st.floats(-0.99, 3.0, exclude_max=True)))
+
+    v, u = weight(), weight()
+    if draw(st.booleans()):
+        b = SampledFunction(grid, rng.standard_normal(grid.N) * 10.0 ** rng.uniform(-3, 3))
+    else:
+        b = sample(lambda x: np.log(np.abs(x)), grid)
+    j_max = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=J)))
+    shifts = draw(st.sampled_from([(0.0,), (1.0 / 3.0,), (2.0 / 3.0,), THIRD_SHIFTS]))
+    return v, u, b, DyadicScan(j_max=j_max, shifts=shifts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=weight_pairs_and_scans(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_strided_estimators_equal_the_per_family_gather_path(case, p):
+    v, u, b, scan = case
+    one = custom_weight(v.grid, np.ones(v.grid.N))
+    assert estimate_Ap(v, p, scan) == per_family_estimate_Ap_u(v, one, p, scan)
+    assert estimate_Ap_u(v, u, p, scan) == per_family_estimate_Ap_u(v, u, p, scan)
+    assert fundamental_ratio(u, v, scan) == per_family_estimate_Ap_u(u, v, 1.0, scan)
+    assert bmo_norm(b, scan) == per_family_bmo_norm(b, scan)
+
+
+def test_two_thirds_family_at_cell_scale_has_no_clipped_member():
+    # at M = 1 the 2/3 shift starts at c = 1 = M: its N - 1 members are whole
+    # cells, and closing every c > 0 family with P[N] would read one member
+    # too many, an empty one
+    g = Grid(8.0, 5)
+    assert _edge_progression(g, g.J, 2) == (1, 1)
+    sums, clipped = _sums(np.arange(g.N + 1, dtype=np.float64), 1, 1)
+    assert np.array_equal(sums, np.ones(g.N - 1)) and clipped is None
+    vals = np.ones(g.N)
+    vals[-2:] = (1.0, 50.0)
+    v, one = custom_weight(g, vals), custom_weight(g, np.ones(g.N))
+    scan = DyadicScan(shifts=(2.0 / 3.0,))
+    for p in (1.0, 2.0):
+        assert estimate_Ap(v, p, scan) == per_family_estimate_Ap_u(v, one, p, scan)
+        assert estimate_Ap_u(v, v, p, scan) == per_family_estimate_Ap_u(v, v, p, scan)
+    b = SampledFunction(g, vals)
+    assert bmo_norm(b, scan) == per_family_bmo_norm(b, scan)
 
 
 # --- estimate bookkeeping -------------------------------------------------
