@@ -93,8 +93,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"margin must lie in [0, 0.5), got {self.margin}")
         for name in ("t_min", "t_max"):
             val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {val}")
+            if val is not None and not (val > 0.0 and math.isfinite(val)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {val}")
         if self.t_min is not None and self.t_max is not None and self.t_min > self.t_max:
             raise ConfigurationError("t_min must not exceed t_max")
 
@@ -203,8 +203,8 @@ def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
 
 def _interval(name: str, params: dict[str, str], a: str, b: str) -> tuple[float, float]:
     lo, hi = _float(params, "a", a), _float(params, "b", b)
-    if lo >= hi:
-        # with a >= b no cell center lies inside the interval
+    if not lo < hi:
+        # with a >= b (or a NaN end) no cell center lies inside the interval
         raise ConfigurationError(f"family {name!r} needs a < b, got a={lo!r} b={hi!r}")
     return lo, hi
 

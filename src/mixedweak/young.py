@@ -9,16 +9,13 @@ generalized form is what makes step-type conjugates behave in the duality
 identity ``t <= PhiInv(t) * BarPhiInv(t) <= 2t``).
 
 Complementary functions are exact: closed forms for the powers and the
-linear/step pair, and a numeric Legendre transform on a dense log-spaced
-slope lattice for everything else, ``t (1 + log+ t)^alpha`` included (its
-classical equivalent form ``exp(t^(1/alpha)) - 1`` breaks the lower side of
-the duality identity at small t).  The numeric conjugate is a max-affine
-function; its generalized inverse is the exact identity
-``BarPhiInv(y) = inf_s (y + phi(s)) / s`` restricted to the lattice, found
-by a searchsorted lookup of the affine piece active at height y (one lookup
-per height, no heights-by-lattice temporary).  That keeps the duality
-sandwich valid to a few parts in 1e4 while the optimizing slope stays inside
-the lattice (heights up to about 1e6).
+linear/step pair, and the Legendre transform for everything else,
+``t (1 + log+ t)^alpha`` included (its classical equivalent form
+``exp(t^(1/alpha)) - 1`` breaks the lower side of the duality identity at
+small t).  The transform is evaluated through Young's equality
+``BarPhi(phi'(s)) = s phi'(s) - phi(s)``: the value, the slope and the
+inverse of a conjugate are each one bracketed root of a nondecreasing
+function of s, found by the same bisection that inverts the families.
 
 Luxemburg norms are computed a whole scanned family at a time: the family's
 ranges tile one block of cells, so every per-range sum is one
@@ -67,6 +64,37 @@ def _nonneg_array(t, what: str) -> np.ndarray:
     return arr
 
 
+def _least_root(g, y) -> np.ndarray:
+    """Least t >= 0 with g(t) >= y, elementwise, for a nondecreasing g.
+
+    The root is 0 where g(0) >= y.  Elsewhere the bracket [0, hi] grows by
+    doubling hi from 1 and is bisected to relative width 1e-15, and the upper
+    end is returned.  A g that reads inf or nan counts as reaching y, so a
+    root past the float range reads +inf.  For the continuous families,
+    |phi(t) - y| <= 1e-10 max(1, y) at the returned t (the local log-slope of
+    every family is far below the 1e5 that would be needed to defeat that).
+    """
+    shape = np.shape(y)
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    lo = np.zeros_like(y)
+    hi = np.where(g(lo) >= y, 0.0, 1.0)
+    for _ in range(1100):
+        low = g(hi) < y
+        if not low.any():
+            break
+        hi[low] *= 2.0
+    else:
+        raise RangeError(f"height {np.max(y)} not attained by {g.__self__!r}")
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-15 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        below = g(mid) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi.reshape(shape)
+
+
 class YoungFunction:
     """Base class: shared eval/inverse plumbing for the concrete families."""
 
@@ -104,35 +132,7 @@ class YoungFunction:
         return out
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
-        return self._inverse_bisect(y)
-
-    def _inverse_bisect(self, y: np.ndarray) -> np.ndarray:
-        """Monotone bisection with geometric bracket growth.
-
-        Terminates with |phi(t) - y| <= 1e-10 max(1, y) for the continuous
-        families this is used on (the bracket shrinks to relative 1e-15 in t,
-        and the local log-slope of every family is far below the 1e5 that
-        would be needed to defeat that).
-        """
-        shape = np.shape(y)
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        hi = np.ones_like(y)
-        for _ in range(1100):
-            low = self._eval_array(hi) < y
-            if not low.any():
-                break
-            hi[low] *= 2.0
-        else:
-            raise RangeError(f"height {np.max(y)} not attained by {self!r}")
-        lo = np.zeros_like(y)
-        for _ in range(200):
-            if np.all(hi - lo <= 1e-15 * hi):
-                break
-            mid = 0.5 * (lo + hi)
-            below = self._eval_array(mid) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return np.where(y == 0.0, 0.0, hi).reshape(shape)
+        return _least_root(self._eval_array, y)
 
 
 @dataclass(frozen=True)
@@ -280,33 +280,18 @@ class Step(YoungFunction):
         return np.full(np.shape(y), self.threshold, dtype=np.float64)
 
 
-# Relative fall of a chord slope below the earlier ones that counts as rounding.
-_CHORD_ROUNDING = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LegendreConjugate(YoungFunction):
-    """Numeric conjugate sup_s {t s - phi(s)} on a dense log slope lattice.
+    """Complementary function sup_s {t s - phi(s)} of a convex base, exactly.
 
-    The lattice has 1e4 points per decade over 12 decades (slopes 1e-6 to
-    1e6).  Evaluation walks the upper envelope of the affine pieces, so a
-    call costs one searchsorted.  The inverse is the closed identity
-    ``inverse(y) = min_s (y + phi(s)) / s`` over the lattice, exact for the
-    max-affine function itself; the minimizing piece is the one active at
-    height y, so it is found by a searchsorted over the envelope's values at
-    its breakpoints (``_kinks``) instead of a min over the lattice.  Both are
-    accurate to a few parts in 1e4 as long as the optimizing slope lies
-    inside the lattice; for the families used here that covers heights up
-    to about 1e6.
-
-    The base must be convex: then every lattice point is a piece of the
-    envelope and the chord slopes between neighbours, which are the
-    envelope's breakpoints, are nondecreasing.  The lattice is cut before the
-    first chord slope that is not finite (the base overflows there).  Where
-    the base is nearly linear, rounding makes a chord slope fall below an
-    earlier one by a few parts in 1e12; a fall within ``_CHORD_ROUNDING`` of
-    the running maximum is closed by taking that maximum, and a base with a
-    larger fall is refused.
+    The sup is attained at the least s with phi'(s) >= t, which is also the
+    conjugate's left derivative at t, and Young's equality gives the value
+    t s - phi(s) there.  The inverse is inf_s (y + phi(s)) / s, attained at
+    the least s with s phi'(s) - phi(s) >= y (the conjugate's value at
+    phi'(s)); at y = 0 it is the limit phi'(0).  Each optimizing s is one
+    :func:`_least_root`, so values and inverses are exact up to the root's
+    relative width 1e-15 at every height.  Where the optimizing slope
+    or t s overflows, the value is +inf.
     """
 
     base: "YoungFamily"
@@ -314,46 +299,29 @@ class LegendreConjugate(YoungFunction):
     def __post_init__(self) -> None:
         if not self.base.convex:
             raise DomainError(f"refusing to conjugate the non-convex family {self.base!r}")
-        slopes = np.logspace(-6.0, 6.0, 12 * 10**4 + 1)
-        heights = self.base.eval(slopes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            chords = np.diff(heights) / np.diff(slopes)
-            cut = np.flatnonzero(~np.isfinite(chords))
-            n = int(cut[0]) + 1 if cut.size else slopes.size
-            slopes, heights, chords = slopes[:n].copy(), heights[:n].copy(), chords[: n - 1]
-            breaks = np.maximum.accumulate(chords)
-            kinks = slopes[:-1] * breaks - heights[:-1]  # envelope value at each break
-        if n < 2:
-            raise ConfigurationError(f"cannot conjugate {self.base!r}: no finite lattice values")
-        if np.any(chords < breaks - _CHORD_ROUNDING * np.abs(breaks)):
-            raise DomainError(f"cannot conjugate {self.base!r}: its chord slopes decrease")
-        for name, val in (("_slopes", slopes), ("_heights", heights), ("_breaks", breaks),
-                          ("_kinks", kinks)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
-        slopes = self._slopes  # type: ignore[attr-defined]
-        heights = self._heights  # type: ignore[attr-defined]
-        idx = np.searchsorted(self._breaks, t, side="right")  # type: ignore[attr-defined]
-        return np.maximum(slopes[idx] * t - heights[idx], 0.0)
+        s = self._slope_array(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = t * s - self.base._eval_array(s)
+            return np.where(np.isnan(val), np.inf, np.maximum(val, 0.0))
 
     def _slope_array(self, t: np.ndarray) -> np.ndarray:
-        return self._slopes[np.searchsorted(self._breaks, t, side="right")]  # type: ignore[attr-defined]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _least_root(self.base._slope_array, t)
+
+    def _gap_array(self, s: np.ndarray) -> np.ndarray:
+        """s phi'(s) - phi(s), nondecreasing in s for a convex phi."""
+        return s * self.base._slope_array(s) - self.base._eval_array(s)
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
-        slopes = self._slopes  # type: ignore[attr-defined]
-        heights = self._heights  # type: ignore[attr-defined]
-        idx = np.searchsorted(self._kinks, y, side="left")  # type: ignore[attr-defined]
-        return (y + heights[idx]) / slopes[idx]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = _least_root(self._gap_array, y)
+            at_zero = self.base._slope_array(np.zeros_like(s))
+            return np.where(s > 0.0, (y + self.base._eval_array(s)) / s, at_zero)
 
 
 YoungFamily = Union[Power, LLogL, ExpL, ExpAlphaL, Identity, Step, LegendreConjugate]
-
-
-@lru_cache(maxsize=64)
-def _cached_legendre(phi: YoungFamily) -> LegendreConjugate:
-    return LegendreConjugate(phi)
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
@@ -361,11 +329,11 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 
     Closed forms where they exist: powers conjugate to powers with the
     matching coefficient, the linear/step pair conjugate to each other.
-    Everything else, ``LLogL(1, alpha)`` included, is the numeric Legendre
-    transform.  The classical equivalent form ``ExpL(alpha)`` of that family
-    agrees with it only up to constants for large arguments (the test oracle
-    ``conjugate_equivalence_constant`` measures how far), so it is never
-    returned here.
+    Everything else, ``LLogL(1, alpha)`` included, is the
+    :class:`LegendreConjugate` of ``phi``.  The classical equivalent form
+    ``ExpL(alpha)`` of that family agrees with it only up to constants for
+    large arguments (the test oracle ``conjugate_equivalence_constant``
+    measures how far), so it is never returned here.
     """
     scale = _linear_scale(phi)
     if scale is not None:
@@ -376,7 +344,7 @@ def complementary(phi: YoungFunction) -> YoungFunction:
         rp = phi.r / (phi.r - 1.0)
         coef = (phi.r - 1.0) / phi.r * (phi.coef * phi.r) ** (-1.0 / (phi.r - 1.0))
         return Power(rp, coef)
-    return _cached_legendre(phi)
+    return LegendreConjugate(phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,10 +597,10 @@ class DualityGap:
 def duality_gap(phi: YoungFunction, t: float) -> DualityGap:
     """Check the two-sided duality identity t <= PhiInv(t)*BarPhiInv(t) <= 2t.
 
-    The conjugate is :func:`complementary`'s exact one (numeric Legendre
-    where no closed form exists): the equivalent exponential form of
-    ``LLogL(1, alpha)`` breaks the lower bound for small t.  Tolerance 0.05
-    on each side absorbs the lattice error of the numeric transform.
+    The conjugate is :func:`complementary`'s exact one (the Legendre
+    transform where no closed form exists): the equivalent exponential form
+    of ``LLogL(1, alpha)`` breaks the lower bound for small t.  The band
+    [0.95, 2.05] leaves 0.05 on each side of the identity.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"duality check needs finite t > 0, got {t}")

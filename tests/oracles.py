@@ -218,7 +218,7 @@ def conjugate_equivalence_constant(
     """Fitted two-sided constant between the equivalent and exact conjugates.
 
     Measures sup max(equiv/exact, exact/equiv) over [t_min, t_max], where
-    ``equiv = ExpL(delta)`` and ``exact`` is the numeric Legendre conjugate.
+    ``equiv = ExpL(delta)`` and ``exact`` is the Legendre conjugate.
     No constant exists down to t = 0 (the exact conjugate vanishes on [0, 1]),
     which is the reason the default window starts past the linear stretch.
     For delta = 1 the value is e^2 - e^(2 - t_max), just under e^2.

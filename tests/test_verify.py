@@ -71,6 +71,10 @@ def test_config_rejects_bad_parameters():
         ExperimentConfig(t_min=-1.0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(t_min=2.0, t_max=1.0)
+    with pytest.raises(ConfigurationError, match="t_max must be positive and finite"):
+        ExperimentConfig(t_max=math.inf)
+    with pytest.raises(ConfigurationError, match="t_min must be positive and finite"):
+        ExperimentConfig(t_min=math.inf)
 
 
 def test_config_scan_carries_scan_fields():
@@ -148,9 +152,9 @@ def test_build_weight_families():
         build_weight(grid, "gaussian")
 
 
-@pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5")])
+@pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5"), ("nan", "1"), ("0", "nan")])
 def test_interval_families_refuse_a_reversed_or_empty_interval(tmp_path, capsys, a, b):
-    # with a >= b no cell center is inside, so a run would measure nothing
+    # with a >= b (or a NaN end) no cell center is inside, so a run would measure nothing
     # (indicator f: sup_ratio 0, "stable") or only the floor (chibump u: A1_u 1)
     grid = make_grid(4.0, 6)
     for family, build in (("indicator", sample_f), ("cusp", sample_f), ("chibump", build_weight)):
