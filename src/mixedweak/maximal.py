@@ -8,18 +8,40 @@ single-cell interval is always available, which gives the floor M f >= |f|
 (and |f| / phi^{-1}(1) for the Orlicz case) independent of the scan's
 depth.
 
-Only the members whose norm could raise the running maximum go to the
-Luxemburg solver, and both skips are exact, so the output is bitwise what
-solving every member would give.  A member without a cell where f != 0 has
-norm 0, which cannot raise a maximum that starts at |f| / c >= 0: each
-family is cut to the members from the first to the last one that meets
-the support.  For a phi that is not linear, the norm on I is at most
-max_I |f| / c with c = phi^{-1}(1), because the modular there is at most
-phi(c) = 1; a member whose bound (times 1 + 1e-9, far above the solver's
-1e-12 excess) does not exceed the least running value over its cells is
-skipped too.  Families run coarse to fine, so the long intervals raise the
-running maximum first and most fine members away from the peaks of |f| are
-skipped.  The members left form runs of adjacent intervals.
+A family is an arithmetic progression of cells (``grid.scan_progressions``):
+member k is ``[c + kM, min(N, c + (k+1)M))``, and only the last member can be
+clipped.  Each family is cut, in integers, to the members k0 <= k < k1 that
+meet the cells ``lo:hi`` still in play, ``k0 = max(0, (lo - c) // M)`` and
+``k1 = ceil((hi - c) / M)``; they tile the block ``a:b``.  A value per member
+is scattered by one running maximum over the ``(K, M)`` reshape of the
+block's K unclipped members, and one over the clipped member when there is
+one.  No array over the whole family is built.
+
+A member without a cell where f != 0 has norm 0, which cannot raise a
+maximum that starts at |f| / phi^{-1}(1) >= 0, so ``lo:hi`` starts as the
+hull of the cells where f != 0.  A caller that reads the output only on the cells
+``lo:hi`` passes ``cells=(lo, hi)``, and the hull is cut to that range too.
+The intervals containing a cell of the range all meet it, so the output is
+exact there; elsewhere it is the sup over fewer intervals, a lower bound.
+
+For a linear phi(t) = s t (``Identity``, ``Power(1, s)``, ``LLogL(1, 0)``)
+the norm is s times the mean, and each family is solved in place: one
+``np.add.reduceat`` over the view of its block, divided by the member
+widths and times s, just as the linear branch of the segmented Luxemburg
+solver computes it.  So the output is bitwise what that solver gives on
+every member, and no solver call, gather or batch is made.
+``hl_maximal`` is ``orlicz_maximal`` with the identity.
+
+Only a phi that is not linear goes to the Luxemburg solver, and only the
+members whose norm could raise the running maximum do; both skips are
+exact, so the output is bitwise what solving every member would give.  The
+norm on I is at most max_I |f| / phi^{-1}(1), because the modular there is
+at most phi(phi^{-1}(1)) = 1; a member whose bound (times 1 + 1e-9, far
+above the solver's 1e-12 excess) does not exceed the least running value
+over its cells is skipped.  Families run coarse to fine, so the long
+intervals raise the running maximum first and most fine members away from
+the peaks of |f| are skipped.  The members left form runs of adjacent
+intervals.
 
 Runs are solved in batches, since one solver call on a run of a few
 thousand cells costs more in call overhead than in arithmetic.  The runs
@@ -34,16 +56,6 @@ reads the running maximum as of the last flush.  That is a lower bound of
 the final output, so a skipped member still cannot raise it, and the
 output stays bitwise equal to solving every member.
 
-A caller that reads the output only on the cells ``lo:hi`` passes
-``cells=(lo, hi)``, and each family is also cut to the members that meet
-that range, the same cut the support of f gets.  The intervals containing
-a cell of the range all meet it, so the output is exact there; elsewhere
-it is the sup over fewer intervals, a lower bound.
-
-``hl_maximal`` is ``orlicz_maximal`` with the identity Young function; the
-linear fast path inside the segmented Luxemburg solver turns that into the
-plain average, so the two agree bitwise rather than merely to tolerance.
-
 The scanned sup is a lower bound for the true uncentered maximal function;
 the exact all-intervals oracle of the test suite bounds it from above by
 the one-third-trick factor 3.
@@ -53,7 +65,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicScan, SampledFunction, flatten_cell_ranges, scan_cell_ranges
+from .grid import DyadicScan, SampledFunction, flatten_cell_ranges, scan_progressions
+from .grid import scan_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .young import (
     Identity,
     YoungFunction,
@@ -71,20 +84,29 @@ __all__ = [
 BATCH_CELLS = 1 << 14
 
 
+def _raise(out: np.ndarray, a: int, b: int, M: int, vals: np.ndarray) -> None:
+    """Raise member k of the progression ``[a + kM, min(b, a + (k+1)M))`` of ``out`` to ``vals[k]``."""
+    K = (b - a) // M
+    block = out[a : a + K * M].reshape(K, M)
+    np.maximum(block, vals[:K, None], out=block)
+    if K < vals.size:
+        tail = out[a + K * M : b]
+        np.maximum(tail, vals[K], out=tail)
+
+
 def _solve(phi: YoungFunction, absf: np.ndarray, out: np.ndarray, runs: list) -> None:
     """Solve every member of ``runs`` in one solver call and raise ``out`` to the norms."""
     if len(runs) == 1:
-        ((starts, stops),) = runs
+        ((starts, stops, _),) = runs
         norms = segmented_luxemburg_norms(phi, absf, None, starts, stops)
     else:
-        blocks = np.array([(starts[0], stops[-1]) for starts, stops in runs])
+        blocks = np.array([(starts[0], stops[-1]) for starts, stops, _ in runs])
         idx, _ = flatten_cell_ranges(blocks[:, 0], blocks[:, 1])
-        edges = np.cumsum(np.concatenate([stops - starts for starts, stops in runs]))
+        edges = np.cumsum(np.concatenate([stops - starts for starts, stops, _ in runs]))
         norms = segmented_luxemburg_norms(phi, absf[idx], None, np.append(0, edges[:-1]), edges)
     at = 0
-    for starts, stops in runs:
-        block = out[starts[0] : stops[-1]]
-        np.maximum(block, np.repeat(norms[at : at + starts.size], stops - starts), out=block)
+    for starts, stops, M in runs:
+        _raise(out, int(starts[0]), int(stops[-1]), M, norms[at : at + starts.size])
         at += starts.size
 
 
@@ -97,45 +119,48 @@ def orlicz_maximal(
     """M_phi f: sup over scanned intervals containing x of the Luxemburg norm.
 
     With ``phi = Identity`` this is the scanned Hardy-Littlewood maximal
-    function.  Each family is cut to the members that meet both the hull of
-    the cells where f != 0 and, when given, the cell range ``cells = (lo,
-    hi)``; the output is then exact on ``lo:hi`` and a lower bound elsewhere.
-    For a phi that is not linear, a member is also skipped when its cap
-    max_I |f| / phi^{-1}(1) cannot exceed the running maximum on any of its
-    cells.  The runs of adjacent kept members are solved in batches of at
-    most ``BATCH_CELLS`` cells, one solver call each, and a run that spans
-    the budget on its own is solved in place.  The skips read the running
-    maximum as of the last solve, so the output is bitwise what solving every
-    member gives (see the module docstring).
+    function.  Each family is read as a strided progression of cells and cut
+    to the members that meet both the hull of the cells where f != 0 and,
+    when given, the cell range ``cells = (lo, hi)``; the output is then
+    exact on ``lo:hi`` and a lower bound elsewhere.  A linear phi is solved
+    in place, one ``reduceat`` per family.  For any other phi, a member is
+    skipped when its cap max_I |f| / phi^{-1}(1) cannot exceed the running
+    maximum on any of its cells, and the runs of adjacent kept members are
+    solved in batches of at most ``BATCH_CELLS`` cells, one solver call
+    each; a run that spans the budget on its own is solved in place.  The
+    skips read the running maximum as of the last solve, so the output is
+    bitwise what solving every member gives (see the module docstring).
     """
     absf = np.abs(f.values)
-    c = _unit_argument(phi)
-    capped = _linear_scale(phi) is None
+    unit = _unit_argument(phi)
+    scale = _linear_scale(phi)
     # single-cell Luxemburg norm in closed form; keeps Mf >= |f| at any depth
-    out = absf / c
-    nz = np.flatnonzero(absf)
-    if nz.size == 0:
+    out = absf / unit
+    live = absf != 0.0
+    if not live.any():
         return SampledFunction(f.grid, out)
-    lo, hi = (0, f.grid.N) if cells is None else cells
+    N = f.grid.N
+    lo, hi = (0, N) if cells is None else cells
     # a member meets both ranges iff it ends past both starts and starts before both ends
-    lo, hi = max(lo, int(nz[0])), min(hi, int(nz[-1]) + 1)
+    lo, hi = max(lo, int(live.argmax())), min(hi, N - int(live[::-1].argmax()))
     batch, span = [], 0
-    for starts, stops in scan_cell_ranges(f.grid, scan):
-        first = int(np.searchsorted(stops, lo, side="right"))
-        last = int(np.searchsorted(starts, hi, side="left"))
-        if first >= last:
+    for M, c in scan_progressions(f.grid, scan):
+        k0, k1 = max(0, (lo - c) // M), -((c - hi) // M)
+        if k0 >= k1:
             continue
-        starts, stops = starts[first:last], stops[first:last]
-        if capped:
-            at, off = starts[0], starts - starts[0]
-            cap = np.maximum.reduceat(absf[at : stops[-1]], off) / c * (1.0 + 1e-9)
-            keep = cap > np.minimum.reduceat(out[at : stops[-1]], off)
-            ends = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-        else:
-            ends = np.array([0, starts.size])
-        for a, b in zip(ends[::2], ends[1::2]):
-            run = (starts[a:b], stops[a:b])
-            width = int(stops[b - 1] - starts[a])
+        a, b = c + k0 * M, min(N, c + k1 * M)
+        off = np.arange(0, b - a, M)
+        if scale is not None:
+            means = np.add.reduceat(absf[a:b], off) / np.diff(off, append=b - a)
+            _raise(out, a, b, M, scale * means)
+            continue
+        cap = np.maximum.reduceat(absf[a:b], off) / unit * (1.0 + 1e-9)
+        keep = cap > np.minimum.reduceat(out[a:b], off)
+        ends = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        edges = np.append(off + a, b)
+        for i, j in zip(ends[::2], ends[1::2]):
+            run = (edges[i:j], edges[i + 1 : j + 1], M)
+            width = int(edges[j] - edges[i])
             if width >= BATCH_CELLS:
                 _solve(phi, absf, out, [run])
                 continue
