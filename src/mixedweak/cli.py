@@ -46,7 +46,6 @@ from .verify import (
     run_theorem3,
     sample_b,
     sample_f,
-    theorem3_set_partition,
     weak_lhs,
 )
 from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, fundamental_ratio, refined
@@ -347,8 +346,6 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
         ("decomposition reconstructs",
          bool(np.max(np.abs(decomposed.g.values + decomposed.bad.values
                             - (chi.values + 0.5))) < 1e-12)),
-        ("annuli partition", theorem3_set_partition(3.0, 1) == frozenset({"G", "I"})
-         and theorem3_set_partition(1.0, 1) == frozenset({"C"})),
     ]
     failed = sum(not ok for _, ok in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks]

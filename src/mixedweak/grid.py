@@ -305,30 +305,6 @@ class DyadicInterval:
         raw = -self.grid.L + (3 * (self.k + 1) + self.shift_thirds) * self.length_unclipped / 3.0
         return min(self.grid.L, raw)
 
-    def children(self) -> "tuple[DyadicInterval, DyadicInterval]":
-        """The two dyadic halves (unshifted families only)."""
-        if self.shift_thirds != 0:
-            raise GeometryError("shifted intervals do not form a splitting tree")
-        if self.j >= self.grid.J:
-            raise GeometryError(f"cannot split below the cell scale j = J = {self.grid.J}")
-        return (
-            DyadicInterval(self.grid, self.j + 1, 2 * self.k),
-            DyadicInterval(self.grid, self.j + 1, 2 * self.k + 1),
-        )
-
-    def parent(self) -> "DyadicInterval":
-        if self.shift_thirds != 0:
-            raise GeometryError("shifted intervals do not form a splitting tree")
-        if self.j == 0:
-            raise GeometryError("the root interval has no parent")
-        return DyadicInterval(self.grid, self.j - 1, self.k // 2)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        """Cell-range containment (both intervals on the same grid)."""
-        if other.grid != self.grid:
-            raise GridMismatchError("containment requires a common grid")
-        return self.cell_start <= other.cell_start and other.cell_stop <= self.cell_stop
-
 
 @dataclass(frozen=True)
 class DyadicScan:

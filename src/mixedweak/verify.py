@@ -60,7 +60,6 @@ __all__ = [
     "run_theorem1",
     "run_theorem2",
     "run_theorem3",
-    "theorem3_set_partition",
 ]
 
 
@@ -538,26 +537,3 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         return ts, lhs, rhs, alt, fields
 
     return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, sides_at, preflight=False)
-
-
-# --- proof-set diagnostics ------------------------------------------------
-
-
-def theorem3_set_partition(x: float, k: int) -> frozenset[str]:
-    """Which of the proof's annular sets contain x at scale k.
-
-    G_k = {2^k < |x| <= 2^(k+1)} sits inside the intermediate shell I_k;
-    C_k (core) and L_k (far field) are the complements.  Exactly one of
-    {C, I, L} holds, plus possibly G.
-    """
-    ax = abs(x)
-    labels = set()
-    if 2.0**k < ax <= 2.0 ** (k + 1):
-        labels.add("G")
-    if ax <= 2.0 ** (k - 1):
-        labels.add("C")
-    elif ax <= 2.0 ** (k + 2):
-        labels.add("I")
-    else:
-        labels.add("L")
-    return frozenset(labels)

@@ -23,6 +23,13 @@ ranges tile one block of cells, so every per-range sum is one
 1/lam, found by a Newton iteration inside a closed-form bracket (see
 :func:`segmented_luxemburg_norms`).  The modular infimum, which lies between
 the norm and twice the norm, is one golden-section search around it.
+
+One range or one height is solved by the same algorithm in float state:
+:func:`luxemburg_norm` runs the segmented Newton on its one interval, and
+:func:`_least_root` bisects a single height, with the bracket and the
+iterate held in Python floats and every sum taken as the array path takes
+it.  Both return the array path's float, bit for bit, without its per-call
+numpy overhead on arrays of one range or one element.
 """
 
 from __future__ import annotations
@@ -73,9 +80,12 @@ def _least_root(g, y) -> np.ndarray:
     root past the float range reads +inf.  For the continuous families,
     |phi(t) - y| <= 1e-10 max(1, y) at the returned t (the local log-slope of
     every family is far below the 1e5 that would be needed to defeat that).
+    One height is solved by :func:`_least_root_one`, the same steps in floats.
     """
     shape = np.shape(y)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.size == 1:
+        return np.full(shape, _least_root_one(g, float(y[0])))
     lo = np.zeros_like(y)
     hi = np.where(g(lo) >= y, 0.0, 1.0)
     for _ in range(1100):
@@ -93,6 +103,36 @@ def _least_root(g, y) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi.reshape(shape)
+
+
+def _least_root_one(g, y: float) -> float:
+    """:func:`_least_root` at one height, with the bracket held in floats.
+
+    g reads one reused 1-element buffer, so every value it sees is the one
+    the array path would give it, and the root is the same float.
+    """
+    buf = np.zeros(1)
+
+    def below(t: float) -> bool:
+        buf[0] = t
+        return bool(g(buf)[0] < y)
+
+    lo, hi = 0.0, (1.0 if below(0.0) else 0.0)
+    for _ in range(1100):
+        if not below(hi):
+            break
+        hi *= 2.0
+    else:
+        raise RangeError(f"height {y} not attained by {g.__self__!r}")
+    for _ in range(200):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class YoungFunction:
@@ -532,44 +572,97 @@ def _query_arrays(q: LuxemburgQuery) -> tuple[np.ndarray, np.ndarray | None]:
     return q.f.values[sl], w
 
 
+#: the one range start of a single-range sum, ``np.add.reduceat(x, _FIRST)[0]``
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
+def _range_sum(x: np.ndarray) -> float:
+    """The sum :func:`segmented_luxemburg_norms` takes over one range."""
+    return float(np.add.reduceat(x, _FIRST)[0])
+
+
 def luxemburg_norm(q: LuxemburgQuery) -> float:
-    """Weighted Luxemburg norm inf{lam > 0 : avg_w phi(|f|/lam) <= 1} on Q."""
-    fq, wq = _query_arrays(q)
-    norms = segmented_luxemburg_norms(
-        q.phi, fq, wq, np.array([0], dtype=np.int64), np.array([fq.size], dtype=np.int64)
-    )
-    return float(norms[0])
+    """Weighted Luxemburg norm inf{lam > 0 : avg_w phi(|f|/lam) <= 1} on Q.
 
-
-def modular_inf(q: LuxemburgQuery) -> float:
-    """The equivalent quantity inf_tau {tau + tau * avg_w phi(|f|/tau)}.
-
-    For convex phi the objective is convex in tau (tau plus the perspective
-    of phi), so one golden-section search over the Luxemburg norm times
-    [1e-3, 1e3], stopped at relative width 1e-6, finds its minimum, which
-    lies between the norm and twice the norm.  Where phi overflows at small
-    tau the objective is inf or nan; the comparison then fails and the
-    search moves right, toward the minimum.  The objective at tau = norm is
-    a candidate too: the modular there is <= 1, so the returned value is
-    <= 2 * norm by construction, even where that bound is met with equality
-    (Power(2)).  Non-convex phi is refused.
+    :func:`segmented_luxemburg_norms` on the one range Q, step for step, with
+    the bracket, the Newton iterate and the feasibility raise held in floats
+    instead of arrays: the same float, at a fraction of the numpy calls.  A
+    float divided by 0 raises where numpy returns inf or nan, so a zero slope
+    counts as a wild step up front.
     """
-    if not q.phi.convex:
-        raise DomainError(f"modular infimum needs a convex Young function, got {q.phi!r}")
-    norm = luxemburg_norm(q)
-    if norm == 0.0:
+    fq, w = _query_arrays(q)
+    phi, absf = q.phi, np.abs(fq)
+    fw, wsum = (absf, float(absf.size)) if w is None else (absf * w, _range_sum(w))
+    if wsum <= 0.0:
+        raise DomainError("weight must have positive mass on every queried range")
+
+    scale = _linear_scale(phi)
+    if scale is not None:
+        return scale * (_range_sum(fw) / wsum)
+    nz = np.flatnonzero(fw)
+    if nz.size == 0:
         return 0.0
-    fq, wq = _query_arrays(q)
-    absf = np.abs(fq)
-    w = np.ones_like(absf) if wq is None else wq
-    wq_total = float(np.sum(w))
+    fa, wa = absf[nz], None if w is None else w[nz]
+    top = float(fa.max())
+    if isinstance(phi, Step):
+        return top / phi.threshold
+    fn = fa / top
 
-    def objective(tau: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mod = float(np.sum(q.phi._eval_array(absf / tau) * w)) / wq_total
-        return tau * (1.0 + mod)
+    def average(vals: np.ndarray) -> float:
+        return _range_sum(vals if wa is None else vals * wa) / wsum
 
-    a, b = 1e-3 * norm, 1e3 * norm
+    def newton_terms(u: float) -> tuple[float, float]:
+        t = fn * u
+        return average(phi._eval_array(t)) - 1.0, average(phi._slope_array(t) * fn)
+
+    c = _unit_argument(phi)
+    u = c / average(fn)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g, dg = newton_terms(u)
+        for _ in range(1100):
+            if phi.convex or not g < 0.0:
+                break
+            u *= 2.0
+            g, dg = newton_terms(u)
+        else:
+            raise RangeError("Luxemburg bracket failed to close from above")
+
+        left, right, last = c, u, u - c
+        for _ in range(100):
+            if g >= 0.0:
+                right = u
+            else:
+                left = u
+            wild = dg == 0.0 or not math.isfinite(dg)
+            if not wild:
+                nxt = u - g / dg
+                wild = (not math.isfinite(nxt) or nxt < left or nxt > right
+                        or abs(nxt - u) > 0.5 * last)
+            if wild:
+                nxt = math.sqrt(left) * math.sqrt(right)
+            last, u = abs(nxt - u), nxt
+            if not last > 1e-13 * u:
+                break
+            g, dg = newton_terms(u)
+        else:
+            raise RangeError("Luxemburg Newton iteration did not converge")
+
+        lam = top / u * (1.0 + 2e-13)
+        raise_by = 2e-13
+        for _ in range(60):
+            # a norm below the least subnormal rounds to 0
+            if not (average(phi._eval_array(fa / lam)) > 1.0 - 1e-13 and lam > 0.0):
+                break
+            raise_by *= 2.0
+            lam *= 1.0 + raise_by
+        else:
+            raise RangeError("Luxemburg norm did not reach the feasible side")
+    return lam
+
+
+def _golden_section(objective, a: float, b: float) -> tuple[float, float, float]:
+    """Golden-section search of [a, b] to relative width 1e-6: the final left end
+    and the objective at the two final interior points."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -583,7 +676,48 @@ def modular_inf(q: LuxemburgQuery) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = objective(d)
-    return float(min(fc, fd, objective(norm)))
+    return a, fc, fd
+
+
+def modular_inf(q: LuxemburgQuery) -> float:
+    """The equivalent quantity inf_tau {tau + tau * avg_w phi(|f|/tau)}.
+
+    For convex phi the objective is convex in tau (tau plus the perspective
+    of phi), and its minimizer lies below the modular infimum, which lies
+    between the norm and twice the norm.  One golden-section search over
+    the Luxemburg norm times [1e-3, 1e3], stopped at relative width 1e-6,
+    finds it.  A search that never leaves the lower end (a Power(r) with r
+    within about 1e-3 of 1, whose minimizer is (r - 1)^(1/r) times the norm)
+    lowers that end by 1e3 and searches again, at most ten times.  A linear
+    phi has its infimum, the norm, only in the limit tau -> 0, so it returns
+    the norm.  Where phi overflows at small tau the objective is inf or nan;
+    the comparison then fails and the search moves right, toward the
+    minimum.  The objective at tau = norm is a candidate too: the modular
+    there is <= 1, so the returned value is <= 2 * norm by construction,
+    even where that bound is met with equality (Power(2)).  Non-convex phi
+    is refused.
+    """
+    if not q.phi.convex:
+        raise DomainError(f"modular infimum needs a convex Young function, got {q.phi!r}")
+    norm = luxemburg_norm(q)
+    if norm == 0.0 or _linear_scale(q.phi) is not None:
+        return norm
+    fq, w = _query_arrays(q)
+    absf, phi = np.abs(fq), q.phi
+    total = float(absf.size) if w is None else float(np.sum(w))
+
+    def objective(tau: float) -> float:
+        vals = phi._eval_array(absf / tau)
+        return tau * (1.0 + float(np.add.reduce(vals if w is None else vals * w)) / total)
+
+    low = 1e-3 * norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(10):
+            a, fc, fd = _golden_section(objective, low, 1e3 * norm)
+            if a > low:
+                break
+            low *= 1e-3
+        return float(min(fc, fd, objective(norm)))
 
 
 @dataclass(frozen=True)

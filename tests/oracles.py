@@ -6,7 +6,8 @@ way, so a fast path can be checked against it on small grids.  The other helpers
 the lemmas the paper's proofs lean on: Hoelder for Young pairs, triple
 composition, reverse Hoelder and John-Nirenberg tails, p-th-power and
 weighted oscillation norms, dilated averages, the iterated maximal function,
-the theorem-3 scale root and kernel smoothness.  The unit tests and
+the theorem-3 scale root and annular sets, kernel smoothness, and the dyadic
+splitting tree (children, parent, containment).  The unit tests and
 acceptance criteria 2 and 9 measure them; no subcommand runs them.  They
 reach the package only through its public operators and a few private
 helpers, so they measure the code the subcommands run; the general
@@ -620,3 +621,54 @@ def solve_scale_a(F: SampledFunction, gamma: float, lam: float) -> float:
         else:
             lo = mid
     return hi
+
+
+# --- dyadic splitting tree and the theorem-3 proof sets ---------------------
+
+
+def children(iv: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
+    """The two dyadic halves of ``iv`` (unshifted families only)."""
+    if iv.shift_thirds != 0:
+        raise GeometryError("shifted intervals do not form a splitting tree")
+    if iv.j >= iv.grid.J:
+        raise GeometryError(f"cannot split below the cell scale j = J = {iv.grid.J}")
+    return (
+        DyadicInterval(iv.grid, iv.j + 1, 2 * iv.k),
+        DyadicInterval(iv.grid, iv.j + 1, 2 * iv.k + 1),
+    )
+
+
+def parent(iv: DyadicInterval) -> DyadicInterval:
+    """The dyadic interval one scale up that contains ``iv`` (unshifted families only)."""
+    if iv.shift_thirds != 0:
+        raise GeometryError("shifted intervals do not form a splitting tree")
+    if iv.j == 0:
+        raise GeometryError("the root interval has no parent")
+    return DyadicInterval(iv.grid, iv.j - 1, iv.k // 2)
+
+
+def contains(outer: DyadicInterval, inner: DyadicInterval) -> bool:
+    """Cell-range containment (both intervals on the same grid)."""
+    if inner.grid != outer.grid:
+        raise GridMismatchError("containment requires a common grid")
+    return outer.cell_start <= inner.cell_start and inner.cell_stop <= outer.cell_stop
+
+
+def theorem3_set_partition(x: float, k: int) -> frozenset[str]:
+    """Which of the theorem-3 proof's annular sets contain x at scale k.
+
+    G_k = {2^k < |x| <= 2^(k+1)} sits inside the intermediate shell I_k;
+    C_k (core) and L_k (far field) are the complements.  Exactly one of
+    {C, I, L} holds, plus possibly G.
+    """
+    ax = abs(x)
+    labels = set()
+    if 2.0**k < ax <= 2.0 ** (k + 1):
+        labels.add("G")
+    if ax <= 2.0 ** (k - 1):
+        labels.add("C")
+    elif ax <= 2.0 ** (k + 2):
+        labels.add("I")
+    else:
+        labels.add("L")
+    return frozenset(labels)

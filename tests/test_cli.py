@@ -92,7 +92,7 @@ def test_parse_config_flags_override_file(tmp_path):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "9/9 passed" in out and "FAIL" not in out
+    assert "8/8 passed" in out and "FAIL" not in out
 
 
 def test_verify_writes_deterministic_reports(tmp_path, capsys):

@@ -14,7 +14,7 @@ from mixedweak._errors import DomainError, GridMismatchError, HeightError
 from mixedweak.czd import cz_decompose, validate_decomposition
 from mixedweak.grid import DyadicInterval, SampledFunction, make_grid, sample
 from mixedweak.weights import power_weight
-from oracles import custom_weight
+from oracles import custom_weight, parent
 
 SEED = 20260823
 
@@ -164,7 +164,7 @@ def ancestor_walk_maximality(r, fv, vv):
     for q in r.cubes:
         p = q
         while p.j > 0:
-            p = p.parent()
+            p = parent(p)
             avg = float(np.sum(fv[p.cell_slice]) / np.sum(vv[p.cell_slice]))
             worst = max(worst, avg / r.t)
             if avg > r.t * (1.0 + 1e-12):

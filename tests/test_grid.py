@@ -28,7 +28,7 @@ from mixedweak.grid import (
     sample,
     scan_cell_ranges,
 )
-from oracles import integrate
+from oracles import children, contains, integrate, parent
 
 
 def test_grid_basic_geometry():
@@ -112,12 +112,12 @@ def test_dyadic_interval_unshifted_cells():
     root = DyadicInterval(g, 0, 0)
     assert (root.cell_start, root.cell_stop) == (0, 16)
     assert root.a == -8.0 and root.b == 8.0
-    left, right = root.children()
+    left, right = children(root)
     assert (left.cell_start, left.cell_stop) == (0, 8)
     assert (right.cell_start, right.cell_stop) == (8, 16)
-    assert left.parent() == root
-    assert root.contains(left) and root.contains(right)
-    assert not left.contains(right)
+    assert parent(left) == root
+    assert contains(root, left) and contains(root, right)
+    assert not contains(left, right)
 
 
 def test_dyadic_interval_shifted_clipping():
@@ -145,11 +145,11 @@ def test_dyadic_interval_validation():
     with pytest.raises(GeometryError):
         DyadicInterval(g, 2, 0, shift_thirds=3)
     with pytest.raises(GeometryError):
-        DyadicInterval(g, 2, 0, shift_thirds=1).children()
+        children(DyadicInterval(g, 2, 0, shift_thirds=1))
     with pytest.raises(GeometryError):
-        DyadicInterval(g, 0, 0).parent()
+        parent(DyadicInterval(g, 0, 0))
     with pytest.raises(GeometryError):
-        DyadicInterval(g, 4, 0).children()
+        children(DyadicInterval(g, 4, 0))
 
 
 def test_dyadic_intervals_counts_unshifted():
@@ -351,7 +351,7 @@ def test_quadrature_additivity_over_children():
     for iv in dyadic_intervals(g, j_max=4, shifts=(0.0,)):
         if iv.j == 4:
             continue
-        left, right = iv.children()
+        left, right = children(iv)
         whole = integrate(f, iv)
         assert whole == pytest.approx(integrate(f, left) + integrate(f, right), rel=1e-14)
 

@@ -47,12 +47,11 @@ from mixedweak.verify import (
     run_theorem3,
     sample_b,
     sample_f,
-    theorem3_set_partition,
     weak_lhs,
 )
 from mixedweak.weights import Weight, estimate_Ap
 from mixedweak.young import Identity, LLogL, Power
-from oracles import solve_scale_a
+from oracles import solve_scale_a, theorem3_set_partition
 
 
 def unit_weight(grid):

@@ -26,6 +26,7 @@ from mixedweak.grid import (
     make_grid,
     sample,
 )
+from mixedweak import young
 from mixedweak.young import (
     ExpAlphaL,
     ExpL,
@@ -35,6 +36,7 @@ from mixedweak.young import (
     LuxemburgQuery,
     Power,
     Step,
+    _least_root,
     complementary,
     duality_gap,
     luxemburg_norm,
@@ -549,6 +551,139 @@ def test_newton_refuses_a_zero_step_from_an_overflowing_slope():
     np.testing.assert_allclose(got, bisection_luxemburg_norms(phi, vals, w, *one), rtol=1e-10)
 
 
+# --- single-range and single-height float paths ---------------------------
+
+FLOAT_PATH_FAMILIES = [
+    Identity(),
+    Power(1.0, 2.5),
+    LLogL(1.0, 0.0),
+    Step(1.5),
+    Power(2.0),
+    Power(1.5, 3.0),
+    LLogL(1.0, 1.0),
+    LLogL(2.0, 0.5),
+    LLogL(0.5, 1.0),  # not convex
+    ExpL(1.0),
+    ExpL(2.0),  # not convex
+    ExpAlphaL(0.5, 2.0),
+    complementary(LLogL(1.0, 1.0)),
+    complementary(ExpL(1.0)),
+]
+
+
+def _outcome(solve):
+    """The float a solver returns, or the class of the error it raises."""
+    try:
+        return float(solve())
+    except (RangeError, DomainError) as exc:
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=st.sampled_from(FLOAT_PATH_FAMILIES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_amp=st.floats(min_value=-200.0, max_value=200.0),
+    zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
+    weighted=st.booleans(),
+    j=st.integers(min_value=0, max_value=5),
+)
+def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zero_frac, weighted, j):
+    # luxemburg_norm holds the segmented solver's iterate in floats; on its
+    # one range it must return the same float, or raise the same error
+    rng = np.random.default_rng(seed)
+    g = make_grid(8.0, 6)
+    Q = DyadicInterval(g, j, int(rng.integers(1 << j)))
+    vals = 10.0**log_amp * rng.standard_normal(g.N)
+    vals[rng.random(g.N) < zero_frac] = 0.0
+    w = None
+    if weighted:
+        wv = np.exp(rng.standard_normal(g.N))
+        wv[rng.random(g.N) < 0.3] = 0.0
+        wv[Q.cell_start] = 1.0
+        w = SampledFunction(g, wv)
+    q = LuxemburgQuery(SampledFunction(g, vals), Q, phi, w)
+    sl = Q.cell_slice
+    one = np.array([0], dtype=np.int64), np.array([Q.n_cells], dtype=np.int64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = _outcome(lambda: luxemburg_norm(q))
+        want = _outcome(lambda: segmented_luxemburg_norms(
+            phi, vals[sl], None if w is None else w.values[sl], *one)[0])
+    assert _same(got, want), (got, want)
+
+
+def test_single_range_norm_takes_a_zero_slope_as_a_wild_step():
+    # a top cell of weight 1e-300 against 1e300 on a cell of |f| = 1e-300:
+    # the Newton slope underflows to 0, where a float quotient would raise
+    g = make_grid(8.0, 4)
+    vals, w = np.zeros(g.N), np.ones(g.N)
+    vals[:2], w[:2] = (1.0, 1e-300), (1e-300, 1e300)
+    Q = DyadicInterval(g, 2, 0)
+    q = LuxemburgQuery(SampledFunction(g, vals), Q, Power(2.0), SampledFunction(g, w))
+    one = np.array([0], dtype=np.int64), np.array([Q.n_cells], dtype=np.int64)
+    want = segmented_luxemburg_norms(q.phi, vals[Q.cell_slice], w[Q.cell_slice], *one)[0]
+    assert luxemburg_norm(q) == want > 0.0
+
+
+class _Capped:
+    """A nondecreasing function that never exceeds 1."""
+
+    def g(self, t):
+        return np.minimum(t, 1.0)
+
+
+ROOT_FUNCTIONS = [
+    Identity()._eval_array,
+    Step(1.5)._eval_array,
+    Power(3.0)._eval_array,
+    LLogL(1.0, 1.0)._eval_array,
+    ExpL(1.0)._slope_array,
+    complementary(LLogL(1.0, 1.0))._gap_array,
+    complementary(ExpL(1.0))._gap_array,
+]
+
+
+@pytest.mark.parametrize("g", ROOT_FUNCTIONS)
+@pytest.mark.parametrize("y", [0.0, 1e-300, 1e-5, 1.0, 3.7, 1e300])
+def test_single_height_root_is_the_array_root_bitwise(g, y):
+    # two equal heights keep the vectorized path, which stops when both stop
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pair = _least_root(g, np.array([y, y]))
+        for height in (y, np.array(y), np.array([y])):
+            got = _least_root(g, height)
+            assert got.shape == np.shape(height)
+            assert np.float64(got.item()).tobytes() == pair[0].tobytes()
+
+
+def test_single_height_root_refuses_an_unreached_height():
+    g = _Capped().g
+    for height in (2.0, np.array([2.0, 2.0])):
+        # the array bracket doubles past the float range before it gives up
+        with np.errstate(over="ignore"), pytest.raises(RangeError, match="not attained"):
+            _least_root(g, height)
+
+
+def test_single_queries_never_call_the_segmented_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-range query entered the segmented solver")
+
+    monkeypatch.setattr(young, "segmented_luxemburg_norms", refuse)
+    g = make_grid(8.0, 6)
+    f = SampledFunction(g, np.random.default_rng(3).standard_normal(g.N))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for phi in FLOAT_PATH_FAMILIES:
+            q = LuxemburgQuery(f, DyadicInterval(g, 2, 1), phi)
+            assert luxemburg_norm(q) > 0.0
+            if phi.convex:
+                assert modular_inf(q) > 0.0
+
+
 # --- modular infimum ------------------------------------------------------
 
 
@@ -671,6 +806,48 @@ def test_modular_inf_evaluation_count(monkeypatch):
             calls[0] = 0
             modular_inf(q)
             assert 0 < calls[0] <= 150, (q.phi, calls[0])
+
+
+def test_modular_inf_of_a_linear_phi_is_the_norm():
+    # tau + c avg|f| decreases to the norm c avg|f| as tau -> 0
+    for phi in (Identity(), Power(1.0, 2.5), LLogL(1.0, 0.0)):
+        for q in _random_queries(10, 37, weighted=True):
+            q = LuxemburgQuery(q.f, q.Q, phi, q.w)
+            assert modular_inf(q) == luxemburg_norm(q)
+
+
+@pytest.mark.parametrize("r", [1.00001, 1.0001, 1.001, 1.5, 3.0])
+def test_modular_inf_power_closed_form(r):
+    # tau + tau^(1-r) A, A the weighted average of |f|^r, is least at
+    # tau* = ((r - 1) A)^(1/r), which lies below 1e-3 times the norm for r near 1
+    for weighted in (False, True):
+        for q in _random_queries(6, 41, weighted):
+            q = LuxemburgQuery(q.f, q.Q, Power(r), q.w)
+            sl = q.Q.cell_slice
+            w = np.ones(q.Q.n_cells) if q.w is None else q.w.values[sl]
+            avg = float(np.sum(np.abs(q.f.values[sl]) ** r * w) / np.sum(w))
+            tau = ((r - 1.0) * avg) ** (1.0 / r)
+            assert modular_inf(q) == pytest.approx(tau + tau ** (1.0 - r) * avg, rel=1e-9)
+
+
+def test_modular_inf_searches_criterion_1_families_once(monkeypatch):
+    # the lower end of the bracket is lowered only when a search ends on it;
+    # the criterion-1 families never do, so their infima are one search each
+    searches = []
+    search = young._golden_section
+
+    def counted(objective, a, b):
+        out = search(objective, a, b)
+        searches.append(out[0] > a)
+        return out
+
+    monkeypatch.setattr(young, "_golden_section", counted)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for weighted in (False, True):
+            for q in _random_queries(100, 43, weighted):
+                searches.clear()
+                if modular_inf(q) > 0.0:
+                    assert searches == [True], q.phi
 
 
 
