@@ -32,13 +32,12 @@ import numpy as np
 
 from ._errors import ConfigurationError, MixedWeakError, PreflightError
 from .czd import cz_decompose, validate_decomposition
-from .grid import THIRD_SHIFTS, SampledFunction, make_grid, sample
+from .grid import THIRD_SHIFTS, SampledFunction, make_grid, modular_mass, sample, superlevel_mass
 from .maximal import hl_maximal, orlicz_maximal
 from .singular import hilbert
 from .verify import (
     ExperimentConfig,
     build_weight,
-    modular_rhs,
     preflight_weights,
     run_base_sawyer,
     run_theorem1,
@@ -46,7 +45,6 @@ from .verify import (
     run_theorem3,
     sample_b,
     sample_f,
-    weak_lhs,
 )
 from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, fundamental_ratio, refined
 from .young import Identity, LLogL
@@ -337,9 +335,9 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
     checks = [
         ("young identity value", Identity()(2.0) == 2.0),
         ("young llogl at one", float(LLogL(1, 1)(1.0)) == 1.0),
-        ("modular closed form",
-         abs(modular_rhs(chi, LLogL(1, 1), one, one, 0.5) - 2.0 * (1.0 + math.log(2.0))) < 1e-12),
-        ("weak lhs below level", weak_lhs(chi, one, one, 2.0) == 0.0),
+        ("modular closed form", abs(modular_mass(grid.h, chi.values, LLogL(1, 1), one.values, 0.5)
+                                    - 2.0 * (1.0 + math.log(2.0))) < 1e-12),
+        ("weak lhs below level", superlevel_mass(grid.h, chi.values, one.values, 2.0) == 0.0),
         ("constant weight is A1-sharp", estimate_Ap(one, 1.0) == 1.0),
         ("maximal of constant", bool(np.all(hl_maximal(one.fn).values == 1.0))),
         ("transform of even is odd", bool(np.max(np.abs(hf.values + hf.values[::-1])) < 1e-12)),

@@ -66,12 +66,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _v_average(fv: np.ndarray, vv: np.ndarray, a: int, b: int) -> float:
     return float(np.sum(fv[a:b]) / np.sum(vv[a:b]))

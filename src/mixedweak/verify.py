@@ -1,14 +1,16 @@
 """End-to-end harness: both sides of each weak-type inequality over t sweeps.
 
 Every inequality has one shape: a weighted measure of a superlevel set,
-``uv({|T(fv)/v| > t})``, on the left, and a modular integral,
-``int phi(|f|/t) uv``, on the right.  A run samples the configured families
-and evaluates both sides on a log-spaced sweep of heights t through the two
-height kernels ``grid.superlevel_mass`` and ``grid.modular_mass``; it reports
-the sup of the ratio and the same sup on the twice-coarsened grid.  The
-constants in the inequalities are never hard-coded: refinement stability of
-the sup-ratio is the acceptance signal, carried as the report's drift and
-verdict.  All runners share one driver and differ only in their sides.
+``uv({|T(fv)/v| > t})`` (``uw({M_Phi(fv)/v > t})`` for the maximal theorem),
+on the left, and a modular integral, ``int phi(|f|/t) density``, on the
+right.  A run samples the configured families, and ``_sides``, the one place
+where sides are measured, evaluates both on a log-spaced sweep of heights t
+through the two height kernels ``grid.superlevel_mass`` and
+``grid.modular_mass``.  The run reports the sup of the ratio and the same sup
+on the twice-coarsened grid.  The constants in the inequalities are never
+hard-coded: refinement stability of the sup-ratio is the acceptance signal,
+carried as the report's drift and verdict.  All runners share one driver and
+differ only in the arrays they hand to ``_sides``.
 
 A run samples its configuration on the fine grid and on ``Grid.coarsened()``
 and reads nothing else: the weight-hypothesis preflight pairs each constant's
@@ -41,7 +43,7 @@ from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
 from .weights import STABILITY_BAR, ConstantEstimate, Weight, bmo_norm, estimate_Ap
 from .weights import estimate_Ap_u, power_weight, refined
-from .young import Identity, LLogL, YoungFunction
+from .young import Identity, LLogL
 
 __all__ = [
     "STABILITY_BAR",
@@ -53,8 +55,6 @@ __all__ = [
     "sample_b",
     "build_weight",
     "build_theorem3_weight",
-    "weak_lhs",
-    "modular_rhs",
     "preflight_weights",
     "run_base_sawyer",
     "run_theorem1",
@@ -275,58 +275,49 @@ def build_weight(grid: Grid, spec: str) -> Weight:
 # --- inequality sides -----------------------------------------------------
 
 
-def weak_lhs(
-    Tout: SampledFunction, u: Weight, v: Weight, t: float | np.ndarray, margin: float = 0.05
-) -> float | np.ndarray:
-    """uv-measure of the margin-interior part of {|Tout / v| > t}.
-
-    ``t`` is one height (a float comes back) or an array of heights (one
-    measure each).
-    """
-    if u.grid != Tout.grid or v.grid != Tout.grid:
-        raise GridMismatchError("weak_lhs needs Tout, u, v on one grid")
-    interior = Tout.grid.interior_mask(margin)
-    quotient = np.abs(Tout.values / v.values)[interior]
-    uv = (u.values * v.values)[interior]
-    out = superlevel_mass(Tout.grid.h, quotient, uv, t)
-    return out if out.ndim else float(out)
-
-
-def modular_rhs(
-    f: SampledFunction, phi: YoungFunction, u: Weight, v: Weight, t: float | np.ndarray
-) -> float | np.ndarray:
-    """int phi(|f| / t) u v dx by midpoint quadrature.
-
-    ``t`` is one height (a float comes back) or an array of heights (one
-    integral each).  Only the cells where f is nonzero are summed, since
-    phi(0) = 0.
-    """
-    if u.grid != f.grid or v.grid != f.grid:
-        raise GridMismatchError("modular_rhs needs f, u, v on one grid")
-    out = modular_mass(f.grid.h, np.abs(f.values), phi, u.values * v.values, t)
-    return out if out.ndim else float(out)
-
-
 def _ratio(lhs: float, rhs: float) -> float:
     if rhs > 0.0:
         return lhs / rhs
     return 0.0 if lhs == 0.0 else math.inf
 
 
-def _sweep(cfg: ExperimentConfig, signal: SampledFunction, top: float | None = None) -> np.ndarray:
-    """Heights t: the configured window, else two decades around signal's median
-    (the upper end is ``top`` instead when that lies above the lower end)."""
+def _sweep(cfg: ExperimentConfig, signal: np.ndarray, top: float | None = None) -> np.ndarray:
+    """Heights t: the configured window, else two decades around the median of
+    ``signal >= 0`` (the upper end is ``top`` instead when that lies above the
+    lower end).  A missing end filled in past the given one is refused."""
     t_min, t_max = cfg.t_min, cfg.t_max
     if t_min is None or t_max is None:
-        absf = np.abs(signal.values)
         # the relative floor keeps subnormal far tails (smooth bumps never
         # hit exact zero) from dragging the sweep window off to nowhere
-        sig = absf[absf > 1e-12 * float(np.max(absf, initial=0.0))]
+        sig = signal[signal > 1e-12 * float(np.max(signal, initial=0.0))]
         center = float(np.median(sig)) if sig.size else 1.0
         t_min = center * 1e-2 if t_min is None else t_min
         if t_max is None:
             t_max = top if top is not None and top > t_min else center * 1e2
+        if t_min > t_max:
+            raise ConfigurationError(f"t_min must not exceed t_max, got the window "
+                                     f"[{t_min:.6g}, {t_max:.6g}]")
     return np.geomspace(t_min, t_max, cfg.steps)  # one step gives [t_min] exactly
+
+
+def _sides(
+    cfg: ExperimentConfig, grid: Grid, ts: np.ndarray | None, quotient: np.ndarray,
+    lhs_density: np.ndarray, signal: np.ndarray, phi: Callable, rhs_density: np.ndarray,
+    top: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ts, lhs, rhs)``: both sides of one inequality at the heights ``ts``.
+
+    The left side is the ``lhs_density`` measure of the margin-interior part
+    of ``{quotient > t}``, the right side ``int phi(signal / t) rhs_density``.
+    With ``ts`` None the sweep is picked from ``signal``, its window closed at
+    twice the interior max of ``quotient`` when ``top`` is set.
+    """
+    interior = grid.interior_mask(cfg.margin)
+    inner = quotient[interior]
+    if ts is None:
+        ts = _sweep(cfg, signal, 2.0 * float(np.max(inner, initial=0.0)) if top else None)
+    lhs = superlevel_mass(grid.h, inner, lhs_density[interior], ts)
+    return ts, lhs, modular_mass(grid.h, signal, phi, rhs_density, ts)
 
 
 def preflight_weights(fine: SimpleNamespace, coarse: SimpleNamespace) -> dict[str, ConstantEstimate]:
@@ -434,10 +425,10 @@ def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     """Weak (1,1)-type inequality for the plain transform: the m = 0 baseline."""
 
     def sides_at(inst, ts):
-        ts = _sweep(cfg, inst.f) if ts is None else ts
         tout = hilbert(inst.f * inst.v.fn)
-        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin)
-        rhs = modular_rhs(inst.f, Identity(), inst.u, inst.v, ts)
+        uv = inst.u.values * inst.v.values
+        ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
+                              np.abs(inst.f.values), Identity(), uv)
         return ts, lhs, rhs, None, {}
 
     return _drive("base_sawyer", cfg, sides_at)
@@ -451,7 +442,6 @@ def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
     phi = LLogL(1.0, float(m))
 
     def sides_at(inst, ts):
-        ts = _sweep(cfg, inst.f) if ts is None else ts
         b = sample_b(inst.grid, cfg.b)
         norm_b = bmo_norm(b, inst.scan)
         degenerate = norm_b == 0.0
@@ -464,8 +454,10 @@ def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
         tout = commutator(b, inst.f * inst.v.fn, m)
         # phi(scale) == scale for scale in {0, 1}: the direct form int phi(scale |f| / t)
         # and the split form phi(scale) int phi(|f| / t) are one number, one pass
-        lhs = weak_lhs(tout, inst.u, inst.v, ts, cfg.margin)
-        rhs = scale * modular_rhs(inst.f, phi, inst.u, inst.v, ts)
+        uv = inst.u.values * inst.v.values
+        ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
+                              np.abs(inst.f.values), phi, uv)
+        rhs = scale * rhs
         return ts, lhs, rhs, rhs, {"degenerate_symbol": degenerate}
 
     return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, sides_at)
@@ -519,18 +511,15 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         nz = np.flatnonzero(fv.values)
         span = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
         mu = hl_maximal(inst.u.fn, inst.scan, cells=span).values
-        interior = grid.interior_mask(cfg.margin)
-        inner, uw = quotient[interior], (inst.u.values * w.values)[interior]
-        if ts is None:
-            # this inequality is normalized by f*v on both sides, and for the
-            # hypothesized non-integrable v the interesting heights reach the
-            # resolution-limited top of the quotient, so the default window is
-            # anchored at fv's median and closed off where level sets empty out
-            ts = _sweep(cfg, fv, 2.0 * float(np.max(inner, initial=0.0)))
-        lhs = superlevel_mass(grid.h, inner, uw, ts)
-        # the extra height 1 gives the weak-Orlicz right side int phi(|fv|) Mu
-        rhs = modular_mass(grid.h, np.abs(fv.values), phi, mu, np.append(ts, 1.0))
-        rhs, rhs0 = rhs[:-1], float(rhs[-1])
+        absfv = np.abs(fv.values)
+        # this inequality is normalized by f*v on both sides, and for the
+        # hypothesized non-integrable v the interesting heights reach the
+        # resolution-limited top of the quotient, so the default window is
+        # anchored at fv's median and closed off where level sets empty out
+        ts, lhs, rhs = _sides(cfg, grid, ts, quotient, inst.u.values * w.values, absfv, phi, mu,
+                              top=True)
+        # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu
+        rhs0 = float(modular_mass(grid.h, absfv, phi, mu, 1.0))
         alt = 1.0 / phi(1.0 / ts) * lhs
         weak_orlicz_sup = max(_ratio(a, rhs0) for a in alt.tolist())
         fields = {"extras": {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}}

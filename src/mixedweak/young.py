@@ -24,12 +24,13 @@ ranges tile one block of cells, so every per-range sum is one
 :func:`segmented_luxemburg_norms`).  The modular infimum, which lies between
 the norm and twice the norm, is one golden-section search around it.
 
-One range or one height is solved by the same algorithm in float state:
-:func:`luxemburg_norm` runs the segmented Newton on its one interval, and
-:func:`_least_root` bisects a single height, with the bracket and the
-iterate held in Python floats and every sum taken as the array path takes
-it.  Both return the array path's float, bit for bit, without its per-call
-numpy overhead on arrays of one range or one element.
+One range is solved by the same algorithm in float state:
+:func:`luxemburg_norm` runs the segmented Newton on its one interval, with
+the bracket and the iterate held in Python floats and every sum taken as the
+array path takes it, so it returns the array path's float, bit for bit,
+without its per-call numpy overhead on an array of one range.  Roots are
+bisected one height at a time (:func:`_least_root`), so a height's root is
+the same float whatever array it comes in.
 """
 
 from __future__ import annotations
@@ -74,42 +75,24 @@ def _nonneg_array(t, what: str) -> np.ndarray:
 def _least_root(g, y) -> np.ndarray:
     """Least t >= 0 with g(t) >= y, elementwise, for a nondecreasing g.
 
+    Each height is solved on its own by :func:`_least_root_one`, so a root's
+    bits do not depend on the other heights of the array.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    roots = [_least_root_one(g, height) for height in y.ravel().tolist()]
+    return np.array(roots).reshape(y.shape)
+
+
+def _least_root_one(g, y: float) -> float:
+    """Least t >= 0 with g(t) >= y, for a nondecreasing g read at one point.
+
     The root is 0 where g(0) >= y.  Elsewhere the bracket [0, hi] grows by
     doubling hi from 1 and is bisected to relative width 1e-15, and the upper
     end is returned.  A g that reads inf or nan counts as reaching y, so a
     root past the float range reads +inf.  For the continuous families,
     |phi(t) - y| <= 1e-10 max(1, y) at the returned t (the local log-slope of
     every family is far below the 1e5 that would be needed to defeat that).
-    One height is solved by :func:`_least_root_one`, the same steps in floats.
-    """
-    shape = np.shape(y)
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.size == 1:
-        return np.full(shape, _least_root_one(g, float(y[0])))
-    lo = np.zeros_like(y)
-    hi = np.where(g(lo) >= y, 0.0, 1.0)
-    for _ in range(1100):
-        low = g(hi) < y
-        if not low.any():
-            break
-        hi[low] *= 2.0
-    else:
-        raise RangeError(f"height {np.max(y)} not attained by {g.__self__!r}")
-    for _ in range(200):
-        if np.all(hi - lo <= 1e-15 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return hi.reshape(shape)
-
-
-def _least_root_one(g, y: float) -> float:
-    """:func:`_least_root` at one height, with the bracket held in floats.
-
-    g reads one reused 1-element buffer, so every value it sees is the one
-    the array path would give it, and the root is the same float.
+    g reads one reused 1-element buffer, with the bracket held in floats.
     """
     buf = np.zeros(1)
 

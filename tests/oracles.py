@@ -6,8 +6,9 @@ way, so a fast path can be checked against it on small grids.  The other helpers
 the lemmas the paper's proofs lean on: Hoelder for Young pairs, triple
 composition, reverse Hoelder and John-Nirenberg tails, p-th-power and
 weighted oscillation norms, dilated averages, the iterated maximal function,
-the theorem-3 scale root and annular sets, kernel smoothness, and the dyadic
-splitting tree (children, parent, containment).  The unit tests and
+the theorem-3 scale root and annular sets, kernel smoothness, the dyadic
+splitting tree (children, parent, containment), and the lookup of one named
+check in a decomposition's validation report.  The unit tests and
 acceptance criteria 2 and 9 measure them; no subcommand runs them.  They
 reach the package only through its public operators and a few private
 helpers, so they measure the code the subcommands run; the general
@@ -31,6 +32,7 @@ from mixedweak._errors import (
     GridMismatchError,
     RangeError,
 )
+from mixedweak.czd import CheckResult, ValidationReport
 from mixedweak.grid import (
     DyadicInterval,
     DyadicScan,
@@ -621,6 +623,17 @@ def solve_scale_a(F: SampledFunction, gamma: float, lam: float) -> float:
         else:
             lo = mid
     return hi
+
+
+# --- validation reports ----------------------------------------------------
+
+
+def check(report: ValidationReport, name: str) -> CheckResult:
+    """The check called ``name`` in ``report``."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)
 
 
 # --- dyadic splitting tree and the theorem-3 proof sets ---------------------

@@ -14,7 +14,7 @@ from mixedweak._errors import DomainError, GridMismatchError, HeightError
 from mixedweak.czd import cz_decompose, validate_decomposition
 from mixedweak.grid import DyadicInterval, SampledFunction, make_grid, sample
 from mixedweak.weights import power_weight
-from oracles import custom_weight, parent
+from oracles import check, custom_weight, parent
 
 SEED = 20260823
 
@@ -55,8 +55,8 @@ def test_indicator_hand_walk():
         np.testing.assert_array_equal(r.bad.values[sl], f.values[sl] - 0.5)
         rep = validate_decomposition(r, f, unit_weight(g))
         assert rep.passed
-        assert rep.check("reconstruction").slack == 0.0
-        assert rep.check("cancellation").slack == 0.0
+        assert check(rep, "reconstruction").slack == 0.0
+        assert check(rep, "cancellation").slack == 0.0
 
 
 def test_indicator_weighted_selects_coarser_cube():
@@ -210,8 +210,8 @@ def test_descent_matches_weighted_walk(J, seed, scale, shape, weight, beta, abov
     assert rep.passed, [(c.name, c.slack) for c in rep.checks if not c.passed]
     assert rep.floor_exceptions == 0
     for name in ("height_band", "reconstruction", "cancellation"):
-        assert rep.check(name).slack <= 1e-12
-    maximality = rep.check("maximality")
+        assert check(rep, name).slack <= 1e-12
+    maximality = check(rep, "maximality")
     assert (maximality.passed, maximality.slack) == ancestor_walk_maximality(r, fv, v.values)
 
 
@@ -252,8 +252,8 @@ def test_fault_injection_cancellation():
     )
     rep = validate_decomposition(broken, f, unit_weight(g))
     assert not rep.passed
-    assert not rep.check("cancellation").passed
-    assert rep.check("disjoint").passed
+    assert not check(rep, "cancellation").passed
+    assert check(rep, "disjoint").passed
 
 
 def test_fault_injection_support():
@@ -265,8 +265,8 @@ def test_fault_injection_support():
     stray[0] += 0.1
     broken = dataclasses.replace(r, bad=SampledFunction(g, stray))
     rep = validate_decomposition(broken, f, unit_weight(g))
-    assert not rep.check("support").passed
-    assert rep.check("support").slack == 1.0
+    assert not check(rep, "support").passed
+    assert check(rep, "support").slack == 1.0
 
 
 def test_fault_injection_height_band():
@@ -275,8 +275,8 @@ def test_fault_injection_height_band():
     r = cz_decompose(f, 0.25, unit_weight(g))
     broken = dataclasses.replace(r, averages=[r.averages[0] + 1.0])
     rep = validate_decomposition(broken, f, unit_weight(g))
-    assert not rep.check("height_band").passed
-    assert rep.check("reconstruction").passed
+    assert not check(rep, "height_band").passed
+    assert check(rep, "reconstruction").passed
 
 
 def test_fault_injection_overlapping_cubes():
@@ -288,7 +288,7 @@ def test_fault_injection_overlapping_cubes():
         r, cubes=overlapping, averages=r.averages + [1.0]
     )
     rep = validate_decomposition(broken, f, unit_weight(g))
-    assert not rep.check("disjoint").passed
+    assert not check(rep, "disjoint").passed
 
 
 def test_fault_injection_maximality():
@@ -297,7 +297,7 @@ def test_fault_injection_maximality():
     r = cz_decompose(f, 0.25, unit_weight(g))
     broken = dataclasses.replace(r, t=r.t / 100.0)
     rep = validate_decomposition(broken, f, unit_weight(g))
-    assert not rep.check("maximality").passed
+    assert not check(rep, "maximality").passed
 
 
 def test_fault_injection_off_omega():
@@ -307,8 +307,8 @@ def test_fault_injection_off_omega():
     # drop the only cube but keep g/bad: the cube's cells now violate f <= t
     broken = dataclasses.replace(r, cubes=[], averages=[])
     rep = validate_decomposition(broken, f, unit_weight(g))
-    assert not rep.check("off_omega").passed
-    assert rep.check("off_omega").slack > 0
+    assert not check(rep, "off_omega").passed
+    assert check(rep, "off_omega").slack > 0
 
 
 def test_chebyshev_measure_bound():

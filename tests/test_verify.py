@@ -8,6 +8,7 @@ loose bands since only refinement stability, not the value, is meaningful.
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from mixedweak._errors import (
     ConfigurationError,
     DomainError,
-    GridMismatchError,
     HypothesisError,
     PreflightError,
     RangeError,
@@ -27,7 +27,6 @@ from mixedweak._errors import (
 from mixedweak.cli import build_parser, main, parse_config
 from mixedweak.grid import (
     DyadicScan,
-    SampledFunction,
     make_grid,
     modular_mass,
     sample,
@@ -37,9 +36,9 @@ from mixedweak.maximal import hl_maximal, orlicz_maximal
 from mixedweak.verify import (
     STABILITY_BAR,
     ExperimentConfig,
+    _sides,
     build_theorem3_weight,
     build_weight,
-    modular_rhs,
     parse_family,
     run_base_sawyer,
     run_theorem1,
@@ -47,15 +46,10 @@ from mixedweak.verify import (
     run_theorem3,
     sample_b,
     sample_f,
-    weak_lhs,
 )
-from mixedweak.weights import Weight, estimate_Ap
+from mixedweak.weights import estimate_Ap
 from mixedweak.young import Identity, LLogL, Power
 from oracles import solve_scale_a, theorem3_set_partition
-
-
-def unit_weight(grid):
-    return Weight(sample(lambda x: 1.0 + 0.0 * x, grid))
 
 
 # --- configuration and family grammar --------------------------------------
@@ -171,33 +165,39 @@ def test_interval_families_refuse_a_reversed_or_empty_interval(tmp_path, capsys,
 # --- the two sides ---------------------------------------------------------
 
 
-def test_weak_lhs_trivial_and_unit_function():
+def test_sides_left_trivial_and_unit_function():
     grid = make_grid(4.0, 8)
-    one = unit_weight(grid)
-    f = sample_f(grid, "indicator a=0 b=1")
-    assert weak_lhs(f, one, one, 2.0) == 0.0
+    ones = np.ones(grid.N)
+    chi = np.abs(sample_f(grid, "indicator a=0 b=1").values)
+
+    def lhs(level, t, margin=0.05):
+        return _sides(ExperimentConfig(margin=margin), grid, np.array([t]), level, ones, chi,
+                      Identity(), ones)[1][0]
+
+    assert lhs(chi, 2.0) == 0.0
     # unit function: every interior cell is in the level set below 1
-    unit = sample(lambda x: 1.0 + 0.0 * x, grid)
     count = int(np.sum(np.abs(grid.centers) <= 0.95 * grid.L))
-    assert weak_lhs(unit, one, one, 0.5) == grid.h * count == 7.625
-    assert weak_lhs(unit, one, one, 0.5, margin=0.2) <= 7.625
+    assert lhs(ones, 0.5) == grid.h * count == 7.625
+    assert lhs(ones, 0.5, margin=0.2) <= 7.625
     with pytest.raises(DomainError):
-        weak_lhs(f, one, one, 0.0)
-    with pytest.raises(GridMismatchError):
-        weak_lhs(f, unit_weight(make_grid(4.0, 7)), one, 1.0)
+        lhs(chi, 0.0)
 
 
-def test_modular_rhs_closed_forms():
+def test_sides_right_closed_forms():
     grid = make_grid(4.0, 8)
-    one = unit_weight(grid)
-    f = sample_f(grid, "indicator a=0 b=1")
+    ones = np.ones(grid.N)
+    chi = np.abs(sample_f(grid, "indicator a=0 b=1").values)
+
+    def rhs(signal, phi, t):
+        return _sides(ExperimentConfig(), grid, np.array([t]), chi, ones, signal, phi, ones)[2][0]
+
     # identity Young function turns the modular into (1/t) int |f| u v
-    assert modular_rhs(f, Identity(), one, one, 0.5) == 2.0
+    assert rhs(chi, Identity(), 0.5) == 2.0
     want = 2.0 * (1.0 + math.log(2.0))
-    assert modular_rhs(f, LLogL(1, 1), one, one, 0.5) == pytest.approx(want, rel=1e-12)
-    assert modular_rhs(sample_f(grid, "zero"), LLogL(1, 1), one, one, 1.0) == 0.0
+    assert rhs(chi, LLogL(1, 1), 0.5) == pytest.approx(want, rel=1e-12)
+    assert rhs(np.zeros(grid.N), LLogL(1, 1), 1.0) == 0.0
     with pytest.raises(DomainError):
-        modular_rhs(f, Identity(), one, one, -1.0)
+        rhs(chi, Identity(), -1.0)
 
 
 def loop_superlevel(h, level, density, ts):
@@ -240,31 +240,27 @@ def test_height_kernels_match_per_height_loops(case, phi):
     order = np.argsort(ts)
     assert np.all(np.diff(lhs[order]) <= 0.0)
     assert np.all(np.diff(rhs[order]) <= 0.0)
-    # the weighted entry points: |Tout / v| on the interior against u v, phi(|f| / t) u v
-    f = SampledFunction(grid, signal)
-    u, v = Weight(SampledFunction(grid, density)), build_weight(grid, "power beta=-0.25")
+    # both sides as the runners measure them: the quotient |Tout / v| on the
+    # interior against u v, and phi(|f| / t) u v on every cell
+    v = build_weight(grid, "power beta=-0.25").values
     interior = grid.interior_mask(0.05)
-    level = np.abs(signal / v.values)[interior]
-    uv = u.values * v.values
-    got = weak_lhs(f, u, v, ts)
-    assert got == pytest.approx(loop_superlevel(h, level, uv[interior], ts), rel=1e-12)
-    one = weak_lhs(f, u, v, float(ts[0]))
-    assert isinstance(one, float) and one == pytest.approx(got[0], rel=1e-12)
-    got = modular_rhs(f, phi, u, v, ts)
-    assert got == pytest.approx(loop_modular(h, signal, phi, uv, ts), rel=1e-12)
-    one = modular_rhs(f, phi, u, v, float(ts[0]))
-    assert isinstance(one, float) and one == pytest.approx(got[0], rel=1e-12)
+    level, uv = np.abs(signal / v), density * v
+    got_ts, left, right = _sides(ExperimentConfig(), grid, ts, level, uv, signal, phi, uv)
+    assert got_ts is ts
+    assert left == pytest.approx(loop_superlevel(h, level[interior], uv[interior], ts), rel=1e-12)
+    assert right == pytest.approx(loop_modular(h, signal, phi, uv, ts), rel=1e-12)
 
 
-def test_modular_rhs_memory_is_a_few_grid_arrays():
+def test_modular_mass_memory_is_a_few_grid_arrays():
     # bumps are nonzero on every cell: 33 heights must not build a heights x cells temporary
     grid = make_grid(8.0, 16)
-    f = sample_f(grid, "bumps")
+    signal = np.abs(sample_f(grid, "bumps").values)
     u, v = build_weight(grid, "power beta=-0.5"), build_weight(grid, "power beta=-0.25")
+    uv = u.values * v.values
     ts = np.geomspace(1e-3, 10.0, 33)
     tracemalloc.start()
     try:
-        modular_rhs(f, LLogL(1.0, 3.0), u, v, ts)
+        modular_mass(grid.h, signal, LLogL(1.0, 3.0), uv, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,11 +469,31 @@ def test_theorem3_default_sweep_closes_at_twice_the_interior_quotient_top():
     ts = [row.t for row in run_theorem3(cfg).rows]
     assert ts[0] == center * 1e-2 < top
     assert ts[-1] == top
-    # an explicit upper end wins, and a top below the lower end falls back
-    # to two decades above the median
+    # an explicit upper end wins; a top below the lower end falls back to two
+    # decades above the median, and a window that still inverts is refused
     assert run_theorem3(ExperimentConfig(**{**vars(cfg), "t_max": 5.0})).rows[-1].t == 5.0
-    above = ExperimentConfig(**{**vars(cfg), "t_min": 2.0 * top})
-    assert run_theorem3(above).rows[-1].t == center * 1e2
+    assert center * 1e2 < 2.0 * top
+    with pytest.raises(ConfigurationError, match=re.escape("got the window [8597.29, 404.718]")):
+        run_theorem3(ExperimentConfig(**{**vars(cfg), "t_min": 2.0 * top}))
+    # nothing to measure: the quotient's top is 0 and the window is [0.01, 100]
+    ts = [row.t for row in run_theorem3(replace(cfg, f="zero")).rows]
+    assert ts[0] == 1e-2 and ts[-1] == 1e2
+
+
+@pytest.mark.parametrize(("key", "flag", "end", "window"), [
+    ("t_min", "--t-min", 1e4, "[10000, 100]"),
+    ("t_max", "--t-max", 1e-4, "[0.01, 0.0001]"),
+])
+def test_a_one_sided_window_that_inverts_is_refused(tmp_path, capsys, key, flag, end, window):
+    # the default f's median is 1, so the missing end is 100 or 0.01
+    with pytest.raises(ConfigurationError, match=re.escape(f"got the window {window}")):
+        run_theorem1(ExperimentConfig(J=8, **{key: end}))
+    assert main(["verify-thm1", "--grid-J", "8", flag, str(end), "--out", str(tmp_path)]) == 2
+    assert "t_min must not exceed t_max" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # a one-sided window that does not invert keeps its given end
+    ts = [row.t for row in run_theorem1(ExperimentConfig(J=8, u="const", v="const", **{key: 1.0})).rows]
+    assert ts[0 if key == "t_min" else -1] == 1.0
 
 
 # --- the verdict -----------------------------------------------------------

@@ -9,7 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedweak._errors import (
@@ -652,19 +652,36 @@ ROOT_FUNCTIONS = [
 @pytest.mark.parametrize("g", ROOT_FUNCTIONS)
 @pytest.mark.parametrize("y", [0.0, 1e-300, 1e-5, 1.0, 3.7, 1e300])
 def test_single_height_root_is_the_array_root_bitwise(g, y):
-    # two equal heights keep the vectorized path, which stops when both stop
+    # a height's root does not depend on the heights solved beside it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pair = _least_root(g, np.array([y, y]))
+        batch = _least_root(g, np.array([y, 1e-5, 3.7, y, 1e300]))
         for height in (y, np.array(y), np.array([y])):
             got = _least_root(g, height)
             assert got.shape == np.shape(height)
-            assert np.float64(got.item()).tobytes() == pair[0].tobytes()
+            assert np.float64(got.item()).tobytes() == batch[0].tobytes() == batch[3].tobytes()
+
+
+#: families whose inverse, and conjugates whose value and inverse, are bisected roots
+BISECTED = [LLogL(1.0, 1.0), LLogL(1.0, 3.0), LLogL(2.0, 0.5),
+            complementary(LLogL(1.0, 1.0)), complementary(LLogL(1.0, 2.0)),
+            complementary(ExpL(1.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=st.sampled_from(BISECTED),
+       heights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e12)), min_size=1, max_size=8))
+@example(phi=LLogL(1.0, 1.0), heights=np.geomspace(1e-6, 1e12, 200).tolist())
+def test_an_array_of_heights_gives_its_per_height_roots_bitwise(phi, heights):
+    evals = (phi.inverse, phi.eval) if isinstance(phi, LegendreConjugate) else (phi.inverse,)
+    for fn in evals:
+        want = np.array([fn(height) for height in heights])
+        assert fn(np.array(heights)).tobytes() == want.tobytes()
 
 
 def test_single_height_root_refuses_an_unreached_height():
     g = _Capped().g
     for height in (2.0, np.array([2.0, 2.0])):
-        # the array bracket doubles past the float range before it gives up
+        # the bracket doubles past the float range before it gives up
         with np.errstate(over="ignore"), pytest.raises(RangeError, match="not attained"):
             _least_root(g, height)
 
