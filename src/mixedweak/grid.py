@@ -20,7 +20,12 @@ Cell membership of an interval is decided in exact integer arithmetic
 floating-point ties.  Member ``k`` of the scale-``j`` family shifted by ``p/3``
 starts at cell ``min(N, k M + c_p)`` with ``M = 2**(J - j)`` and
 ``c_p = ceil((2 p M - 3) / 6)``: each scanned family is one arithmetic
-progression of edges (``scan_progressions``).
+progression of edges (``scan_progressions``), and only its last member can
+be clipped.  Four helpers are the one place that knows that layout:
+``member_sums`` reads every member's sum off a prefix sum,
+``divide_by_widths`` divides a value per member by the member's cell count,
+``member_means`` averages a block's members, and ``per_member`` applies a
+ufunc between a block's cells and their member's value.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ __all__ = [
     "modular_mass",
     "dyadic_intervals",
     "scan_progressions",
+    "member_sums",
+    "divide_by_widths",
+    "member_means",
+    "per_member",
     "scan_cell_ranges",
     "flatten_cell_ranges",
 ]
@@ -354,15 +363,63 @@ def scan_progressions(grid: Grid, scan: DyadicScan) -> Iterator[tuple[int, int]]
 
     Member ``k`` of the family is ``[c + k M, min(N, c + (k + 1) M))`` for
     ``c + k M < N``: a family has ``(N - c) // M`` members of length ``M``
-    and, when ``(N - c) % M != 0``, one clipped last member.  A prefix sum
-    ``P`` (length ``N + 1``) is read at the edges as the view ``P[c::M]``,
-    with ``P[N]`` closing the clipped member.  At ``M = 1`` the ``2/3`` shift
-    has ``c = 1 = M`` and no clipped member.
+    and, when ``(N - c) % M != 0``, one clipped last member, which
+    ``member_sums``, ``divide_by_widths``, ``member_means`` and
+    ``per_member`` handle.  At ``M = 1`` the ``2/3`` shift has ``c = 1 = M``
+    and no clipped member.
     """
     ps = [_shift_to_thirds(s) for s in scan.shifts]
     for j in range(scan.effective_j_max(grid) + 1):
         for p in ps:
             yield _edge_progression(grid, j, p)
+
+
+def member_sums(P: np.ndarray, M: int, c: int, out: np.ndarray) -> np.ndarray:
+    """Every member's sum of family ``(M, c)``, read off the prefix sum ``P``.
+
+    The edges are the strided view ``P[c::M]``, and ``P[N]`` closes a clipped
+    last member.  The sums are written to the head of ``out`` (at least one
+    slot per member), and that head is returned.
+    """
+    N = P.size - 1
+    edges = P[c::M]
+    K = edges.size - 1
+    sums = out[: -((c - N) // M)]
+    np.subtract(edges[1:], edges[:-1], sums[:K])
+    if K < sums.size:
+        sums[K] = P[N] - edges[K]
+    return sums
+
+
+def divide_by_widths(vals: np.ndarray, M: int, cells: int) -> np.ndarray:
+    """Divide each member's value in place by its width: ``M``, and what is
+    left of ``cells`` for a clipped last member.  Returns ``vals``."""
+    rest = cells % M
+    last = vals[-1] / rest if rest else None
+    vals /= M
+    if rest:
+        vals[-1] = last
+    return vals
+
+
+def member_means(block: np.ndarray, M: int) -> np.ndarray:
+    """The mean of each member of a block that members of length ``M`` tile,
+    the last one possibly clipped: one ``np.add.reduceat``, divided in place."""
+    return divide_by_widths(np.add.reduceat(block, np.arange(0, block.size, M)), M, block.size)
+
+
+def per_member(ufunc: np.ufunc, block: np.ndarray, vals: np.ndarray, M: int, out: np.ndarray) -> None:
+    """``out = ufunc(block, vals[k])`` on the cells of each member ``k`` of the block.
+
+    Members of length ``M`` tile ``block`` (the last one possibly clipped);
+    ``out`` has the block's shape and may be the block itself.  One call runs
+    over the ``(K, M)`` reshape of the whole members, one over the clipped one.
+    """
+    K = block.size // M
+    KM = K * M
+    ufunc(block[:KM].reshape(K, M), vals[:K, None], out=out[:KM].reshape(K, M))
+    if KM < block.size:
+        ufunc(block[KM:], vals[K], out=out[KM:])
 
 
 def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:

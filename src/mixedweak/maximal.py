@@ -8,14 +8,11 @@ single-cell interval is always available, which gives the floor M f >= |f|
 (and |f| / phi^{-1}(1) for the Orlicz case) independent of the scan's
 depth.
 
-A family is an arithmetic progression of cells (``grid.scan_progressions``):
-member k is ``[c + kM, min(N, c + (k+1)M))``, and only the last member can be
-clipped.  Each family is cut, in integers, to the members k0 <= k < k1 that
-meet the cells ``lo:hi`` still in play, ``k0 = max(0, (lo - c) // M)`` and
-``k1 = ceil((hi - c) / M)``; they tile the block ``a:b``.  A value per member
-is scattered by one running maximum over the ``(K, M)`` reshape of the
-block's K unclipped members, and one over the clipped member when there is
-one.  No array over the whole family is built.
+A family is an arithmetic progression of cells (``grid.scan_progressions``),
+cut in integers to the members k0 <= k < k1 that meet the cells ``lo:hi``
+still in play, ``k0 = max(0, (lo - c) // M)`` and ``k1 = ceil((hi - c) / M)``.
+They tile the block ``a:b``, and ``grid.per_member`` raises each member's
+cells to its value.  No array over the whole family is built.
 
 A member without a cell where f != 0 has norm 0, which cannot raise a
 maximum that starts at |f| / phi^{-1}(1) >= 0, so ``lo:hi`` starts as the
@@ -25,12 +22,11 @@ The intervals containing a cell of the range all meet it, so the output is
 exact there; elsewhere it is the sup over fewer intervals, a lower bound.
 
 For a linear phi(t) = s t (``Identity``, ``Power(1, s)``, ``LLogL(1, 0)``)
-the norm is s times the mean, and each family is solved in place: one
-``np.add.reduceat`` over the view of its block, divided by the member
-widths and times s, just as the linear branch of the segmented Luxemburg
-solver computes it.  So the output is bitwise what that solver gives on
-every member, and no solver call, gather or batch is made.
-``hl_maximal`` is ``orlicz_maximal`` with the identity.
+the norm is s times the mean, and each family is solved in place: the
+member means of its block (``grid.member_means``) times s, just as the
+linear branch of the segmented Luxemburg solver computes it.  So the output
+is bitwise what that solver gives on every member, and no solver call,
+gather or batch is made.  ``hl_maximal`` is ``orlicz_maximal`` with the identity.
 
 Only a phi that is not linear goes to the Luxemburg solver, and only the
 members whose norm could raise the running maximum do; both skips are
@@ -65,7 +61,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicScan, SampledFunction, flatten_cell_ranges, scan_progressions
+from .grid import DyadicScan, SampledFunction, flatten_cell_ranges, member_means, per_member
+from .grid import scan_progressions
 from .grid import scan_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .young import (
     Identity,
@@ -84,16 +81,6 @@ __all__ = [
 BATCH_CELLS = 1 << 14
 
 
-def _raise(out: np.ndarray, a: int, b: int, M: int, vals: np.ndarray) -> None:
-    """Raise member k of the progression ``[a + kM, min(b, a + (k+1)M))`` of ``out`` to ``vals[k]``."""
-    K = (b - a) // M
-    block = out[a : a + K * M].reshape(K, M)
-    np.maximum(block, vals[:K, None], out=block)
-    if K < vals.size:
-        tail = out[a + K * M : b]
-        np.maximum(tail, vals[K], out=tail)
-
-
 def _solve(phi: YoungFunction, absf: np.ndarray, out: np.ndarray, runs: list) -> None:
     """Solve every member of ``runs`` in one solver call and raise ``out`` to the norms."""
     if len(runs) == 1:
@@ -106,7 +93,8 @@ def _solve(phi: YoungFunction, absf: np.ndarray, out: np.ndarray, runs: list) ->
         norms = segmented_luxemburg_norms(phi, absf[idx], None, np.append(0, edges[:-1]), edges)
     at = 0
     for starts, stops, M in runs:
-        _raise(out, int(starts[0]), int(stops[-1]), M, norms[at : at + starts.size])
+        block = out[starts[0] : stops[-1]]
+        per_member(np.maximum, block, norms[at : at + starts.size], M, block)
         at += starts.size
 
 
@@ -149,11 +137,10 @@ def orlicz_maximal(
         if k0 >= k1:
             continue
         a, b = c + k0 * M, min(N, c + k1 * M)
-        off = np.arange(0, b - a, M)
         if scale is not None:
-            means = np.add.reduceat(absf[a:b], off) / np.diff(off, append=b - a)
-            _raise(out, a, b, M, scale * means)
+            per_member(np.maximum, out[a:b], scale * member_means(absf[a:b], M), M, out[a:b])
             continue
+        off = np.arange(0, b - a, M)
         cap = np.maximum.reduceat(absf[a:b], off) / unit * (1.0 + 1e-9)
         keep = cap > np.minimum.reduceat(out[a:b], off)
         ends = np.flatnonzero(np.diff(keep, prepend=False, append=False))

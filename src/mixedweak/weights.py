@@ -5,24 +5,23 @@ fundamental ratio (uv)(Q) / (v(Q) inf_Q u) are all suprema of interval
 functionals.  Each estimator walks the dyadic(+thirds-shifted) families of a
 ``DyadicScan`` on its inputs' own grid and returns the scanned sup.
 
-A family is an arithmetic progression of cells (``grid.scan_progressions``):
-member k is ``[c + kM, min(N, c + (k+1)M))``, and only the last member can be
-clipped.  So a prefix sum P is read at the family's edges as the strided view
-``P[c::M]``, with ``P[N]`` closing a clipped member; no index array is built.
-The A_1 cell minima come from one halving pyramid, ``S_0 = w`` and
-``S_{k+1} = min(S_k[:-2^k], S_k[2^k:])``, so that ``S_k[i] = min
-w[i : i + 2^k]`` and the unclipped members of a family with ``M = 2^k`` read
-``S_k[c::M]``; the families are served from the finest scale up, one level
-live at a time, and a clipped member reads a suffix minimum.  The Lebesgue
-mass of a member is its cell count.  The BMO norm subtracts each member's
-mean by broadcasting over the ``(K, M)`` reshape of a family's unclipped
-members and sums with ``np.add.reduceat`` over the family's block.
+A family is an arithmetic progression of cells (``grid.scan_progressions``),
+and ``grid``'s member helpers read it, the clipped last member included:
+``member_sums`` reads a prefix sum at the family's edges as the strided view
+``P[c::M]``, so no index array is built, and ``divide_by_widths`` divides by
+a member's Lebesgue mass, its cell count.  The A_1 cell minima come from one
+halving pyramid, ``S_0 = w`` and ``S_{k+1}[i] = min(S_k[i], S_k[i + 2^k])``
+where ``i + 2^k < N``, so that ``S_k[i] = min w[i : min(N, i + 2^k)]`` and
+a family with ``M = 2^k`` reads its members' minima as ``S_k[c::M]``; the
+families are served from the finest scale up, one level live at a time.
+The BMO norm averages a family's block with ``member_means`` and subtracts
+the means with ``per_member``.
 
 Every value equals, bit for bit, what the per-family gather path gives (the
 oracle in ``tests/oracles.py``): a strided read reads the same prefix sums
-as a gather, the cumsum of ones is exact below 2**53, min is exact so any
-grouping of it gives the same cell minima, the sums keep their order, and
-the max over families does not depend on their order.
+as a gather, the gather's cumsum of ones is exact below 2**53, min is exact
+so any grouping of it gives the same cell minima, the sums keep their order,
+and the max over families does not depend on their order.
 
 A caller that wants to know whether a constant holds still under refinement
 builds its inputs on a grid and on ``Grid.coarsened()``, runs the estimator
@@ -48,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DomainError, GridMismatchError
-from .grid import DyadicScan, Grid, SampledFunction, sample, scan_progressions
+from .grid import DyadicScan, Grid, SampledFunction, divide_by_widths, member_means, member_sums
+from .grid import per_member, sample, scan_progressions
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .grid import scan_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 
@@ -136,23 +136,14 @@ def _prefix(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sums(P: np.ndarray, M: int, c: int):
-    """Member sums of family ``(M, c)`` from the prefix sum ``P``: an array over
-    the unclipped members (the strided view ``P[c::M]``), and the clipped last
-    member's sum, or None when the family has none."""
-    edges = P[c::M]
-    n = P.size - 1
-    return edges[1:] - edges[:-1], (P[n] - edges[-1] if (n - c) % M else None)
+def _sup(maxima: list[float]) -> float:
+    """Max over the families' maxima.
 
-
-def _sup(families: list[list[float]]) -> float:
-    """Max over the families of their members' values.
-
-    A family that holds a NaN is passed over, as a family-by-family fold
-    ``best = max(best, float(np.max(values)))`` does; the families' order
-    then does not matter.
+    A family that holds a NaN has a NaN maximum and is passed over, as a
+    family-by-family fold ``best = max(best, float(np.max(values)))`` does;
+    the families' order then does not matter.
     """
-    return max((max(m) for m in families if not any(map(math.isnan, m))), default=-math.inf)
+    return max((m for m in maxima if not math.isnan(m)), default=-math.inf)
 
 
 # --- Muckenhoupt estimators -----------------------------------------------
@@ -183,70 +174,49 @@ def _scanned_Ap(v: Weight, u: Weight | None, p: float, scan: DyadicScan) -> floa
     """The A_p sup of v against u dx, or against dx when ``u`` is None.
 
     Families are served from the finest scale up, so that the A_1 cell minima
-    come from one halving pyramid: ``mins[i] = min v[i : i + M]`` at the
-    current member length ``M``, one level live at a time, with a suffix
-    minimum for the clipped members.  Each family keeps only its maximum; the
-    clipped members are evaluated together in one array pass at the end.
+    come from one halving pyramid: ``mins[i] = min v[i : min(N, i + M)]`` at
+    the current member length ``M``, one level live at a time.  Each family
+    keeps only its maximum.
     """
     if p < 1.0:
         raise DomainError(f"A_p(u) needs p >= 1, got {p}")
     if u is not None and v.grid != u.grid:
         raise GridMismatchError("v and u must share a grid")
-    vv, uu, N = v.values, None if u is None else u.values, v.grid.N
-    pvu = _prefix(vv if uu is None else vv * uu)
-    pu = None if uu is None else _prefix(uu)
+    vv, N = v.values, v.grid.N
+    pvu = _prefix(vv if u is None else vv * u.values)
+    pu = None if u is None else _prefix(u.values)
+    vu_out, um_out = np.empty(N), None if u is None else np.empty(N)
+
+    def per_mass(sums, um, M, c):
+        # divide by the members' masses in place; a Lebesgue member's mass is its cell count
+        return divide_by_widths(sums, M, N - c) if um is None else np.divide(sums, um, out=sums)
+
     if p == 1.0:
-        suffix = np.minimum.accumulate(vv[::-1])[::-1]
+        mins, spare, width = vv.copy(), np.empty(N), 1
     else:
         dual = vv ** (-1.0 / (p - 1.0))
-        if uu is not None:
-            dual *= uu
+        if u is not None:
+            dual *= u.values
         pdu = _prefix(dual)
         del dual
-
-    def functional(vu, um, x):
-        # x is the cell minimum for p = 1 and the dual weight's sum otherwise;
-        # vu and a dual sum x are temporaries, reused in place
-        vu /= um
+        x_out = np.empty(N)
+    maxima = []
+    for M, c in sorted(scan_progressions(v.grid, scan)):
+        vu = member_sums(pvu, M, c, vu_out)
+        um = None if u is None else member_sums(pu, M, c, um_out)
+        per_mass(vu, um, M, c)
         if p == 1.0:
-            vu /= x
+            while width < M:
+                np.minimum(mins[:-width], mins[width:], out=spare[:-width])
+                spare[-width:] = mins[-width:]
+                mins, spare, width = spare, mins, 2 * width
+            vu /= mins[c::M]
         else:
-            x /= um
+            x = per_mass(member_sums(pdu, M, c, x_out), um, M, c)
             x **= p - 1.0  # the operator, as ``**`` takes numpy's fast paths for 0.5, 1, 2
             vu *= x
-        return vu
-
-    def family(M, c, mins):
-        # the unclipped members' max, and the clipped member's reads (or None)
-        rest = (N - c) % M
-        vu, vu_tail = _sums(pvu, M, c)
-        if pu is None:  # the cumsum of ones is exact: the mass is the cell count
-            um, um_tail = float(M), float(rest)
-        else:
-            um, um_tail = _sums(pu, M, c)
-        if p == 1.0:
-            x, x_tail = mins[c::M], suffix[N - rest] if rest else None
-        else:
-            x, x_tail = _sums(pdu, M, c)
-        body = functional(vu, um, x)
-        members = [float(body.max())] if body.size else []
-        return members, None if vu_tail is None else (vu_tail, um_tail, x_tail)
-
-    mins, width = vv, 1
-    families, owners, tails = [], [], []
-    for M, c in sorted(scan_progressions(v.grid, scan)):
-        while p == 1.0 and width < M:
-            mins = np.minimum(mins[:-width], mins[width:])
-            width *= 2
-        members, tail = family(M, c, mins)
-        families.append(members)
-        if tail is not None:
-            owners.append(members)
-            tails.append(tail)
-    vu, um, x = np.array(tails, dtype=np.float64).reshape(-1, 3).T.copy()
-    for members, value in zip(owners, functional(vu, um, x).tolist()):
-        members.append(value)
-    return _sup(families)
+        maxima.append(float(vu.max()))
+    return _sup(maxima)
 
 
 def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> float:
@@ -260,37 +230,21 @@ def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> 
 # --- the BMO norm ----------------------------------------------------------
 
 
-def _means(sums: np.ndarray, M: int, rest: int) -> np.ndarray:
-    """Divide a family's member sums by their lengths in place: ``M``, and
-    ``rest`` for a clipped last member when there is one."""
-    last = sums[-1] / rest if rest else None
-    sums /= M
-    if rest:
-        sums[-1] = last
-    return sums
-
-
 def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan()) -> float:
     """Scanned BMO norm: sup_Q avg_Q |b - b_Q|.
 
-    Each member's mean is subtracted by broadcasting over the ``(K, M)``
-    reshape of the family's unclipped members, and from the clipped one
-    apart; both sums are ``np.add.reduceat`` over the family's block.
+    Each family's block is averaged with ``member_means``, the means are
+    subtracted with ``per_member`` and the block's absolute deviations are
+    averaged again.
     """
     bvals = b.values
     N = b.grid.N
     dev = np.empty(N, dtype=np.float64)
 
     def family(M, c):
-        K, rest = divmod(N - c, M)
-        KM = K * M
         block, d = bvals[c:], dev[: N - c]
-        off = np.arange(0, N - c, M)
-        means = _means(np.add.reduceat(block, off), M, rest)
-        np.subtract(block[:KM].reshape(K, M), means[:K, None], out=d[:KM].reshape(K, M))
-        if rest:
-            np.subtract(block[KM:], means[K], out=d[KM:])
+        per_member(np.subtract, block, member_means(block, M), M, d)
         np.abs(d, out=d)
-        return [float(_means(np.add.reduceat(d, off), M, rest).max())]
+        return float(member_means(d, M).max())
 
     return _sup([family(M, c) for M, c in scan_progressions(b.grid, scan)])

@@ -23,10 +23,15 @@ from mixedweak.grid import (
     DyadicInterval,
     DyadicScan,
     Grid,
+    divide_by_widths,
     dyadic_intervals,
     make_grid,
+    member_means,
+    member_sums,
+    per_member,
     sample,
     scan_cell_ranges,
+    scan_progressions,
 )
 from oracles import children, contains, integrate, parent
 
@@ -321,6 +326,42 @@ def test_scan_cell_ranges_matches_interval_objects(data, J):
     for (j, p), (starts, _) in zip(keys, families):
         nonempty = [k for k in range(1 << j) if not DyadicInterval(g, j, k, p).is_empty]
         assert nonempty == list(range(starts.size))
+
+
+def assert_members_match_gather(g, scan, vals):
+    """The member helpers on every family of ``scan`` are bitwise the gather
+    through its ``(starts, stops)`` arrays; returns the families' member
+    counts and whole-member counts."""
+    P = np.concatenate([[0.0], np.cumsum(vals)])
+    counts = []
+    families = zip(scan_progressions(g, scan), scan_cell_ranges(g, scan), strict=True)
+    for (M, c), (starts, stops) in families:
+        lens = stops - starts
+        block = vals[c:]
+        assert (starts[0], stops[-1]) == (c, g.N)
+        sums = member_sums(P, M, c, np.full(g.N + 1, np.nan))
+        assert np.array_equal(sums, P[stops] - P[starts])
+        assert np.array_equal(divide_by_widths(sums, M, g.N - c), (P[stops] - P[starts]) / lens)
+        means = member_means(block, M)
+        assert np.array_equal(means, np.add.reduceat(block, starts - c) / lens)
+        for ufunc in (np.subtract, np.maximum):
+            out = np.empty_like(block)
+            per_member(ufunc, block, means, M, out)
+            assert np.array_equal(out, ufunc(block, np.repeat(means, lens)))
+        counts.append((lens.size, int(np.sum(lens == M))))
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), J=st.integers(min_value=4, max_value=12))
+def test_member_helpers_equal_the_gather(data, J):
+    g = Grid(8.0, J)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vals = rng.standard_normal(g.N) * 10.0 ** rng.uniform(-3, 3, g.N)
+    assert_members_match_gather(g, data.draw(dyadic_scans(J)), vals)
+    # the scale-0 families shifted by a third have no whole member, only a clipped one
+    thirds = DyadicScan(j_max=0, shifts=(1.0 / 3.0, 2.0 / 3.0))
+    assert assert_members_match_gather(g, thirds, vals) == [(1, 0), (1, 0)]
 
 
 def test_one_third_trick_containment():

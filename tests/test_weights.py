@@ -20,6 +20,7 @@ from mixedweak.grid import (
     dyadic_intervals,
     _edge_progression,
     make_grid,
+    member_sums,
     sample,
 )
 from mixedweak.weights import (
@@ -29,7 +30,6 @@ from mixedweak.weights import (
     estimate_Ap,
     estimate_Ap_u,
     fundamental_ratio,
-    _sums,
     power_weight,
     refined,
 )
@@ -528,7 +528,7 @@ def test_reduceat_estimators_match_per_interval_numpy(case):
     ids=["A1", "RH_inf", "bmo", "bmo_w", "A2_u", "fundamental"],
 )
 def test_estimator_peak_memory_is_a_few_grid_arrays(estimate):
-    # the prefix sums, one family's reads and one level of the A1 min pyramid
+    # the prefix sums, the member buffers and two levels of the A1 min pyramid
     # are live at a time; a pyramid that kept every level would hold J grid
     # arrays (the peaks are the same on a first and on a repeated call)
     g = make_grid(8.0, 16)
@@ -584,8 +584,8 @@ def test_two_thirds_family_at_cell_scale_has_no_clipped_member():
     # too many, an empty one
     g = Grid(8.0, 5)
     assert _edge_progression(g, g.J, 2) == (1, 1)
-    sums, clipped = _sums(np.arange(g.N + 1, dtype=np.float64), 1, 1)
-    assert np.array_equal(sums, np.ones(g.N - 1)) and clipped is None
+    sums = member_sums(np.arange(g.N + 1, dtype=np.float64), 1, 1, np.empty(g.N))
+    assert np.array_equal(sums, np.ones(g.N - 1))
     vals = np.ones(g.N)
     vals[-2:] = (1.0, 50.0)
     v, one = custom_weight(g, vals), custom_weight(g, np.ones(g.N))
