@@ -21,11 +21,13 @@ floating-point ties.  Member ``k`` of the scale-``j`` family shifted by ``p/3``
 starts at cell ``min(N, k M + c_p)`` with ``M = 2**(J - j)`` and
 ``c_p = ceil((2 p M - 3) / 6)``: each scanned family is one arithmetic
 progression of edges (``scan_progressions``), and only its last member can
-be clipped.  Four helpers are the one place that knows that layout:
+be clipped.  Six helpers are the one place that knows that layout:
 ``member_sums`` reads every member's sum off a prefix sum,
 ``divide_by_widths`` divides a value per member by the member's cell count,
-``member_means`` averages a block's members, and ``per_member`` applies a
-ufunc between a block's cells and their member's value.
+``member_means`` averages a block's members, ``per_member`` applies a
+ufunc between a block's cells and their member's value, ``gather_members``
+copies some members of a family into one block, and ``halving_pyramid``
+gives every member's min or max.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
     "divide_by_widths",
     "member_means",
     "per_member",
+    "gather_members",
+    "halving_pyramid",
     "scan_cell_ranges",
     "flatten_cell_ranges",
 ]
@@ -420,6 +424,48 @@ def per_member(ufunc: np.ufunc, block: np.ndarray, vals: np.ndarray, M: int, out
     ufunc(block[:KM].reshape(K, M), vals[:K, None], out=out[:KM].reshape(K, M))
     if KM < block.size:
         ufunc(block[KM:], vals[K], out=out[KM:])
+
+
+def gather_members(vals: np.ndarray, M: int, c: int, rows: np.ndarray) -> np.ndarray:
+    """The cells of members ``rows`` (ascending) of family ``(M, c)``, end to end.
+
+    The whole members are taken as rows of the ``(K, M)`` reshape of the
+    family's block, and a clipped last member among ``rows`` is appended, so
+    that members of length ``M`` tile the result as they tile a block.
+    """
+    K = (vals.size - c) // M
+    k = int(np.searchsorted(rows, K))
+    tail = vals[c + K * M :] if k < rows.size else vals[:0]
+    out = np.empty(k * M + tail.size)
+    whole = vals[c : c + K * M].reshape(K, M)
+    np.take(whole, rows[:k], axis=0, out=out[: k * M].reshape(k, M), mode="clip")
+    out[k * M :] = tail
+    return out
+
+
+def halving_pyramid(ufunc: np.ufunc, vals: np.ndarray) -> Callable[[int], np.ndarray]:
+    """The min or max (``ufunc``) of ``vals`` over windows of ``M`` cells.
+
+    The returned ``level(M)``, called with powers of two that never
+    decrease, gives the array ``S`` with ``S[i]`` the ``ufunc`` reduction of
+    ``vals[i : min(N, i + M)]``.  So ``level(M)[c::M]`` holds the members of
+    family ``(M, c)``, the clipped last one included.  Each step ``S[i] =
+    ufunc(S[i], S[i + w])`` for ``i + w < N`` doubles the window ``w``; the
+    cells ``i >= N - w`` already span ``i : N``.  A step is written over its
+    own level: numpy gives overlapping operands the result of a copy, and
+    makes none when the read runs ahead of the write, so one grid array is
+    live.  Min and max are exact, so no grouping changes a value.
+    """
+    level, width = vals.copy(), 1
+
+    def at(M: int) -> np.ndarray:
+        nonlocal width
+        while width < M:
+            ufunc(level[:-width], level[width:], out=level[:-width])
+            width *= 2
+        return level
+
+    return at
 
 
 def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -9,19 +9,32 @@ A family is an arithmetic progression of cells (``grid.scan_progressions``),
 and ``grid``'s member helpers read it, the clipped last member included:
 ``member_sums`` reads a prefix sum at the family's edges as the strided view
 ``P[c::M]``, so no index array is built, and ``divide_by_widths`` divides by
-a member's Lebesgue mass, its cell count.  The A_1 cell minima come from one
-halving pyramid, ``S_0 = w`` and ``S_{k+1}[i] = min(S_k[i], S_k[i + 2^k])``
-where ``i + 2^k < N``, so that ``S_k[i] = min w[i : min(N, i + 2^k)]`` and
-a family with ``M = 2^k`` reads its members' minima as ``S_k[c::M]``; the
-families are served from the finest scale up, one level live at a time.
-The BMO norm averages a family's block with ``member_means`` and subtracts
-the means with ``per_member``.
+a member's Lebesgue mass, its cell count.  The A_1 cell minima come from
+``grid.halving_pyramid``: its level ``S`` for ``M = 2^k`` holds ``S[i] = min
+w[i : min(N, i + M)]``, so a family reads its members' minima as
+``S[c::M]``; the families are served from the finest scale up, one level
+live at a time.
+
+The BMO norm computes only the members whose range can raise its sup.  For
+a member Q of M cells, avg_Q |b - b_Q| <= R / 2 with R = max_Q b - min_Q b.
+As computed in floats the value is at most ``R / 2 + (M - 1) unit``, with
+``unit = 2**-50 max|b| + 2**-1072``, for M >= 2: the mean is off by at most
+``g_M max|b|``, the average deviation from it is rounded up by at most a
+factor ``1 + g_(M+1)`` (``g_n = n u / (1 - n u)``, ``u = 2**-53``), and the
+second term covers underflow.  A one-cell member's value is exactly 0.  A
+factor ``1 + 1e-9`` on ``R / 2`` covers the rounding of the bound itself.
+The slack matters: a constant 0.1 has range 0, yet its members' rounded
+values differ, and a finer member's can exceed the seeds'.  Sums that
+overflow void the bound, so a symbol with ``4 N max|b|`` above the float
+range computes every member.
 
 Every value equals, bit for bit, what the per-family gather path gives (the
 oracle in ``tests/oracles.py``): a strided read reads the same prefix sums
 as a gather, the gather's cumsum of ones is exact below 2**53, min is exact
 so any grouping of it gives the same cell minima, the sums keep their order,
-and the max over families does not depend on their order.
+and the max over families does not depend on their order.  The BMO norm's
+kept members are summed in the order of the whole family's block, so each
+keeps its bits, and a skipped member cannot raise the max.
 
 A caller that wants to know whether a constant holds still under refinement
 builds its inputs on a grid and on ``Grid.coarsened()``, runs the estimator
@@ -47,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DomainError, GridMismatchError
-from .grid import DyadicScan, Grid, SampledFunction, divide_by_widths, member_means, member_sums
-from .grid import per_member, sample, scan_progressions
+from .grid import DyadicScan, Grid, SampledFunction, divide_by_widths, gather_members, halving_pyramid
+from .grid import member_means, member_sums, per_member, sample, scan_progressions
 from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .grid import scan_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 
@@ -174,9 +187,9 @@ def _scanned_Ap(v: Weight, u: Weight | None, p: float, scan: DyadicScan) -> floa
     """The A_p sup of v against u dx, or against dx when ``u`` is None.
 
     Families are served from the finest scale up, so that the A_1 cell minima
-    come from one halving pyramid: ``mins[i] = min v[i : min(N, i + M)]`` at
-    the current member length ``M``, one level live at a time.  Each family
-    keeps only its maximum.
+    come from one ``halving_pyramid``: ``mins(M)[i] = min v[i : min(N, i +
+    M)]`` at the current member length ``M``.  Each family keeps only its
+    maximum.
     """
     if p < 1.0:
         raise DomainError(f"A_p(u) needs p >= 1, got {p}")
@@ -192,7 +205,7 @@ def _scanned_Ap(v: Weight, u: Weight | None, p: float, scan: DyadicScan) -> floa
         return divide_by_widths(sums, M, N - c) if um is None else np.divide(sums, um, out=sums)
 
     if p == 1.0:
-        mins, spare, width = vv.copy(), np.empty(N), 1
+        mins = halving_pyramid(np.minimum, vv)
     else:
         dual = vv ** (-1.0 / (p - 1.0))
         if u is not None:
@@ -206,11 +219,7 @@ def _scanned_Ap(v: Weight, u: Weight | None, p: float, scan: DyadicScan) -> floa
         um = None if u is None else member_sums(pu, M, c, um_out)
         per_mass(vu, um, M, c)
         if p == 1.0:
-            while width < M:
-                np.minimum(mins[:-width], mins[width:], out=spare[:-width])
-                spare[-width:] = mins[-width:]
-                mins, spare, width = spare, mins, 2 * width
-            vu /= mins[c::M]
+            vu /= mins(M)[c::M]
         else:
             x = per_mass(member_sums(pdu, M, c, x_out), um, M, c)
             x **= p - 1.0  # the operator, as ``**`` takes numpy's fast paths for 0.5, 1, 2
@@ -230,21 +239,50 @@ def fundamental_ratio(u: Weight, v: Weight, scan: DyadicScan = DyadicScan()) -> 
 # --- the BMO norm ----------------------------------------------------------
 
 
+#: a member's half range times this bounds its mean oscillation, with room
+#: for the rounding of the bound itself (module docstring)
+_HALF_RANGE = 0.5 * (1.0 + 1e-9)
+
+
 def bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan()) -> float:
     """Scanned BMO norm: sup_Q avg_Q |b - b_Q|.
 
-    Each family's block is averaged with ``member_means``, the means are
-    subtracted with ``per_member`` and the block's absolute deviations are
-    averaged again.
+    A member's value averages its cells with ``member_means``, subtracts
+    the mean with ``per_member`` and averages the absolute deviations.  The
+    two coarsest scales are computed in full and seed the running sup.  The
+    other families run fine to coarse, and a member of M cells is computed
+    only if its bound ``(max_Q b - min_Q b) / 2 * (1 + 1e-9) + (M - 1)
+    unit`` exceeds the running sup (module docstring).  The ranges are read
+    at ``[c::M]`` from a max and a min ``halving_pyramid``, and the kept
+    members are gathered end to end with ``gather_members``; a family that
+    keeps more than half of its cells is computed whole.  The bound holds
+    for the computed value, so a skipped member cannot raise the sup, and a
+    kept one is summed in the same order as in its family's block, so the
+    result keeps every bit.
     """
-    bvals = b.values
-    N = b.grid.N
-    dev = np.empty(N, dtype=np.float64)
+    bvals, N = b.values, b.grid.N
 
-    def family(M, c):
-        block, d = bvals[c:], dev[: N - c]
+    def exact(M, c, rows=None):
+        # the largest value on members ``rows`` of family (M, c), all of them when None
+        block = bvals[c:] if rows is None else gather_members(bvals, M, c, rows)
+        d = np.empty_like(block)
         per_member(np.subtract, block, member_means(block, M), M, d)
         np.abs(d, out=d)
         return float(member_means(d, M).max())
 
-    return _sup([family(M, c) for M, c in scan_progressions(b.grid, scan)])
+    walk = sorted(scan_progressions(b.grid, scan))
+    A = max(float(bvals.max()), -float(bvals.min()))
+    if not math.isfinite(4.0 * N * A):
+        return _sup([exact(M, c) for M, c in walk])
+    fine = [(M, c) for M, c in walk if 4 * M <= N]
+    sup = _sup([exact(M, c) for M, c in walk[len(fine):]])
+    unit = 2.0**-50 * A + 2.0**-1072
+    top, bottom = halving_pyramid(np.maximum, bvals), halving_pyramid(np.minimum, bvals)
+    for M, c in fine:
+        if M == 1:  # a one-cell member's value is exactly 0
+            continue
+        # the bound exceeds sup, solved for the range; 1e-9 covers the division's rounding
+        rows = (top(M)[c::M] - bottom(M)[c::M] > (sup - (M - 1) * unit) / _HALF_RANGE).nonzero()[0]
+        if rows.size:
+            sup = max(sup, exact(M, c, None if 2 * rows.size * M > N - c else rows))
+    return sup

@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixedweak import weights
 from mixedweak._errors import DomainError, GeometryError, GridMismatchError
 from mixedweak.grid import (
     THIRD_SHIFTS,
@@ -21,6 +22,7 @@ from mixedweak.grid import (
     _edge_progression,
     make_grid,
     member_sums,
+    per_member,
     sample,
 )
 from mixedweak.weights import (
@@ -543,6 +545,26 @@ def test_estimator_peak_memory_is_a_few_grid_arrays(estimate):
     assert peak < 8 * 8 * g.N
 
 
+@pytest.mark.parametrize(
+    "symbol",
+    [lambda x: np.log(np.abs(x)), lambda x: np.log(np.abs(x - np.round(x)))],
+    ids=["log", "sawtoothlog"],
+)
+def test_bmo_norm_peak_memory(symbol):
+    # the seeds' deviation buffer (one grid array) is freed before the max
+    # and min pyramids (two) are built; a family's kept members and their
+    # deviations come on top: 3.01 and 3.14 x 8N measured
+    g = make_grid(8.0, 16)
+    b = sample(symbol, g)
+    tracemalloc.start()
+    try:
+        bmo_norm(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 8 * g.N
+
+
 # --- strided reads against the per-family gather path ----------------------
 
 
@@ -557,25 +579,87 @@ def weight_pairs_and_scans(draw):
             return Weight(SampledFunction(grid, rng.lognormal(0.0, 1.5, grid.N)))
         return power_weight(grid, draw(st.floats(-0.99, 3.0, exclude_max=True)))
 
-    v, u = weight(), weight()
-    if draw(st.booleans()):
-        b = SampledFunction(grid, rng.standard_normal(grid.N) * 10.0 ** rng.uniform(-3, 3))
-    else:
-        b = sample(lambda x: np.log(np.abs(x)), grid)
-    j_max = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=J)))
-    shifts = draw(st.sampled_from([(0.0,), (1.0 / 3.0,), (2.0 / 3.0,), THIRD_SHIFTS]))
-    return v, u, b, DyadicScan(j_max=j_max, shifts=shifts)
+    return weight(), weight(), draw(scans(J))
+
+
+def scans(J):
+    j_max = st.one_of(st.none(), st.integers(min_value=0, max_value=J))
+    shifts = st.sampled_from([(0.0,), (1.0 / 3.0,), (2.0 / 3.0,), THIRD_SHIFTS])
+    return st.builds(DyadicScan, j_max=j_max, shifts=shifts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=weight_pairs_and_scans(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_strided_estimators_equal_the_per_family_gather_path(case, p):
-    v, u, b, scan = case
+    v, u, scan = case
     one = custom_weight(v.grid, np.ones(v.grid.N))
     assert estimate_Ap(v, p, scan) == per_family_estimate_Ap_u(v, one, p, scan)
     assert estimate_Ap_u(v, u, p, scan) == per_family_estimate_Ap_u(v, u, p, scan)
     assert fundamental_ratio(u, v, scan) == per_family_estimate_Ap_u(u, v, 1.0, scan)
-    assert bmo_norm(b, scan) == per_family_bmo_norm(b, scan)
+
+
+@st.composite
+def symbols_and_scans(draw):
+    J = draw(st.integers(min_value=2, max_value=12))
+    grid = Grid(8.0, J)
+    N, x = grid.N, grid.centers
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 0.1, -1.0 / 3.0, 1e3, 1e9]))
+    kind = draw(st.sampled_from(["rough", "log", "walk", "const", "spike", "huge", "offset"]))
+    if kind == "rough":
+        vals = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 3)
+    elif kind == "log":  # log|x - c|; c falls on no center
+        vals = np.log(np.abs(x - rng.uniform(-8.0, 8.0)))
+    elif kind == "walk":
+        vals = offset + np.cumsum(rng.standard_normal(N)) * 10.0 ** rng.uniform(-3, 3)
+    elif kind == "const":  # every member's range is 0, its value only rounding
+        vals = np.full(N, draw(st.sampled_from([0.0, 0.1, 4.25, 1.0 / 3.0, 1e-310, 1e306])) + offset)
+    elif kind == "spike":  # the sup sits on the fine members around one cell
+        vals = np.full(N, offset)
+        vals[rng.integers(N)] += rng.uniform(-1e3, 1e3)
+    elif kind == "huge":  # member sums overflow to inf, or to a NaN across the sign step
+        sign = np.where(x < rng.uniform(-12.0, 8.0), 1.0, -1.0)
+        vals = sign * rng.uniform(1.0, 1.1, N) * 10.0 ** rng.uniform(305.0, 307.2)
+    else:  # a small oscillation on a large offset, a lot of rounding in every mean
+        vals = offset + rng.integers(0, 2, N) * 10.0 ** rng.uniform(-9, 0)
+    return SampledFunction(grid, vals), draw(scans(J))
+
+
+def _constant(J, value):
+    return SampledFunction(Grid(8.0, J), np.full(1 << J, value)), DyadicScan()
+
+
+# A constant's members have range 0, but the rounded mean of 0.1 is not 0.1,
+# so each member's value is a rounding residue, and in these three a finer
+# member's residue exceeds the seeds': a half range times 1 + 1e-9 alone
+# skips that member, and the slack (M - 1) unit keeps it.
+@example(case=_constant(10, 0.1))
+@example(case=_constant(12, 1e3 + 0.1))
+@example(case=_constant(10, 1e9 + 0.1))
+@settings(max_examples=200, deadline=None)
+@given(case=symbols_and_scans())
+def test_bmo_norm_equals_the_per_family_gather_path(case):
+    b, scan = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert bmo_norm(b, scan) == per_family_bmo_norm(b, scan)
+
+
+def test_bmo_norm_computes_few_members_below_the_seed_scales(monkeypatch):
+    # on log|x| at J = 16 only 50 members below the two coarsest scales
+    # have a half range that can raise the sup; a skip that fell back to
+    # every member would compute about 6N = 393,216 of them
+    g = make_grid(8.0, 16)
+    members = []
+
+    def spy(ufunc, block, vals, M, out):
+        if 4 * M <= g.N:
+            members.append(vals.size)
+        return per_member(ufunc, block, vals, M, out)
+
+    monkeypatch.setattr(weights, "per_member", spy)
+    b = sample(lambda x: np.log(np.abs(x)), g)
+    assert bmo_norm(b) == per_family_bmo_norm(b)
+    assert 0 < sum(members) <= 64
 
 
 def test_two_thirds_family_at_cell_scale_has_no_clipped_member():
