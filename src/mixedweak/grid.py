@@ -493,9 +493,10 @@ def flatten_cell_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarr
     """Flatten cell-index ranges into (cell index, owning range) arrays.
 
     Each produced pair records which range a cell occurrence belongs to, so
-    per-range sums are a single ``bincount`` away.  The Orlicz maximal
-    function gathers a batch of runs from several scanned families with the
-    cell indices, into one buffer that the runs' member ranges tile.
+    per-range sums are a single ``bincount`` away, even for ranges that
+    overlap or leave gaps.  No package module calls it: the benchmark's
+    tracer hooks its old bindings, and the test oracles' per-range bisection
+    reads it.
     """
     lens = stops - starts
     seg = np.repeat(np.arange(starts.size), lens)

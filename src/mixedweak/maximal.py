@@ -44,13 +44,14 @@ thousand cells costs more in call overhead than in arithmetic.  The runs
 of successive families gather into one batch until the next run would
 push its span past ``BATCH_CELLS`` cells; then the batch is flushed, and
 so is the last one when the scan ends.  A run that spans the budget on its
-own is solved in place.  A batch of several runs is gathered with
-``flatten_cell_ranges`` into one buffer that the runs' member ranges tile,
-so it is one call to the segmented solver, whose per-range results do not
-depend on the other ranges of the call.  The skip test of each family
-reads the running maximum as of the last flush.  That is a lower bound of
-the final output, so a skipped member still cannot raise it, and the
-output stays bitwise equal to solving every member.
+own is solved in place, on its view of |f|.  A batch of several runs is
+the concatenation of their views, with each run's member offsets moved to
+where the run starts in it, so it is one call to the segmented solver,
+whose per-range results do not depend on the other ranges of the call.
+The skip test of each family reads the running maximum as of the last
+flush.  That is a lower bound of the final output, so a skipped member
+still cannot raise it, and the output stays bitwise equal to solving
+every member.
 
 The scanned sup is a lower bound for the true uncentered maximal function;
 the exact all-intervals oracle of the test suite bounds it from above by
@@ -61,8 +62,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicScan, SampledFunction, flatten_cell_ranges, member_means, per_member
-from .grid import scan_progressions
+from .grid import DyadicScan, SampledFunction, member_means, per_member, scan_progressions
+from .grid import flatten_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .grid import scan_cell_ranges  # noqa: F401  (unused; perfbench/tracing.py hooks this binding)
 from .young import (
     Identity,
@@ -82,20 +83,21 @@ BATCH_CELLS = 1 << 14
 
 
 def _solve(phi: YoungFunction, absf: np.ndarray, out: np.ndarray, runs: list) -> None:
-    """Solve every member of ``runs`` in one solver call and raise ``out`` to the norms."""
+    """Solve every member of the runs ``(a, b, M)`` in one solver call and raise
+    ``out`` to the norms: members of length ``M`` tile each run's cells ``a:b``."""
+    at, views, offs = 0, [], []
+    for a, b, M in runs:
+        views.append(absf[a:b])
+        offs.append(np.arange(at, at + b - a, M))
+        at += b - a
     if len(runs) == 1:
-        ((starts, stops, _),) = runs
-        norms = segmented_luxemburg_norms(phi, absf, None, starts, stops)
+        norms = segmented_luxemburg_norms(phi, views[0], offs[0])
     else:
-        blocks = np.array([(starts[0], stops[-1]) for starts, stops, _ in runs])
-        idx, _ = flatten_cell_ranges(blocks[:, 0], blocks[:, 1])
-        edges = np.cumsum(np.concatenate([stops - starts for starts, stops, _ in runs]))
-        norms = segmented_luxemburg_norms(phi, absf[idx], None, np.append(0, edges[:-1]), edges)
+        norms = segmented_luxemburg_norms(phi, np.concatenate(views), np.concatenate(offs))
     at = 0
-    for starts, stops, M in runs:
-        block = out[starts[0] : stops[-1]]
-        per_member(np.maximum, block, norms[at : at + starts.size], M, block)
-        at += starts.size
+    for (a, b, M), off in zip(runs, offs):
+        per_member(np.maximum, out[a:b], norms[at : at + off.size], M, out[a:b])
+        at += off.size
 
 
 def orlicz_maximal(
@@ -143,11 +145,10 @@ def orlicz_maximal(
         off = np.arange(0, b - a, M)
         cap = np.maximum.reduceat(absf[a:b], off) / unit * (1.0 + 1e-9)
         keep = cap > np.minimum.reduceat(out[a:b], off)
-        ends = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-        edges = np.append(off + a, b)
+        ends = np.flatnonzero(np.diff(keep, prepend=False, append=False)).tolist()
         for i, j in zip(ends[::2], ends[1::2]):
-            run = (edges[i:j], edges[i + 1 : j + 1], M)
-            width = int(edges[j] - edges[i])
+            run = (a + i * M, min(b, a + j * M), M)
+            width = run[1] - run[0]
             if width >= BATCH_CELLS:
                 _solve(phi, absf, out, [run])
                 continue

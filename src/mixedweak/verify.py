@@ -322,15 +322,16 @@ def _sides(
 
 def preflight_weights(fine: SimpleNamespace, coarse: SimpleNamespace) -> dict[str, ConstantEstimate]:
     """The membership estimates the two-weight theorems hypothesize: u's A1
-    constant, and v's A1 and A2(u) constants when the instances carry a v.
+    constant, and v's A1 and A2(u) constants.
 
     ``fine`` and ``coarse`` carry ``u``, ``v`` and ``scan`` on a grid and on
     its ``coarsened()`` grid; each estimate pairs a constant's value on the two.
     """
-    constants = {"A1_u": lambda i: estimate_Ap(i.u, 1.0, i.scan)}
-    if fine.v is not None:
-        constants["A1_v"] = lambda i: estimate_Ap(i.v, 1.0, i.scan)
-        constants["A2_v_wrt_u"] = lambda i: estimate_Ap_u(i.v, i.u, 2.0, i.scan)
+    constants = {
+        "A1_u": lambda i: estimate_Ap(i.u, 1.0, i.scan),
+        "A1_v": lambda i: estimate_Ap(i.v, 1.0, i.scan),
+        "A2_v_wrt_u": lambda i: estimate_Ap_u(i.v, i.u, 2.0, i.scan),
+    }
     return {name: refined(at(coarse), at(fine)) for name, at in constants.items()}
 
 

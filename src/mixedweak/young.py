@@ -17,18 +17,20 @@ small t).  The transform is evaluated through Young's equality
 inverse of a conjugate are each one bracketed root of a nondecreasing
 function of s, found by the same bisection that inverts the families.
 
-Luxemburg norms are computed a whole scanned family at a time: the family's
-ranges tile one block of cells, so every per-range sum is one
-``np.add.reduceat``, and the norm itself is the root of the modular in
-1/lam, found by a Newton iteration inside a closed-form bracket (see
-:func:`segmented_luxemburg_norms`).  The modular infimum, which lies between
-the norm and twice the norm, is one golden-section search around it.
+Unweighted Luxemburg norms are computed a whole scanned family at a time:
+the family's ranges tile one block of cells, given by their start offsets,
+so every per-range sum is one ``np.add.reduceat``, and the norm itself is
+the root of the modular in 1/lam, found by a Newton iteration inside a
+closed-form bracket (see :func:`segmented_luxemburg_norms`).  The modular
+infimum, which lies between the norm and twice the norm, is one
+golden-section search around it.
 
-One range is solved by the same algorithm in float state:
-:func:`luxemburg_norm` runs the segmented Newton on its one interval, with
-the bracket and the iterate held in Python floats and every sum taken as the
-array path takes it, so it returns the array path's float, bit for bit,
-without its per-call numpy overhead on an array of one range.  Roots are
+One weighted or unweighted range is solved by the same algorithm in float
+state: :func:`luxemburg_norm` runs the segmented Newton on its one interval,
+with the bracket and the iterate held in Python floats and every sum taken
+as the array path takes it, so an unweighted query returns the array path's
+float, bit for bit, without its per-call numpy overhead on an array of one
+range.  A weight only turns its averages into weighted ones.  Roots are
 bisected one height at a time (:func:`_least_root`), so a height's root is
 the same float whatever array it comes in.
 """
@@ -417,28 +419,23 @@ def _unit_argument(phi: YoungFunction) -> float:
     return float(phi.inverse(1.0))
 
 
-def segmented_luxemburg_norms(
-    phi: YoungFunction,
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    starts: np.ndarray,
-    stops: np.ndarray,
-) -> np.ndarray:
-    """Luxemburg norms of |values| over the ranges of one contiguous family.
+def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Luxemburg norms of |block| over the ranges that start at ``off``.
 
-    The ranges must tile ``[starts[0], stops[-1])``, each stop being the next
-    start, as every scanned family does; anything else is refused with
-    :class:`GeometryError`.  Per-range sums are ``np.add.reduceat`` over that
-    block, with the weighted cell average as the modular, so the cell width
-    never enters.  Since phi(0) = 0 the modular runs only over the cells
-    where |f| w > 0, and a range without such cells has norm 0.  The linear
-    family is its slope times the weighted mean and ``Step`` the weighted
-    sup over its threshold, both in closed form.
+    ``off`` rises strictly from 0, as ``np.add.reduceat`` reads it: range k
+    is ``block[off[k]:off[k + 1]]`` and the last one runs to the end of the
+    block.  Any other ``off`` is refused with :class:`GeometryError`.
+    Per-range sums are ``np.add.reduceat`` over the block, with the cell
+    average as the modular, so the cell width never enters.  Since
+    phi(0) = 0 the modular runs only over the cells where f != 0, and a
+    range without such cells has norm 0.  The linear family is its slope
+    times the mean and ``Step`` the sup over its threshold, both in closed
+    form.  Weighted norms are :func:`luxemburg_norm`'s, one query at a time.
 
-    Every other phi is solved for s = 1/lam, on g(s) = avg_w phi(s|f|) - 1,
+    Every other phi is solved for s = 1/lam, on g(s) = avg phi(s|f|) - 1,
     by a safeguarded Newton iteration (in units of 1/max|f|, so that no
     amplitude overflows).  With c = phi^{-1}(1) the root lies in the closed
-    bracket [c / max|f|, c / mean_w|f|]: at the left end phi(s|f|) <= 1 on
+    bracket [c / max|f|, c / mean|f|]: at the left end phi(s|f|) <= 1 on
     every cell, and at the right end g >= 0 by Jensen's inequality (for a
     non-convex phi the right end is doubled until g >= 0).  Newton starts at
     the right end.  A step that is not finite, leaves the bracket (an
@@ -446,43 +443,34 @@ def segmented_luxemburg_norms(
     replaced by the geometric midpoint of the bracket.
 
     The feasible side is returned: lam is raised by 2e-13 relative, and by a
-    doubling amount after that, until the modular avg_w phi(|f| / lam) is
+    doubling amount after that, until the modular avg phi(|f| / lam) is
     <= 1 - 1e-13, so a recomputation in another summation order still reads
     <= 1.  For finite-valued phi and f not a.e. zero it is >= 1 - 1e-6, and
-    lam exceeds the exact norm by a few parts in 1e13.  So for any weight
-    lam <= max|f| / phi^{-1}(1) * (1 + 1e-12) on every range, since the
-    modular at max|f| / phi^{-1}(1) is at most phi(phi^{-1}(1)) = 1; the
-    Orlicz maximal function skips the ranges whose bound cannot raise it.
+    lam exceeds the exact norm by a few parts in 1e13.  So lam <= max|f| /
+    phi^{-1}(1) * (1 + 1e-12) on every range, since the modular at max|f| /
+    phi^{-1}(1) is at most phi(phi^{-1}(1)) = 1; the Orlicz maximal function
+    skips the ranges whose bound cannot raise it.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    if starts.size == 0 or np.any(stops <= starts) or np.any(stops[:-1] != starts[1:]):
-        raise GeometryError("segmented norms need nonempty cell ranges that tile one block")
-    lo, hi = int(starts[0]), int(stops[-1])
-    off = starts - lo
-    absf = np.abs(np.asarray(values, dtype=np.float64)[lo:hi])
-    if weights is None:
-        w, fw, wsum = None, absf, (stops - starts).astype(np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)[lo:hi]
-        fw, wsum = absf * w, np.add.reduceat(w, off)
-    if np.any(wsum <= 0.0):
-        raise DomainError("weight must have positive mass on every queried range")
+    absf = np.abs(np.asarray(block, dtype=np.float64))
+    off = np.asarray(off, dtype=np.int64)
+    if off.size == 0 or off[0] != 0 or np.any(np.diff(off) <= 0) or off[-1] >= absf.size:
+        raise GeometryError("segmented norms need range offsets rising from 0 inside the block")
+    width = np.diff(off, append=absf.size).astype(np.float64)
 
     scale = _linear_scale(phi)
     if scale is not None:
-        return scale * (np.add.reduceat(fw, off) / wsum)
+        return scale * (np.add.reduceat(absf, off) / width)
 
-    nz = np.flatnonzero(fw)
+    nz = np.flatnonzero(absf)
     first = np.searchsorted(nz, off)
     count = np.diff(first, append=nz.size)
     live = count > 0
-    out = np.zeros(starts.size, dtype=np.float64)
+    out = np.zeros(off.size, dtype=np.float64)
     if not live.any():
         return out
     # the live ranges own consecutive runs of the nonzero cells
-    rep, at, wl = count[live], first[live], wsum[live]
-    fa, wa = absf[nz], None if w is None else w[nz]
+    rep, at, wl = count[live], first[live], width[live]
+    fa = absf[nz]
     top = np.maximum.reduceat(fa, at)
     if isinstance(phi, Step):
         out[live] = top / phi.threshold
@@ -492,7 +480,7 @@ def segmented_luxemburg_norms(
     fn = fa / np.repeat(top, rep)
 
     def average(vals):
-        return np.add.reduceat(vals if wa is None else vals * wa, at) / wl
+        return np.add.reduceat(vals, at) / wl
 
     def newton_terms(u):
         t = fn * np.repeat(u, rep)
@@ -569,9 +557,10 @@ def luxemburg_norm(q: LuxemburgQuery) -> float:
 
     :func:`segmented_luxemburg_norms` on the one range Q, step for step, with
     the bracket, the Newton iterate and the feasibility raise held in floats
-    instead of arrays: the same float, at a fraction of the numpy calls.  A
-    float divided by 0 raises where numpy returns inf or nan, so a zero slope
-    counts as a wild step up front.
+    instead of arrays, and each average taken against w where the query has
+    one.  Without a weight it is the same float, at a fraction of the numpy
+    calls.  A float divided by 0 raises where numpy returns inf or nan, so a
+    zero slope counts as a wild step up front.
     """
     fq, w = _query_arrays(q)
     phi, absf = q.phi, np.abs(fq)

@@ -86,7 +86,7 @@ def per_family_orlicz_maximal(f, phi, scan=DyadicScan()):
     absf = np.abs(f.values)
     out = absf / _unit_argument(phi)
     for starts, stops in scan_cell_ranges(f.grid, scan):
-        norms = segmented_luxemburg_norms(phi, absf, None, starts, stops)
+        norms = segmented_luxemburg_norms(phi, absf[starts[0] : stops[-1]], starts - starts[0])
         block = out[starts[0] : stops[-1]]
         np.maximum(block, np.repeat(norms, stops - starts), out=block)
     return out

@@ -64,10 +64,9 @@ def test_traced_cli_runs_reach_every_layer(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     counts = tracer.counts
-    # the Orlicz maximal function gathers its batches of runs through its own
-    # grid binding; the young and weights bindings of it are never called
-    gathers = [s for s in tracer.spans if s.name == "mixedweak.grid.flatten_cell_ranges"]
-    assert gathers and all(tracer.spans[s.parent].layer == "maximal" for s in gathers)
+    # the segmented Luxemburg solver runs only inside the Orlicz maximal function
+    solves = [s for s in tracer.spans if s.name == "mixedweak.young.segmented_luxemburg_norms"]
+    assert solves and all(tracer.spans[s.parent].layer == "maximal" for s in solves)
     assert counts["cli.calls"] == 3
     assert counts["verify.experiments"] == 2
     assert counts["singular.calls"] == 2
@@ -151,7 +150,8 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed():
     # with *args or **kwargs counts as passing every parameter.  Calls are
     # matched by function name, and the guard sees whether a parameter is
     # passed, not with which value: one that every call passes with the same
-    # value (as ``complementary(exact=True)`` was) goes unflagged.
+    # value (as ``complementary(exact=True)`` was) goes unflagged here, and
+    # only the literal None is flagged, by the next test.
     sources = _sources()
     defaulted = {}
     for path, tree in sources:
@@ -177,3 +177,46 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed():
         )
     )
     assert not unpassed, f"no package or benchmark call passes {', '.join(unpassed)}"
+
+
+def _argument(call, param, position, default):
+    """The expression ``call`` gives ``param``: the one it passes, else ``default``;
+    None when a *args or **kwargs may hide it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return None
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return default
+
+
+def test_no_parameter_of_a_public_function_is_always_passed_none():
+    # a parameter of an exported function that every package and benchmark
+    # call gives the literal None (passed, or as its default) selects one case,
+    # and the code for every other value serves only the tests, as the
+    # segmented Luxemburg solver's ``weights`` did.  Calls are matched by
+    # function name, and a call with *args or **kwargs gives an unknown value.
+    sources = _sources()
+    params = {}
+    for path, tree in sources:
+        exported = _exported(tree) if path.parent == PACKAGE else set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                params[path.stem, node.name] = [
+                    *((arg.arg, i, default) for i, (arg, default) in enumerate(zip(positional, defaults))),
+                    *((arg.arg, None, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)),
+                ]
+    calls = [node for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    always_none = []
+    for (module, name), signature in sorted(params.items()):
+        mine = [call for call in calls if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+        for param, position, default in signature:
+            given = [_argument(call, param, position, default) for call in mine]
+            if given and all(isinstance(arg, ast.Constant) and arg.value is None for arg in given):
+                always_none.append(f"{module}.{name}({param})")
+    assert not always_none, f"every package and benchmark call passes None as {', '.join(always_none)}"

@@ -316,6 +316,59 @@ def test_bmo_refinement_stable_for_log():
     assert abs(fine - coarse) < 0.05 * fine
 
 
+def _log_oscillation(e):
+    """Mean oscillation of log|x| on [-e, 1] (0 < e <= 1), in closed form.
+
+    m is the mean and r = e^m the |x| where log|x| crosses it; the integral
+    of |log x - m| over [0, s] is s (m + 1 - log s) for s <= r and
+    2r + s (log s - m - 1) beyond.  log|x| is even and dilations shift it by
+    a constant, so every interval that straddles 0 is one of these up to a
+    reflection and a dilation.
+    """
+    m = (e * np.log(e) - e - 1.0) / (1.0 + e)
+    r = np.exp(m)
+
+    def below(s):
+        return np.where(s <= r, s * (m + 1.0 - np.log(s)), 2.0 * r + s * (np.log(s) - m - 1.0))
+
+    return (below(e) + below(1.0)) / (1.0 + e)
+
+
+def test_log_oscillation_reaches_the_continuum_sup():
+    # mpmath quadrature puts the sup at 0.9305856 on [-0.137433, 1]
+    e = np.linspace(1e-6, 1.0, 1_000_001)
+    osc = _log_oscillation(e)
+    assert osc.max() == pytest.approx(0.9305856, abs=1e-7)
+    assert e[osc.argmax()] == pytest.approx(0.137433, abs=1e-6)
+    assert _log_oscillation(1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
+
+
+@pytest.mark.parametrize("J, factor", [(10, 0.8995), (12, 0.9007), (14, 0.9010), (16, 0.9011)])
+def test_bmo_norm_of_log_stays_below_the_continuum_sup(J, factor):
+    # the scanned lattices miss the optimal asymmetric interval: measured
+    # 0.89951 / 0.90073 / 0.90103 / 0.90111 of the sup at J = 10 / 12 / 14 / 16
+    exact = _log_oscillation(np.linspace(1e-6, 1.0, 1_000_001)).max()
+    scanned = bmo_norm(sample(lambda x: np.log(np.abs(x)), make_grid(8.0, J)))
+    assert factor * exact <= scanned < exact
+
+
+@pytest.mark.parametrize(
+    "a, J, factor",
+    [(0.5, 10, 0.962), (0.5, 12, 0.971), (0.5, 14, 0.975), (0.5, 16, 0.977),
+     (0.7, 10, 0.855), (0.7, 12, 0.885), (0.7, 14, 0.905), (0.7, 16, 0.918)],
+)
+def test_A1_of_a_power_weight_stays_below_its_closed_form(a, J, factor):
+    # [|x|^-a]_A1 = max over eps in [0, 1] of (1 + eps^(1-a)) / ((1 - a)(1 + eps)),
+    # attained on [-eps, 1]: 1 + sqrt 2 at a = 0.5 and 4.552 at a = 0.7.  Measured
+    # 0.9628 / 0.9716 / 0.9758 / 0.9780 and 0.8554 / 0.8860 / 0.9059 / 0.9189 of it
+    eps = np.linspace(0.0, 1.0, 1_000_001)
+    exact = np.max((1.0 + eps ** (1.0 - a)) / ((1.0 - a) * (1.0 + eps)))
+    if a == 0.5:
+        assert exact == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
+    scanned = estimate_Ap(power_weight(make_grid(8.0, J), -a), 1.0)
+    assert factor * exact <= scanned < exact
+
+
 def test_bmo_w_reduces_to_bmo_for_unit_weight():
     g = make_grid(8.0, 7)
     b = sample(lambda x: np.log(np.abs(x)), g)

@@ -382,31 +382,29 @@ def test_segmented_norms_match_loop_of_single_queries():
     g = make_grid(4.0, 6)
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 3.0, g.N)
-    w = rng.uniform(0.1, 2.0, g.N)
-    starts = np.array([0, 16, 40], dtype=np.int64)
-    stops = np.array([16, 40, 64], dtype=np.int64)
+    off = np.array([0, 16, 40], dtype=np.int64)
     phi = LLogL(1.0, 1.0)
-    batch = segmented_luxemburg_norms(phi, vals, w, starts, stops)
-    for s, e, got in zip(starts, stops, batch):
-        single = segmented_luxemburg_norms(
-            phi, vals[s:e], w[s:e], np.array([0], dtype=np.int64), np.array([e - s], dtype=np.int64)
-        )
+    batch = segmented_luxemburg_norms(phi, vals, off)
+    for s, e, got in zip(off, [16, 40, 64], batch):
+        single = segmented_luxemburg_norms(phi, vals[s:e], np.zeros(1, dtype=np.int64))
         assert got == pytest.approx(float(single[0]), rel=1e-12)
 
 
 def test_segmented_norms_refuse_ranges_that_do_not_tile():
+    # the offsets must rise strictly from 0 and leave the last range nonempty
     vals = np.ones(16)
-    for starts, stops in (([0, 4], [4, 4]), ([0, 6], [4, 10]), ([0, 0], [8, 16]), ([], [])):
+    for off in ([0, 4, 4], [0, 6, 4], [4, 8], [-1, 4], [0, 16], [0, 20], []):
         with pytest.raises(GeometryError):
-            segmented_luxemburg_norms(
-                LLogL(), vals, None, np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
-            )
+            segmented_luxemburg_norms(LLogL(), vals, np.array(off, dtype=np.int64))
+    with pytest.raises(GeometryError):
+        segmented_luxemburg_norms(LLogL(), np.ones(0), np.zeros(1, dtype=np.int64))
 
 
 def bisection_luxemburg_norms(phi, values, weights, starts, stops):
     """Test-only oracle: per-range bisection to relative 1e-10, feasible end returned.
 
     Ranges may overlap or leave gaps; every range is solved on its own cells.
+    A cell of weight 0 adds nothing to the modular, even where phi is +inf.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
@@ -423,7 +421,7 @@ def bisection_luxemburg_norms(phi, values, weights, starts, stops):
         return out
     live_of_seg = np.full(nseg, -1, dtype=np.int64)
     live_of_seg[live] = np.arange(int(live.sum()))
-    keep = live_of_seg[seg] >= 0
+    keep = (live_of_seg[seg] >= 0) & (wa > 0.0)
     fa, wa, seg_l = fa[keep], wa[keep], live_of_seg[seg[keep]]
     nlive = int(live.sum())
     wsum_l = wsum[live]
@@ -484,30 +482,25 @@ def test_slopes_match_central_differences(phi):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     log_amp=st.floats(min_value=-3.0, max_value=3.0),
     spikes=st.floats(min_value=1.0, max_value=4.0),
-    spread=st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0)),
 )
-def test_newton_norms_match_bisection_oracle(phi, seed, log_amp, spikes, spread):
-    # |normal|^spikes puts most of the mass on few cells and spread sets the
-    # weights' log-normal width: together they start Newton far from the root
+def test_newton_norms_match_bisection_oracle(phi, seed, log_amp, spikes):
+    # |normal|^spikes puts most of the mass on few cells, which starts Newton
+    # far from the root
     rng = np.random.default_rng(seed)
     n = 64
     vals = 10.0**log_amp * np.abs(rng.standard_normal(n)) ** spikes * (rng.random(n) < 0.7)
-    w = None if spread is None else np.exp(spread * rng.standard_normal(n))
     cuts = np.unique(rng.integers(1, n, size=rng.integers(0, 12)))
     starts = np.concatenate(([0], cuts)).astype(np.int64)
     stops = np.concatenate((cuts, [n])).astype(np.int64)
-    got = segmented_luxemburg_norms(phi, vals, w, starts, stops)
-    want = bisection_luxemburg_norms(phi, vals, w, starts, stops)
+    got = segmented_luxemburg_norms(phi, vals, starts)
+    want = bisection_luxemburg_norms(phi, vals, None, starts, stops)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
     for a, b, lam in zip(starts, stops, got):
         fq = np.abs(vals[a:b])
         if lam == 0.0:
             assert not np.any(fq)
             continue
-        if w is None:
-            modular = float(np.mean(phi.eval(fq / lam)))
-        else:
-            modular = float(np.sum(phi.eval(fq / lam) * w[a:b]) / np.sum(w[a:b]))
+        modular = float(np.mean(phi.eval(fq / lam)))
         assert 1.0 - 1e-6 <= modular <= 1.0, (phi, modular)
 
 
@@ -519,9 +512,8 @@ def test_newton_norms_match_bisection_oracle(phi, seed, log_amp, spikes, spread)
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=1, max_value=64),
     constant=st.booleans(),
-    spread=st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0)),
 )
-def test_norm_never_exceeds_max_over_unit_argument(phi, seed, n, constant, spread):
+def test_norm_never_exceeds_max_over_unit_argument(phi, seed, n, constant):
     # the Orlicz maximal function skips a range on this bound; a constant |f|
     # puts the modular at the bound exactly to phi(c) = 1, the tightest case
     rng = np.random.default_rng(seed)
@@ -529,26 +521,25 @@ def test_norm_never_exceeds_max_over_unit_argument(phi, seed, n, constant, sprea
         vals = np.full(n, 10.0 ** rng.uniform(-3.0, 3.0))
     else:
         vals = rng.standard_normal(n) * np.exp(2.0 * rng.standard_normal(n)) * (rng.random(n) < 0.7)
-    w = None if spread is None else np.exp(spread * rng.standard_normal(n))
     cuts = np.unique(rng.integers(1, max(n, 2), size=rng.integers(0, 8)))
     cuts = cuts[cuts < n]
-    starts = np.concatenate(([0], cuts)).astype(np.int64)
-    stops = np.concatenate((cuts, [n])).astype(np.int64)
-    got = segmented_luxemburg_norms(phi, vals, w, starts, stops)
-    cap = np.maximum.reduceat(np.abs(vals), starts) / float(phi.inverse(1.0))
+    off = np.concatenate(([0], cuts)).astype(np.int64)
+    got = segmented_luxemburg_norms(phi, vals, off)
+    cap = np.maximum.reduceat(np.abs(vals), off) / float(phi.inverse(1.0))
     # measured worst case 6.0e-13, after one raise to the feasible side
     assert np.all(got <= cap * (1.0 + 1e-12))
 
 
 def test_newton_refuses_a_zero_step_from_an_overflowing_slope():
-    # at the right end u = 18.833 (in units of 1/max|f|) phi = expm1(2 u^2) is
-    # finite but its slope is not, so g / phi' is 0 and must not read as converged
+    # at the right end u = c / mean(|f| / max|f|) = 18.81 phi = expm1(2 u^2) is
+    # finite but its slope is not (u in (18.78, 18.84)), so g / phi' is 0 and
+    # must not read as converged; the second cell tunes the mean of 32 cells
     phi = ExpAlphaL(0.5, 2.0)
     c = float(phi.inverse(1.0))
-    vals, w = np.array([1.0, 0.0]), np.array([1.0, 18.833 / c - 1.0])
-    one = np.array([0], dtype=np.int64), np.array([2], dtype=np.int64)
-    got = segmented_luxemburg_norms(phi, vals, w, *one)
-    np.testing.assert_allclose(got, bisection_luxemburg_norms(phi, vals, w, *one), rtol=1e-10)
+    vals = np.zeros(32)
+    vals[:2] = 1.0, 32 * c / 18.81 - 1.0
+    got = segmented_luxemburg_norms(phi, vals, np.zeros(1, dtype=np.int64))
+    np.testing.assert_allclose(got, bisection_luxemburg_norms(phi, vals, None, [0], [32]), rtol=1e-10)
 
 
 # --- single-range and single-height float paths ---------------------------
@@ -596,7 +587,9 @@ def _same(a, b):
 )
 def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zero_frac, weighted, j):
     # luxemburg_norm holds the segmented solver's iterate in floats; on its
-    # one range it must return the same float, or raise the same error
+    # one range it must return the same float, or raise the same error.  The
+    # segmented solver is unweighted, so a weighted query is held to the
+    # bisection oracle instead
     rng = np.random.default_rng(seed)
     g = make_grid(8.0, 6)
     Q = DyadicInterval(g, j, int(rng.integers(1 << j)))
@@ -610,25 +603,33 @@ def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zer
         w = SampledFunction(g, wv)
     q = LuxemburgQuery(SampledFunction(g, vals), Q, phi, w)
     sl = Q.cell_slice
-    one = np.array([0], dtype=np.int64), np.array([Q.n_cells], dtype=np.int64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         got = _outcome(lambda: luxemburg_norm(q))
-        want = _outcome(lambda: segmented_luxemburg_norms(
-            phi, vals[sl], None if w is None else w.values[sl], *one)[0])
+        if weighted:
+            want = bisection_luxemburg_norms(phi, vals[sl], wv[sl], [0], [Q.n_cells])
+            np.testing.assert_allclose(got, want[0], rtol=1e-10, atol=0.0)
+            return
+        want = _outcome(lambda: segmented_luxemburg_norms(phi, vals[sl], np.zeros(1, dtype=np.int64))[0])
     assert _same(got, want), (got, want)
 
 
 def test_single_range_norm_takes_a_zero_slope_as_a_wild_step():
     # a top cell of weight 1e-300 against 1e300 on a cell of |f| = 1e-300:
-    # the Newton slope underflows to 0, where a float quotient would raise
+    # the Newton slope underflows to 0, where a float quotient would raise.
+    # The exact norm is sqrt(2) 1e-300, but (|f| / lam)^2 overflows on the
+    # top cell there, so the feasibility raise of both solvers ends at 7.5e-155
     g = make_grid(8.0, 4)
     vals, w = np.zeros(g.N), np.ones(g.N)
     vals[:2], w[:2] = (1.0, 1e-300), (1e-300, 1e300)
     Q = DyadicInterval(g, 2, 0)
-    q = LuxemburgQuery(SampledFunction(g, vals), Q, Power(2.0), SampledFunction(g, w))
-    one = np.array([0], dtype=np.int64), np.array([Q.n_cells], dtype=np.int64)
-    want = segmented_luxemburg_norms(q.phi, vals[Q.cell_slice], w[Q.cell_slice], *one)[0]
-    assert luxemburg_norm(q) == want > 0.0
+    f, sl = SampledFunction(g, vals), Q.cell_slice
+    q = LuxemburgQuery(f, Q, Power(2.0), SampledFunction(g, w))
+    want = bisection_luxemburg_norms(q.phi, vals[sl], w[sl], [0], [Q.n_cells])[0]
+    got = luxemburg_norm(q)
+    assert got > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    unweighted = segmented_luxemburg_norms(q.phi, vals[sl], np.zeros(1, dtype=np.int64))[0]
+    assert luxemburg_norm(LuxemburgQuery(f, Q, q.phi)) == unweighted > 0.0
 
 
 class _Capped:
