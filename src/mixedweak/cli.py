@@ -240,7 +240,6 @@ def _cmd_verify(name: str, cfg: ExperimentConfig) -> _Outcome:
         "stable": rep.stable,
         "j_pair": list(rep.j_pair),
         "margin": rep.margin,
-        "degenerate_symbol": rep.degenerate_symbol,
         "preflight": {key: _estimate_json(est) for key, est in rep.preflight.items()},
         "extras": {key: _clean(value) for key, value in rep.extras.items()},
         "rows": {col: [row[i] for row in rows] for i, col in enumerate(header)},

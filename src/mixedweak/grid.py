@@ -73,7 +73,7 @@ __all__ = [
 THIRD_SHIFTS: tuple[float, float, float] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 
 # Resolution band accepted by make_grid; the Grid type itself also allows the
-# coarser grids that refinement comparisons construct internally.
+# coarser grids that refinement comparisons construct internally, but no finer.
 _MIN_USER_J = 4
 _MAX_USER_J = 24
 
@@ -101,7 +101,7 @@ class Grid:
     L : float
         Half-width of the domain, positive and finite.
     J : int
-        Resolution exponent; the grid has ``N = 2**J`` cells.
+        Resolution exponent, ``1 <= J <= 24``; the grid has ``N = 2**J`` cells.
     """
 
     L: float
@@ -110,8 +110,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not isinstance(self.J, int):
             raise ConfigurationError(f"resolution exponent J must be an int, got {self.J!r}")
-        if not (1 <= self.J <= 30):
-            raise ConfigurationError(f"resolution exponent J={self.J} outside the supported band [1, 30]")
+        if not (1 <= self.J <= _MAX_USER_J):
+            raise ConfigurationError(
+                f"resolution exponent J={self.J} outside the supported band [1, {_MAX_USER_J}]"
+            )
         L = float(self.L)
         if not (math.isfinite(L) and L > 0.0):
             raise ConfigurationError(f"domain half-width L must be positive and finite, got {self.L!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -106,7 +106,7 @@ class ReportRow(NamedTuple):
     lhs: float
     rhs: float
     ratio: float
-    alt: float | None = None
+    alt: float | None
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ class InequalityReport:
     stage_s: dict[str, float]
     drift: float
     stable: bool
-    degenerate_symbol: bool = False
-    extras: dict[str, float] = field(default_factory=dict)
+    extras: dict[str, float]
 
 
 # --- family grammar -------------------------------------------------------
@@ -373,9 +372,9 @@ def _drive(
 ) -> InequalityReport:
     """Build grid J and its coarsened grid J - 2, then measure on both at the same heights.
 
-    ``sides_at(inst, ts)`` returns ``(ts, lhs, rhs, alt, fields)``, one array
+    ``sides_at(inst, ts)`` returns ``(ts, lhs, rhs, alt, extras)``, one array
     per row column (``alt`` may be None); the fine call gets ``ts=None`` and
-    picks the sweep, and its ``fields`` go on the report.  Without
+    picks the sweep, and its ``extras`` go on the report.  Without
     ``preflight`` (theorem 3: any positive u, its own v) the configured v is
     never built, no weight constant is estimated and the report's
     ``preflight`` is empty.  ``stage_s`` times the two instances with their
@@ -393,7 +392,7 @@ def _drive(
         estimates = preflight_weights(fine, coarse)
         _require_hypotheses(estimates, cfg.force)
     fine_at = time.perf_counter()
-    ts, *sides, fields = sides_at(fine, None)
+    ts, *sides, extras = sides_at(fine, None)
     rows = _rows(ts, *sides)
     coarse_at = time.perf_counter()
     _, *coarse_sides, _ = sides_at(coarse, ts)
@@ -418,7 +417,7 @@ def _drive(
                  "coarse": done - coarse_at},
         drift=drift,
         stable=stable,
-        **fields,
+        extras=extras,
     )
 
 
@@ -445,21 +444,16 @@ def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
     def sides_at(inst, ts):
         b = sample_b(inst.grid, cfg.b)
         norm_b = bmo_norm(b, inst.scan)
-        degenerate = norm_b == 0.0
-        if degenerate:
-            scale = 0.0
-        else:
+        if norm_b > 0.0:
             # normalize the symbol per resolution so ||b||^m drops out as 1
             b = SampledFunction(inst.grid, b.values / norm_b)
-            scale = 1.0
         tout = commutator(b, inst.f * inst.v.fn, m)
-        # phi(scale) == scale for scale in {0, 1}: the direct form int phi(scale |f| / t)
-        # and the split form phi(scale) int phi(|f| / t) are one number, one pass
         uv = inst.u.values * inst.v.values
         ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
                               np.abs(inst.f.values), phi, uv)
-        rhs = scale * rhs
-        return ts, lhs, rhs, rhs, {"degenerate_symbol": degenerate}
+        # a constant symbol (norm 0) scales the right side by ||b||^m = 0
+        rhs = rhs if norm_b > 0.0 else 0.0 * rhs
+        return ts, lhs, rhs, None, {"bmo_norm": norm_b}
 
     return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, sides_at)
 
@@ -523,7 +517,6 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         rhs0 = float(modular_mass(grid.h, absfv, phi, mu, 1.0))
         alt = 1.0 / phi(1.0 / ts) * lhs
         weak_orlicz_sup = max(_ratio(a, rhs0) for a in alt.tolist())
-        fields = {"extras": {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}}
-        return ts, lhs, rhs, alt, fields
+        return ts, lhs, rhs, alt, {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}
 
     return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, sides_at, preflight=False)

@@ -1,4 +1,4 @@
-"""Young functions, complementary pairs, and weighted Luxemburg norms.
+"""Young functions, complementary pairs, and Luxemburg norms.
 
 The Orlicz engine behind every estimate in the package.  A Young function
 here is a frozen dataclass with a vectorized evaluator ``eval``, its
@@ -17,22 +17,21 @@ small t).  The transform is evaluated through Young's equality
 inverse of a conjugate are each one bracketed root of a nondecreasing
 function of s, found by the same bisection that inverts the families.
 
-Unweighted Luxemburg norms are computed a whole scanned family at a time:
-the family's ranges tile one block of cells, given by their start offsets,
-so every per-range sum is one ``np.add.reduceat``, and the norm itself is
-the root of the modular in 1/lam, found by a Newton iteration inside a
-closed-form bracket (see :func:`segmented_luxemburg_norms`).  The modular
-infimum, which lies between the norm and twice the norm, is one
+Luxemburg norms, over Lebesgue measure, are computed a whole scanned family
+at a time: the family's ranges tile one block of cells, given by their start
+offsets, so every per-range sum is one ``np.add.reduceat``, and the norm
+itself is the root of the modular in 1/lam, found by a Newton iteration
+inside a closed-form bracket (see :func:`segmented_luxemburg_norms`).  The
+modular infimum, which lies between the norm and twice the norm, is one
 golden-section search around it.
 
-One weighted or unweighted range is solved by the same algorithm in float
-state: :func:`luxemburg_norm` runs the segmented Newton on its one interval,
-with the bracket and the iterate held in Python floats and every sum taken
-as the array path takes it, so an unweighted query returns the array path's
-float, bit for bit, without its per-call numpy overhead on an array of one
-range.  A weight only turns its averages into weighted ones.  Roots are
-bisected one height at a time (:func:`_least_root`), so a height's root is
-the same float whatever array it comes in.
+One range is solved by the same algorithm in float state:
+:func:`luxemburg_norm` runs the segmented Newton on its one interval, with
+the bracket and the iterate held in Python floats and every sum taken as the
+array path takes it, so a query returns the array path's float, bit for
+bit, without its per-call numpy overhead on an array of one range.  Roots
+are bisected one height at a time (:func:`_least_root`), so a height's root
+is the same float whatever array it comes in.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ class Identity(YoungFunction):
 class Step(YoungFunction):
     """phi(t) = 0 for t <= threshold, +inf beyond: the conjugate of c*t.
 
-    Its Luxemburg norm is the weighted essential sup scaled by the threshold,
+    Its Luxemburg norm is the essential sup of |f| over the threshold,
     and its generalized inverse is identically the threshold, which is
     exactly what the duality identity for the linear family requires.
     """
@@ -374,34 +373,24 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 
 @dataclass(frozen=True, eq=False)
 class LuxemburgQuery:
-    """One weighted Orlicz-norm evaluation: ``||f||_{phi, Q, w}``.
-
-    ``w = None`` means Lebesgue measure on Q.
-    """
+    """One Orlicz-norm evaluation ``||f||_{phi, Q}``, over Lebesgue measure on Q."""
 
     f: SampledFunction
     Q: DyadicInterval
     phi: YoungFunction
-    w: SampledFunction | None = None
 
     def __post_init__(self) -> None:
         if self.Q.grid != self.f.grid:
             raise GeometryError("query interval lives on a different grid than f")
         if self.Q.is_empty:
             raise GeometryError(f"query interval j={self.Q.j}, k={self.Q.k} contains no cells")
-        if self.w is not None:
-            if self.w.grid != self.f.grid:
-                raise GeometryError("weight lives on a different grid than f")
-            wq = self.w.values[self.Q.cell_slice]
-            if np.any(wq < 0.0) or float(np.sum(wq)) <= 0.0:
-                raise DomainError("weight must be nonnegative with positive mass on Q")
 
 
 def _linear_scale(phi: YoungFunction) -> float | None:
     """Slope c when phi(t) = c*t exactly, else None.
 
     The linear family short-circuits the Newton solver: the norm is c times the
-    weighted average of |f|.  This is also what makes the Orlicz maximal
+    average of |f|.  This is also what makes the Orlicz maximal
     function with the identity collapse bitwise onto the plain one.
     """
     if isinstance(phi, Identity):
@@ -430,7 +419,7 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     phi(0) = 0 the modular runs only over the cells where f != 0, and a
     range without such cells has norm 0.  The linear family is its slope
     times the mean and ``Step`` the sup over its threshold, both in closed
-    form.  Weighted norms are :func:`luxemburg_norm`'s, one query at a time.
+    form.
 
     Every other phi is solved for s = 1/lam, on g(s) = avg phi(s|f|) - 1,
     by a safeguarded Newton iteration (in units of 1/max|f|, so that no
@@ -537,12 +526,6 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     return out
 
 
-def _query_arrays(q: LuxemburgQuery) -> tuple[np.ndarray, np.ndarray | None]:
-    sl = q.Q.cell_slice
-    w = None if q.w is None else q.w.values[sl]
-    return q.f.values[sl], w
-
-
 #: the one range start of a single-range sum, ``np.add.reduceat(x, _FIRST)[0]``
 _FIRST = np.zeros(1, dtype=np.intp)
 
@@ -553,35 +536,31 @@ def _range_sum(x: np.ndarray) -> float:
 
 
 def luxemburg_norm(q: LuxemburgQuery) -> float:
-    """Weighted Luxemburg norm inf{lam > 0 : avg_w phi(|f|/lam) <= 1} on Q.
+    """Luxemburg norm inf{lam > 0 : avg phi(|f|/lam) <= 1} on Q.
 
     :func:`segmented_luxemburg_norms` on the one range Q, step for step, with
     the bracket, the Newton iterate and the feasibility raise held in floats
-    instead of arrays, and each average taken against w where the query has
-    one.  Without a weight it is the same float, at a fraction of the numpy
-    calls.  A float divided by 0 raises where numpy returns inf or nan, so a
-    zero slope counts as a wild step up front.
+    instead of arrays: the same float, at a fraction of the numpy calls.  A
+    float divided by 0 raises where numpy returns inf or nan, so a zero slope
+    counts as a wild step up front.  No convex family reaches that guard: the
+    top cell has fn = 1 and u >= c = phi^{-1}(1), where the slope is >= 1/c.
     """
-    fq, w = _query_arrays(q)
-    phi, absf = q.phi, np.abs(fq)
-    fw, wsum = (absf, float(absf.size)) if w is None else (absf * w, _range_sum(w))
-    if wsum <= 0.0:
-        raise DomainError("weight must have positive mass on every queried range")
+    phi, absf = q.phi, np.abs(q.f.values[q.Q.cell_slice])
+    n = float(absf.size)
 
     scale = _linear_scale(phi)
     if scale is not None:
-        return scale * (_range_sum(fw) / wsum)
-    nz = np.flatnonzero(fw)
-    if nz.size == 0:
+        return scale * (_range_sum(absf) / n)
+    fa = absf[np.flatnonzero(absf)]
+    if fa.size == 0:
         return 0.0
-    fa, wa = absf[nz], None if w is None else w[nz]
     top = float(fa.max())
     if isinstance(phi, Step):
         return top / phi.threshold
     fn = fa / top
 
     def average(vals: np.ndarray) -> float:
-        return _range_sum(vals if wa is None else vals * wa) / wsum
+        return _range_sum(vals) / n
 
     def newton_terms(u: float) -> tuple[float, float]:
         t = fn * u
@@ -652,7 +631,7 @@ def _golden_section(objective, a: float, b: float) -> tuple[float, float, float]
 
 
 def modular_inf(q: LuxemburgQuery) -> float:
-    """The equivalent quantity inf_tau {tau + tau * avg_w phi(|f|/tau)}.
+    """The equivalent quantity inf_tau {tau + tau * avg phi(|f|/tau)}.
 
     For convex phi the objective is convex in tau (tau plus the perspective
     of phi), and its minimizer lies below the modular infimum, which lies
@@ -674,13 +653,11 @@ def modular_inf(q: LuxemburgQuery) -> float:
     norm = luxemburg_norm(q)
     if norm == 0.0 or _linear_scale(q.phi) is not None:
         return norm
-    fq, w = _query_arrays(q)
-    absf, phi = np.abs(fq), q.phi
-    total = float(absf.size) if w is None else float(np.sum(w))
+    absf, phi = np.abs(q.f.values[q.Q.cell_slice]), q.phi
+    total = float(absf.size)
 
     def objective(tau: float) -> float:
-        vals = phi._eval_array(absf / tau)
-        return tau * (1.0 + float(np.add.reduce(vals if w is None else vals * w)) / total)
+        return tau * (1.0 + float(np.add.reduce(phi._eval_array(absf / tau))) / total)
 
     low = 1e-3 * norm
     with np.errstate(over="ignore", invalid="ignore"):

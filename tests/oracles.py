@@ -1,9 +1,10 @@
 """Test-only reference implementations and proof-lemma helpers.
 
-Nothing in the package calls these.  The maximal oracles and the per-family
-weight estimators are slow on purpose: each computes its operator the plain
-way, so a fast path can be checked against it on small grids.  The other helpers are numerical forms of
-the lemmas the paper's proofs lean on: Hoelder for Young pairs, triple
+Nothing in the package calls these.  The maximal oracles, the bisected
+Luxemburg norms and the per-family weight estimators are slow on purpose:
+each computes its operator the plain way, so a fast path can be checked
+against it on small grids.  The other helpers are numerical forms of the
+lemmas the paper's proofs lean on: Hoelder for Young pairs, triple
 composition, reverse Hoelder and John-Nirenberg tails, p-th-power and
 weighted oscillation norms, dilated averages, the iterated maximal function,
 the theorem-3 scale root and annular sets, kernel smoothness, the dyadic
@@ -39,6 +40,7 @@ from mixedweak.grid import (
     Grid,
     SampledFunction,
     _positive_heights,
+    flatten_cell_ranges,
     modular_mass,
     scan_cell_ranges,
     superlevel_mass,
@@ -119,7 +121,61 @@ def integrate(
     return float(f.grid.h * np.sum(vals))
 
 
-# --- young: Hoelder, triple composition, envelopes, conjugate equivalence ---
+# --- young: bisected norms, Hoelder, triple composition, envelopes, conjugates ---
+
+
+def bisection_luxemburg_norms(phi, values, weights, starts, stops):
+    """Luxemburg norms by per-range bisection to relative 1e-10, feasible end returned.
+
+    Ranges may overlap or leave gaps; every range is solved on its own cells.
+    A cell of weight 0 adds nothing to the modular, even where phi is +inf.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    absf = np.abs(np.asarray(values, dtype=np.float64))
+    idx, seg = flatten_cell_ranges(starts, stops)
+    fa = absf[idx]
+    wa = np.ones_like(fa) if weights is None else np.asarray(weights, dtype=np.float64)[idx]
+    nseg = starts.size
+    wsum = np.bincount(seg, weights=wa, minlength=nseg)
+    lam0 = np.bincount(seg, weights=fa * wa, minlength=nseg) / wsum
+    live = lam0 > 0.0
+    out = np.zeros(nseg, dtype=np.float64)
+    if not live.any():
+        return out
+    live_of_seg = np.full(nseg, -1, dtype=np.int64)
+    live_of_seg[live] = np.arange(int(live.sum()))
+    keep = (live_of_seg[seg] >= 0) & (wa > 0.0)
+    fa, wa, seg_l = fa[keep], wa[keep], live_of_seg[seg[keep]]
+    nlive = int(live.sum())
+    wsum_l = wsum[live]
+
+    def modular(lam):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = phi._eval_array(fa / lam[seg_l]) * wa
+        return np.bincount(seg_l, weights=vals, minlength=nlive) / wsum_l
+
+    hi = lam0[live].copy()
+    for _ in range(700):
+        bad = modular(hi) > 1.0
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    lo = hi.copy()
+    for _ in range(700):
+        slack = modular(lo) < 1.0
+        if not slack.any():
+            break
+        lo[slack] *= 0.5
+    for _ in range(300):
+        if np.all(hi - lo <= 1e-10 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        feasible = modular(mid) <= 1.0
+        hi = np.where(feasible, mid, hi)
+        lo = np.where(feasible, lo, mid)
+    out[live] = hi
+    return out
 
 
 def holder_pair(
@@ -135,7 +191,8 @@ def holder_pair(
     the right dominates the exact complementary function pointwise, so the
     inequality lhs <= rhs is a theorem, not a heuristic: it is the classical
     equivalent form ``ExpL(delta)`` for ``LLogL(1, delta)``, and the exact
-    complementary function otherwise.
+    complementary function otherwise.  Weighted norms are bisected by
+    :func:`bisection_luxemburg_norms`; unweighted ones are ``luxemburg_norm``'s.
     """
     lhs_f = abs(f * g)
     sl = Q.cell_slice
@@ -146,10 +203,13 @@ def holder_pair(
         bar = ExpL(phi.delta)
     else:
         bar = complementary(phi)
-    rhs = 2.0 * luxemburg_norm(LuxemburgQuery(f, Q, phi, w)) * luxemburg_norm(
-        LuxemburgQuery(g, Q, bar, w)
-    )
-    return lhs, rhs
+
+    def norm(h: SampledFunction, psi: YoungFunction) -> float:
+        if w is None:
+            return luxemburg_norm(LuxemburgQuery(h, Q, psi))
+        return float(bisection_luxemburg_norms(psi, h.values[sl], wq, [0], [Q.n_cells])[0])
+
+    return lhs, 2.0 * norm(f, phi) * norm(g, bar)
 
 
 @dataclass(frozen=True)
@@ -434,17 +494,22 @@ def dilated_average_gap(b: SampledFunction, Q: DyadicInterval, k: int) -> float:
 def weighted_expL_vs_plain(
     b: SampledFunction, Q: DyadicInterval, w: Weight
 ) -> tuple[float, float]:
-    """Both exponential-Orlicz norms of b - b_Q on Q: (w-weighted, plain)."""
+    """Both exponential-Orlicz norms of b - b_Q on Q: (w-weighted, plain).
+
+    Both are bisected by :func:`bisection_luxemburg_norms`, so a unit weight
+    gives the plain norm bit for bit.
+    """
     if w.grid != b.grid:
         raise GridMismatchError("b and w must share a grid")
     if Q.grid != b.grid:
         raise GeometryError("interval and function live on different grids")
-    mean_q = float(np.mean(b.values[Q.cell_slice]))
-    dev = SampledFunction(b.grid, b.values - mean_q)
-    phi = ExpL(1.0)
-    weighted = luxemburg_norm(LuxemburgQuery(dev, Q, phi, w.fn))
-    plain = luxemburg_norm(LuxemburgQuery(dev, Q, phi))
-    return weighted, plain
+    sl = Q.cell_slice
+    dev = b.values[sl] - float(np.mean(b.values[sl]))
+
+    def norm(weights: np.ndarray | None) -> float:
+        return float(bisection_luxemburg_norms(ExpL(1.0), dev, weights, [0], [Q.n_cells])[0])
+
+    return norm(w.values[sl]), norm(None)
 
 
 # --- maximal: iterated maximal function and the weak modular bound --------

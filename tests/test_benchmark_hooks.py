@@ -135,6 +135,63 @@ def test_every_public_name_is_reached(monkeypatch):
     assert not unreached, f"only the tests reach {', '.join(unreached)}"
 
 
+def _is_record(node):
+    """Whether a class is a dataclass or a NamedTuple: its fields are its parameters."""
+    decorators = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return (any(getattr(dec, "id", None) == "dataclass" for dec in decorators)
+            or any(getattr(base, "id", None) == "NamedTuple" for base in node.bases))
+
+
+def _field_default(value):
+    """The default expression of a field's right-hand side: ``field(default=...)`` or
+    ``field(default_factory=...)`` gives its argument, ``field()`` none."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        given = {kw.arg: kw.value for kw in value.keywords}
+        return given.get("default", given.get("default_factory"))
+    return value
+
+
+def _signatures(sources):
+    """``{(module, name): [(param, position, default), ...]}`` of every exported
+    function, and of every exported dataclass and NamedTuple, whose fields are
+    its parameters in field order.  ``position`` is None for a keyword-only
+    parameter and ``default`` None for a required one.  A class's own body is
+    read, not its bases'."""
+    signatures = {}
+    for path, tree in sources:
+        exported = _exported(tree) if path.parent == PACKAGE else set()
+        for node in tree.body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                signatures[path.stem, node.name] = [
+                    *((arg.arg, i, default) for i, (arg, default) in enumerate(zip(positional, defaults))),
+                    *((arg.arg, None, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)),
+                ]
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
+                fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and "ClassVar" not in ast.unparse(stmt.annotation)]
+                signatures[path.stem, node.name] = [
+                    (stmt.target.id, i, _field_default(stmt.value)) for i, stmt in enumerate(fields)
+                ]
+    return signatures
+
+
+def _calls_by_name(sources):
+    """Every call in the package and the benchmark, keyed by the called name."""
+    calls = {}
+    for _, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
 def _passes(call, param, position):
     """Whether ``call`` passes ``param`` (at ``position`` when positional)."""
     if any(isinstance(arg, ast.Starred) for arg in call.args):
@@ -145,36 +202,22 @@ def _passes(call, param, position):
 
 
 def test_every_defaulted_parameter_of_a_public_function_is_passed():
-    # a defaulted parameter of an exported function that no package or
-    # benchmark call passes selects a variant that only the tests use; a call
-    # with *args or **kwargs counts as passing every parameter.  Calls are
-    # matched by function name, and the guard sees whether a parameter is
-    # passed, not with which value: one that every call passes with the same
-    # value (as ``complementary(exact=True)`` was) goes unflagged here, and
-    # only the literal None is flagged, by the next test.
+    # a defaulted parameter of an exported function, or a defaulted field of an
+    # exported dataclass or NamedTuple, that no package or benchmark call
+    # passes selects a variant that only the tests use (as
+    # ``LuxemburgQuery.w`` did); a call with *args or **kwargs counts as
+    # passing every parameter.  Calls are matched by name, and the guard sees
+    # whether a parameter is passed, not with which value: one that every call
+    # passes with the same value (as ``complementary(exact=True)`` was) goes
+    # unflagged here, and only the literal None is flagged, by the next test.
     sources = _sources()
-    defaulted = {}
-    for path, tree in sources:
-        exported = _exported(tree) if path.parent == PACKAGE else set()
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in exported:
-                args = node.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                params = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
-                params.update((arg.arg, None) for arg, default in
-                              zip(args.kwonlyargs, args.kw_defaults) if default is not None)
-                defaulted[path.stem, node.name] = params
-    calls = [node for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = _calls_by_name(sources)
     unpassed = sorted(
         f"{module}.{name}({param})"
-        for (module, name), params in defaulted.items()
-        for param, position in params.items()
-        if not any(
-            getattr(call.func, "id", getattr(call.func, "attr", None)) == name
-            and _passes(call, param, position)
-            for call in calls
-        )
+        for (module, name), signature in _signatures(sources).items()
+        for param, position, default in signature
+        if default is not None
+        and not any(_passes(call, param, position) for call in calls.get(name, []))
     )
     assert not unpassed, f"no package or benchmark call passes {', '.join(unpassed)}"
 
@@ -193,30 +236,18 @@ def _argument(call, param, position, default):
 
 
 def test_no_parameter_of_a_public_function_is_always_passed_none():
-    # a parameter of an exported function that every package and benchmark
-    # call gives the literal None (passed, or as its default) selects one case,
-    # and the code for every other value serves only the tests, as the
-    # segmented Luxemburg solver's ``weights`` did.  Calls are matched by
-    # function name, and a call with *args or **kwargs gives an unknown value.
+    # a parameter of an exported function, or a field of an exported dataclass
+    # or NamedTuple, that every package and benchmark call gives the literal
+    # None (passed, or as its default) selects one case, and the code for
+    # every other value serves only the tests, as the segmented Luxemburg
+    # solver's ``weights`` did.  Calls are matched by name, and a call with
+    # *args or **kwargs gives an unknown value.
     sources = _sources()
-    params = {}
-    for path, tree in sources:
-        exported = _exported(tree) if path.parent == PACKAGE else set()
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in exported:
-                args = node.args
-                positional = args.posonlyargs + args.args
-                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
-                params[path.stem, node.name] = [
-                    *((arg.arg, i, default) for i, (arg, default) in enumerate(zip(positional, defaults))),
-                    *((arg.arg, None, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)),
-                ]
-    calls = [node for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = _calls_by_name(sources)
     always_none = []
-    for (module, name), signature in sorted(params.items()):
-        mine = [call for call in calls if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+    for (module, name), signature in sorted(_signatures(sources).items()):
         for param, position, default in signature:
-            given = [_argument(call, param, position, default) for call in mine]
+            given = [_argument(call, param, position, default) for call in calls.get(name, [])]
             if given and all(isinstance(arg, ast.Constant) and arg.value is None for arg in given):
                 always_none.append(f"{module}.{name}({param})")
     assert not always_none, f"every package and benchmark call passes None as {', '.join(always_none)}"

@@ -65,6 +65,15 @@ def test_make_grid_rejects_out_of_band_J():
         make_grid(math.inf, 6)
 
 
+def test_grid_type_stops_at_the_user_band():
+    # make_grid's upper end bounds the type too, before any center is allocated;
+    # below make_grid's lower end the type still holds a refinement pair's coarse grid
+    for bad in (25, 0):
+        with pytest.raises(ConfigurationError):
+            Grid(1.0, bad)
+    assert Grid(1.0, 1).N == 2
+
+
 def test_coarsened_keeps_domain():
     g = make_grid(8.0, 8)
     c = g.coarsened()

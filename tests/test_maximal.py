@@ -16,13 +16,13 @@ from mixedweak.maximal import hl_maximal, orlicz_maximal
 from mixedweak.weights import power_weight
 from mixedweak.young import ExpL, Identity, LLogL, Power, Step, segmented_luxemburg_norms
 from oracles import (
+    bisection_luxemburg_norms,
     brute_force_maximal,
     compare_llogl_iterated,
     iterated_maximal,
     per_family_orlicz_maximal,
     weak_modular_check,
 )
-from test_young import bisection_luxemburg_norms
 
 SEED = 20260823
 

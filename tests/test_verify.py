@@ -47,7 +47,7 @@ from mixedweak.verify import (
     sample_b,
     sample_f,
 )
-from mixedweak.weights import estimate_Ap
+from mixedweak.weights import bmo_norm, estimate_Ap
 from mixedweak.young import Identity, LLogL, Power
 from oracles import solve_scale_a, theorem3_set_partition
 
@@ -303,13 +303,15 @@ def test_theorem1_small_scale_report():
     cfg = ExperimentConfig(L=8.0, J=8, f="indicator a=0 b=1", u="power beta=-0.5", v="const")
     rep = run_theorem1(cfg)
     assert rep.theorem == "theorem1"
-    assert not rep.degenerate_symbol
+    # the fine grid's BMO norm, which b is divided by
+    assert rep.extras == {"bmo_norm": bmo_norm(sample_b(make_grid(8.0, 8), "log"), cfg.scan())}
+    assert rep.extras["bmo_norm"] > 0.0
     assert rep.sup_ratio == pytest.approx(0.8764, rel=0.05)
     assert math.isfinite(rep.sup_ratio)
     assert set(rep.stage_s) == {"preflight", "fine", "coarse"}
     assert 0.0 < sum(rep.stage_s.values())
-    # after normalization the split-form column coincides with the main RHS
-    assert all(row.alt == row.rhs for row in rep.rows)
+    # only theorem 3 has a second right side
+    assert all(row.alt is None for row in rep.rows)
 
 
 def test_theorem2_m1_reduces_to_theorem1():
@@ -324,8 +326,8 @@ def test_theorem2_m1_reduces_to_theorem1():
 def test_constant_symbol_degenerates_to_zero_rows():
     cfg = ExperimentConfig(L=8.0, J=7, b="const value=3", u="const", v="const")
     rep = run_theorem1(cfg)
-    assert rep.degenerate_symbol
-    assert all(r.lhs == r.rhs == r.ratio == r.alt == 0.0 for r in rep.rows)
+    assert rep.extras == {"bmo_norm": 0.0}
+    assert all(r.lhs == r.rhs == r.ratio == 0.0 and r.alt is None for r in rep.rows)
     assert rep.sup_ratio == 0.0
 
 

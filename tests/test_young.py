@@ -22,7 +22,6 @@ from mixedweak.grid import (
     DyadicInterval,
     SampledFunction,
     dyadic_intervals,
-    flatten_cell_ranges,
     make_grid,
     sample,
 )
@@ -44,6 +43,7 @@ from mixedweak.young import (
     segmented_luxemburg_norms,
 )
 from oracles import (
+    bisection_luxemburg_norms,
     conjugate_equivalence_constant,
     holder_pair,
     inverse_envelope_constant,
@@ -302,9 +302,7 @@ def test_luxemburg_constant_function_identity():
     g = make_grid(8.0, 5)
     Q = DyadicInterval(g, 0, 0)
     f = sample(lambda x: 3.0, g)
-    w = sample(lambda x: 1.0 + np.abs(x), g)
     # phi(1) = 1 makes the norm of a constant the constant itself
-    assert luxemburg_norm(LuxemburgQuery(f, Q, LLogL(1.0, 1.0), w)) == pytest.approx(3.0, rel=1e-10)
     assert luxemburg_norm(LuxemburgQuery(f, Q, LLogL(1.0, 1.0))) == pytest.approx(3.0, rel=1e-10)
 
 
@@ -336,28 +334,20 @@ def test_luxemburg_step_family_is_weighted_sup():
 def test_luxemburg_query_guards():
     g = make_grid(8.0, 4)
     f = sample(lambda x: 1.0, g)
-    other = sample(lambda x: 1.0, make_grid(8.0, 5))
     with pytest.raises(GeometryError):
         LuxemburgQuery(f, DyadicInterval(make_grid(8.0, 5), 0, 0), LLogL())
     with pytest.raises(GeometryError):
         LuxemburgQuery(f, DyadicInterval(g, 4, 15, shift_thirds=2), LLogL())
-    with pytest.raises(GeometryError):
-        LuxemburgQuery(f, DyadicInterval(g, 0, 0), LLogL(), w=other)
-    with pytest.raises(DomainError):
-        LuxemburgQuery(f, DyadicInterval(g, 0, 0), LLogL(), w=sample(lambda x: 0.0, g))
 
 
 def test_modular_saturation_at_returned_norm():
     g = make_grid(8.0, 6)
     Q = DyadicInterval(g, 1, 0)
-    w = sample(lambda x: np.exp(-np.abs(x)), g)
     rng = np.random.default_rng(3)
     f = SampledFunction(g, rng.uniform(0.0, 5.0, g.N))
     for phi in (LLogL(1.0, 1.0), Power(2.0), ExpL(1.0), LLogL(2.0, 1.0)):
-        lam = luxemburg_norm(LuxemburgQuery(f, Q, phi, w))
-        sl = Q.cell_slice
-        wq = w.values[sl]
-        mod = float(np.sum(phi.eval(np.abs(f.values[sl]) / lam) * wq) / np.sum(wq))
+        lam = luxemburg_norm(LuxemburgQuery(f, Q, phi))
+        mod = float(np.mean(phi.eval(np.abs(f.values[Q.cell_slice]) / lam)))
         assert 1.0 - 1e-6 <= mod <= 1.0 + 1e-12
 
 
@@ -398,60 +388,6 @@ def test_segmented_norms_refuse_ranges_that_do_not_tile():
             segmented_luxemburg_norms(LLogL(), vals, np.array(off, dtype=np.int64))
     with pytest.raises(GeometryError):
         segmented_luxemburg_norms(LLogL(), np.ones(0), np.zeros(1, dtype=np.int64))
-
-
-def bisection_luxemburg_norms(phi, values, weights, starts, stops):
-    """Test-only oracle: per-range bisection to relative 1e-10, feasible end returned.
-
-    Ranges may overlap or leave gaps; every range is solved on its own cells.
-    A cell of weight 0 adds nothing to the modular, even where phi is +inf.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    absf = np.abs(np.asarray(values, dtype=np.float64))
-    idx, seg = flatten_cell_ranges(starts, stops)
-    fa = absf[idx]
-    wa = np.ones_like(fa) if weights is None else np.asarray(weights, dtype=np.float64)[idx]
-    nseg = starts.size
-    wsum = np.bincount(seg, weights=wa, minlength=nseg)
-    lam0 = np.bincount(seg, weights=fa * wa, minlength=nseg) / wsum
-    live = lam0 > 0.0
-    out = np.zeros(nseg, dtype=np.float64)
-    if not live.any():
-        return out
-    live_of_seg = np.full(nseg, -1, dtype=np.int64)
-    live_of_seg[live] = np.arange(int(live.sum()))
-    keep = (live_of_seg[seg] >= 0) & (wa > 0.0)
-    fa, wa, seg_l = fa[keep], wa[keep], live_of_seg[seg[keep]]
-    nlive = int(live.sum())
-    wsum_l = wsum[live]
-
-    def modular(lam):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = phi._eval_array(fa / lam[seg_l]) * wa
-        return np.bincount(seg_l, weights=vals, minlength=nlive) / wsum_l
-
-    hi = lam0[live].copy()
-    for _ in range(700):
-        bad = modular(hi) > 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = hi.copy()
-    for _ in range(700):
-        slack = modular(lo) < 1.0
-        if not slack.any():
-            break
-        lo[slack] *= 0.5
-    for _ in range(300):
-        if np.all(hi - lo <= 1e-10 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        feasible = modular(mid) <= 1.0
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, mid)
-    out[live] = hi
-    return out
 
 
 NEWTON_FAMILIES = [
@@ -582,54 +518,47 @@ def _same(a, b):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     log_amp=st.floats(min_value=-200.0, max_value=200.0),
     zero_frac=st.sampled_from([0.0, 0.5, 1.0]),
-    weighted=st.booleans(),
     j=st.integers(min_value=0, max_value=5),
 )
-def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zero_frac, weighted, j):
+def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zero_frac, j):
     # luxemburg_norm holds the segmented solver's iterate in floats; on its
-    # one range it must return the same float, or raise the same error.  The
-    # segmented solver is unweighted, so a weighted query is held to the
-    # bisection oracle instead
+    # one range it must return the same float, or raise the same error
     rng = np.random.default_rng(seed)
     g = make_grid(8.0, 6)
     Q = DyadicInterval(g, j, int(rng.integers(1 << j)))
     vals = 10.0**log_amp * rng.standard_normal(g.N)
     vals[rng.random(g.N) < zero_frac] = 0.0
-    w = None
-    if weighted:
-        wv = np.exp(rng.standard_normal(g.N))
-        wv[rng.random(g.N) < 0.3] = 0.0
-        wv[Q.cell_start] = 1.0
-        w = SampledFunction(g, wv)
-    q = LuxemburgQuery(SampledFunction(g, vals), Q, phi, w)
+    q = LuxemburgQuery(SampledFunction(g, vals), Q, phi)
     sl = Q.cell_slice
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         got = _outcome(lambda: luxemburg_norm(q))
-        if weighted:
-            want = bisection_luxemburg_norms(phi, vals[sl], wv[sl], [0], [Q.n_cells])
-            np.testing.assert_allclose(got, want[0], rtol=1e-10, atol=0.0)
-            return
         want = _outcome(lambda: segmented_luxemburg_norms(phi, vals[sl], np.zeros(1, dtype=np.int64))[0])
     assert _same(got, want), (got, want)
 
 
+class _FlatSlope(Power):
+    """A power whose slope reads 0 everywhere, so every Newton step is wild."""
+
+    def _slope_array(self, t):
+        return np.zeros_like(t)
+
+
 def test_single_range_norm_takes_a_zero_slope_as_a_wild_step():
-    # a top cell of weight 1e-300 against 1e300 on a cell of |f| = 1e-300:
-    # the Newton slope underflows to 0, where a float quotient would raise.
-    # The exact norm is sqrt(2) 1e-300, but (|f| / lam)^2 overflows on the
-    # top cell there, so the feasibility raise of both solvers ends at 7.5e-155
-    g = make_grid(8.0, 4)
-    vals, w = np.zeros(g.N), np.ones(g.N)
-    vals[:2], w[:2] = (1.0, 1e-300), (1e-300, 1e300)
-    Q = DyadicInterval(g, 2, 0)
-    f, sl = SampledFunction(g, vals), Q.cell_slice
-    q = LuxemburgQuery(f, Q, Power(2.0), SampledFunction(g, w))
-    want = bisection_luxemburg_norms(q.phi, vals[sl], w[sl], [0], [Q.n_cells])[0]
-    got = luxemburg_norm(q)
-    assert got > 0.0
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-    unweighted = segmented_luxemburg_norms(q.phi, vals[sl], np.zeros(1, dtype=np.int64))[0]
-    assert luxemburg_norm(LuxemburgQuery(f, Q, q.phi)) == unweighted > 0.0
+    # a float quotient by a zero slope raises where numpy gives inf or nan; no
+    # convex family reaches that guard (the top cell's slope is >= 1/c), so a
+    # flat slope forces it, and both solvers fall back to the geometric midpoint
+    phi = _FlatSlope(2.0)
+    g = make_grid(8.0, 6)
+    rng = np.random.default_rng(19)
+    for j in range(4):
+        Q = DyadicInterval(g, j, int(rng.integers(1 << j)))
+        vals = rng.standard_normal(g.N)
+        got = luxemburg_norm(LuxemburgQuery(SampledFunction(g, vals), Q, phi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = segmented_luxemburg_norms(phi, vals[Q.cell_slice], np.zeros(1, dtype=np.int64))[0]
+        assert _same(got, float(want)), (got, want)
+        # the norm of Power(2) is the root mean square
+        assert got == pytest.approx(math.sqrt(np.mean(vals[Q.cell_slice] ** 2)), rel=1e-10)
 
 
 class _Capped:
@@ -723,12 +652,10 @@ def test_modular_inf_zero():
 def test_modular_inf_vs_norm_two_sided():
     g = make_grid(8.0, 6)
     Q = DyadicInterval(g, 1, 1)
-    rng = np.random.default_rng(5)
-    w = SampledFunction(g, rng.uniform(0.2, 3.0, g.N))
     for seed in range(6):
         f = SampledFunction(g, np.random.default_rng(seed).uniform(0.0, 10.0, g.N))
         for phi in (LLogL(1.0, 1.0), Power(2.0), ExpL(1.0)):
-            q = LuxemburgQuery(f, Q, phi, w)
+            q = LuxemburgQuery(f, Q, phi)
             norm = luxemburg_norm(q)
             inf = modular_inf(q)
             assert norm * (1.0 - 1e-5) <= inf <= 2.0 * norm * (1.0 + 1e-5)
@@ -739,14 +666,11 @@ def lattice_modular_inf(q):
     norm = luxemburg_norm(q)
     if norm == 0.0:
         return 0.0
-    sl = q.Q.cell_slice
-    absf = np.abs(q.f.values[sl])
-    w = np.ones_like(absf) if q.w is None else q.w.values[sl]
-    wq_total = float(np.sum(w))
+    absf = np.abs(q.f.values[q.Q.cell_slice])
 
     def objective(tau):
         with np.errstate(over="ignore", invalid="ignore"):
-            mod = float(np.sum(q.phi._eval_array(absf / tau) * w)) / wq_total
+            mod = float(np.mean(q.phi._eval_array(absf / tau)))
         return tau * (1.0 + mod)
 
     n_pts = int(math.ceil(6.0 / math.log10(1.01))) + 1
@@ -774,37 +698,32 @@ def lattice_modular_inf(q):
 CRITERION_1_FAMILIES = [Power(2.0), LLogL(1.0, 1.0), ExpL(1.0), ExpAlphaL(0.5, 2.0)]
 
 
-def _random_queries(n, seed, weighted):
-    """Queries drawn like acceptance criterion 1, optionally under a random weight."""
+def _random_queries(n, seed):
+    """Queries drawn like acceptance criterion 1."""
     rng = np.random.default_rng(seed)
     g = make_grid(8.0, 8)
     intervals = list(dyadic_intervals(g, j_max=5, shifts=(0.0,)))
-    w = SampledFunction(g, np.exp(rng.standard_normal(g.N))) if weighted else None
     out = []
     while len(out) < n:
         phi = CRITERION_1_FAMILIES[rng.integers(len(CRITERION_1_FAMILIES))]
         Q = intervals[rng.integers(len(intervals))]
         f = SampledFunction(g, 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(g.N))
-        out.append(LuxemburgQuery(f, Q, phi, w))
+        out.append(LuxemburgQuery(f, Q, phi))
     return out
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_modular_inf_matches_lattice_oracle(weighted):
+def test_modular_inf_matches_lattice_oracle():
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for q in _random_queries(50, 23, weighted):
+        for q in _random_queries(50, 23):
             assert modular_inf(q) == pytest.approx(lattice_modular_inf(q), rel=1e-8)
 
 
 def test_modular_inf_power_two_closed_form():
-    # tau + A / tau with A the weighted average of f^2 has its infimum 2 sqrt(A) at sqrt(A)
-    for weighted in (False, True):
-        for q in _random_queries(20, 29, weighted):
-            q = LuxemburgQuery(q.f, q.Q, Power(2.0), q.w)
-            sl = q.Q.cell_slice
-            w = np.ones(q.Q.n_cells) if q.w is None else q.w.values[sl]
-            avg = float(np.sum(q.f.values[sl] ** 2 * w) / np.sum(w))
-            assert modular_inf(q) == pytest.approx(2.0 * math.sqrt(avg), rel=1e-10)
+    # tau + A / tau with A the average of f^2 has its infimum 2 sqrt(A) at sqrt(A)
+    for q in _random_queries(20, 29):
+        q = LuxemburgQuery(q.f, q.Q, Power(2.0))
+        avg = float(np.mean(q.f.values[q.Q.cell_slice] ** 2))
+        assert modular_inf(q) == pytest.approx(2.0 * math.sqrt(avg), rel=1e-10)
 
 
 def test_modular_inf_evaluation_count(monkeypatch):
@@ -820,7 +739,7 @@ def test_modular_inf_evaluation_count(monkeypatch):
 
         monkeypatch.setattr(cls, "_eval_array", counted)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for q in _random_queries(20, 31, weighted=True):
+        for q in _random_queries(20, 31):
             calls[0] = 0
             modular_inf(q)
             assert 0 < calls[0] <= 150, (q.phi, calls[0])
@@ -829,23 +748,20 @@ def test_modular_inf_evaluation_count(monkeypatch):
 def test_modular_inf_of_a_linear_phi_is_the_norm():
     # tau + c avg|f| decreases to the norm c avg|f| as tau -> 0
     for phi in (Identity(), Power(1.0, 2.5), LLogL(1.0, 0.0)):
-        for q in _random_queries(10, 37, weighted=True):
-            q = LuxemburgQuery(q.f, q.Q, phi, q.w)
+        for q in _random_queries(10, 37):
+            q = LuxemburgQuery(q.f, q.Q, phi)
             assert modular_inf(q) == luxemburg_norm(q)
 
 
 @pytest.mark.parametrize("r", [1.00001, 1.0001, 1.001, 1.5, 3.0])
 def test_modular_inf_power_closed_form(r):
-    # tau + tau^(1-r) A, A the weighted average of |f|^r, is least at
+    # tau + tau^(1-r) A, A the average of |f|^r, is least at
     # tau* = ((r - 1) A)^(1/r), which lies below 1e-3 times the norm for r near 1
-    for weighted in (False, True):
-        for q in _random_queries(6, 41, weighted):
-            q = LuxemburgQuery(q.f, q.Q, Power(r), q.w)
-            sl = q.Q.cell_slice
-            w = np.ones(q.Q.n_cells) if q.w is None else q.w.values[sl]
-            avg = float(np.sum(np.abs(q.f.values[sl]) ** r * w) / np.sum(w))
-            tau = ((r - 1.0) * avg) ** (1.0 / r)
-            assert modular_inf(q) == pytest.approx(tau + tau ** (1.0 - r) * avg, rel=1e-9)
+    for q in _random_queries(6, 41):
+        q = LuxemburgQuery(q.f, q.Q, Power(r))
+        avg = float(np.mean(np.abs(q.f.values[q.Q.cell_slice]) ** r))
+        tau = ((r - 1.0) * avg) ** (1.0 / r)
+        assert modular_inf(q) == pytest.approx(tau + tau ** (1.0 - r) * avg, rel=1e-9)
 
 
 def test_modular_inf_searches_criterion_1_families_once(monkeypatch):
@@ -861,11 +777,10 @@ def test_modular_inf_searches_criterion_1_families_once(monkeypatch):
 
     monkeypatch.setattr(young, "_golden_section", counted)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for weighted in (False, True):
-            for q in _random_queries(100, 43, weighted):
-                searches.clear()
-                if modular_inf(q) > 0.0:
-                    assert searches == [True], q.phi
+        for q in _random_queries(100, 43):
+            searches.clear()
+            if modular_inf(q) > 0.0:
+                assert searches == [True], q.phi
 
 
 
