@@ -11,7 +11,9 @@ never leaves a truncated report behind.
 
 Exit codes: 0 when the run's acceptance predicate holds, 1 when the run
 completed but the predicate failed (or the weight preflight refused), 2 for
-configuration errors.
+configuration errors and for reports that cannot be written.  A report
+directory that cannot be made (a path on the way to it is a file) is
+refused before the run.
 """
 
 from __future__ import annotations
@@ -294,12 +296,11 @@ def _cmd_decompose(cfg: ExperimentConfig) -> _Outcome:
             {"name": c.name, "passed": c.passed, "slack": _clean(c.slack)}
             for c in report.checks
         ],
-        "floor_exceptions": report.floor_exceptions,
         "passed": report.passed,
     }
     summary = (
         f"decompose: {len(rows)} cubes at t={t:.6g} "
-        f"checks={'pass' if report.passed else 'FAIL'} floor_exceptions={report.floor_exceptions}"
+        f"checks={'pass' if report.passed else 'FAIL'}"
     )
     return _Outcome(summary, 0 if report.passed else 1, body, header, rows,
                     {"good": result.g, "bad": result.bad})
@@ -308,8 +309,8 @@ def _cmd_decompose(cfg: ExperimentConfig) -> _Outcome:
 def _cmd_maximal(cfg: ExperimentConfig) -> _Outcome:
     grid, scan = make_grid(cfg.L, cfg.J), cfg.scan()
     f, v, u = sample_f(grid, cfg.f), build_weight(grid, cfg.v), build_weight(grid, cfg.u)
-    mphi = orlicz_maximal(f * v.fn, LLogL(cfg.r, cfg.delta), scan)
-    mu = hl_maximal(u.fn, scan)
+    mphi = orlicz_maximal(f * v, LLogL(cfg.r, cfg.delta), scan)
+    mu = hl_maximal(u, scan)
     top, top_u = int(np.argmax(mphi.values)), int(np.argmax(mu.values))
     body = {
         "phi": {"r": cfg.r, "delta": cfg.delta},
@@ -326,7 +327,7 @@ def _cmd_maximal(cfg: ExperimentConfig) -> _Outcome:
 def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
     """The built-in closed-form corpus; it reads nothing from ``cfg``."""
     grid = make_grid(4.0, 8)
-    one = Weight(sample(lambda x: 1.0 + 0.0 * x, grid))
+    one = Weight(grid, np.ones(grid.N))
     chi = sample_f(grid, "indicator a=0 b=1")
     even = sample(lambda x: np.exp(-x * x), grid)
     hf = hilbert(even)
@@ -338,7 +339,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
                                     - 2.0 * (1.0 + math.log(2.0))) < 1e-12),
         ("weak lhs below level", superlevel_mass(grid.h, chi.values, one.values, 2.0) == 0.0),
         ("constant weight is A1-sharp", estimate_Ap(one, 1.0) == 1.0),
-        ("maximal of constant", bool(np.all(hl_maximal(one.fn).values == 1.0))),
+        ("maximal of constant", bool(np.all(hl_maximal(one).values == 1.0))),
         ("transform of even is odd", bool(np.max(np.abs(hf.values + hf.values[::-1])) < 1e-12)),
         ("decomposition reconstructs",
          bool(np.max(np.abs(decomposed.g.values + decomposed.bad.values
@@ -392,10 +393,22 @@ _COMMANDS: dict[str, tuple[str, Callable[[ExperimentConfig], _Outcome], tuple[st
 }
 
 
+def _report_dir(path: str) -> Path:
+    """The report directory ``path``, refused before the run when the nearest
+    existing path on the way to it is not a directory, where ``_emit`` could
+    not make it."""
+    out = Path(path)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigurationError(f"cannot write reports to {out}: {found} is not a directory")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(getattr(args, "config", None), args)
+        out = _report_dir(args.out) if "out" in args else None
         started = time.perf_counter()
         result = _COMMANDS[args.subcommand][1](cfg)
         runtime_s = time.perf_counter() - started
@@ -406,7 +419,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if result.body is not None:
-        _emit(Path(args.out), args.subcommand, args.format, result, runtime_s)
+        try:
+            _emit(out, args.subcommand, args.format, result, runtime_s)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     print(result.summary)
     return result.code
 

@@ -5,8 +5,8 @@ tree, run one level at a time: the root's v-average must sit below t, and at
 each scale j = 1..J a node is selected when its v-average exceeds t and no
 coarser selected cube contains it.  Single cells are selectable but never
 split, so every cell outside the selected set was itself examined; "f <= t
-off Omega" therefore holds cell-exactly here, and the floor-exception
-reporting in the validator only fires on corrupted inputs.
+off Omega" therefore holds cell-exactly here, and the validator checks it
+on every cell.
 
 The node sums of level j are the row sums of ``fv.reshape(2**j, -1)`` (and
 likewise for v).  Numpy reduces each contiguous row with the same pairwise
@@ -60,7 +60,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
-    floor_exceptions: int = 0
 
     @property
     def passed(self) -> bool:
@@ -125,12 +124,7 @@ def cz_decompose(f: SampledFunction, t: float, v: Weight) -> DecompositionResult
 def validate_decomposition(
     r: DecompositionResult, f: SampledFunction, v: Weight
 ) -> ValidationReport:
-    """Recompute every structural invariant of a decomposition from scratch.
-
-    Off-Omega cells with f > t that sit next to a selected cube are counted
-    as floor exceptions (discretization artifacts at the finest scale) and do
-    not fail the report; any other violation does.
-    """
+    """Recompute every structural invariant of a decomposition from scratch."""
     grid = f.grid
     vv = v.values
     fv = f.values * vv
@@ -169,15 +163,8 @@ def validate_decomposition(
     stray = int(np.count_nonzero(r.bad.values[~member]))
     checks.append(CheckResult("support", stray == 0, float(stray)))
 
-    floor_exceptions = 0
-    hard = 0
-    for i in np.flatnonzero(~member & (f.values > r.t * (1.0 + rel))):
-        neighbor = (i > 0 and member[i - 1]) or (i + 1 < grid.N and member[i + 1])
-        if neighbor:
-            floor_exceptions += 1
-        else:
-            hard += 1
-    checks.append(CheckResult("off_omega", hard == 0, float(hard)))
+    above = int(np.count_nonzero(~member & (f.values > r.t * (1.0 + rel))))
+    checks.append(CheckResult("off_omega", above == 0, float(above)))
 
     # every strict ancestor of a cube, visited once per level: k >> (q.j - j)
     # is the level-j ancestor, and the row sums equal the slice sums bitwise
@@ -204,4 +191,4 @@ def validate_decomposition(
     top = float(np.max(on_omega)) / (r.doubling_bound * r.t) if on_omega.size else 0.0
     checks.append(CheckResult("good_part_bound", top <= 1.0 + rel, top))
 
-    return ValidationReport(checks=checks, floor_exceptions=floor_exceptions)
+    return ValidationReport(checks=checks)

@@ -72,8 +72,8 @@ __all__ = [
 #: The shift menu used by default scans: unshifted plus the two thirds shifts.
 THIRD_SHIFTS: tuple[float, float, float] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 
-# Resolution band accepted by make_grid; the Grid type itself also allows the
-# coarser grids that refinement comparisons construct internally, but no finer.
+# Resolution band accepted by make_grid; the Grid type itself also holds the
+# coarse grid of a refinement pair, down to _MIN_USER_J - 2, but nothing finer.
 _MIN_USER_J = 4
 _MAX_USER_J = 24
 
@@ -101,7 +101,7 @@ class Grid:
     L : float
         Half-width of the domain, positive and finite.
     J : int
-        Resolution exponent, ``1 <= J <= 24``; the grid has ``N = 2**J`` cells.
+        Resolution exponent, ``2 <= J <= 24``; the grid has ``N = 2**J`` cells.
     """
 
     L: float
@@ -110,9 +110,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not isinstance(self.J, int):
             raise ConfigurationError(f"resolution exponent J must be an int, got {self.J!r}")
-        if not (1 <= self.J <= _MAX_USER_J):
+        if not (_MIN_USER_J - 2 <= self.J <= _MAX_USER_J):
             raise ConfigurationError(
-                f"resolution exponent J={self.J} outside the supported band [1, {_MAX_USER_J}]"
+                f"resolution exponent J={self.J} outside the supported band "
+                f"[{_MIN_USER_J - 2}, {_MAX_USER_J}]"
             )
         L = float(self.L)
         if not (math.isfinite(L) and L > 0.0):
@@ -170,8 +171,9 @@ class SampledFunction:
     """Cell values of a function on a :class:`Grid`.
 
     ``values`` is copied and frozen on construction; all samples must be
-    finite.  Arithmetic between sampled functions on the same grid (and with
-    scalars) is provided so weight products like ``u * v`` read naturally.
+    finite.  Sums, products and ``abs`` of sampled functions on the same grid
+    (and with scalars) are sampled functions, so weight products like
+    ``u * v`` read naturally.
     """
 
     grid: Grid
@@ -204,16 +206,10 @@ class SampledFunction:
     def __add__(self, other: "SampledFunction | float") -> "SampledFunction":
         return SampledFunction(self.grid, self.values + self._coerce(other))
 
-    def __sub__(self, other: "SampledFunction | float") -> "SampledFunction":
-        return SampledFunction(self.grid, self.values - self._coerce(other))
-
     def __mul__(self, other: "SampledFunction | float") -> "SampledFunction":
         return SampledFunction(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "SampledFunction | float") -> "SampledFunction":
-        return SampledFunction(self.grid, self.values / self._coerce(other))
 
     def __abs__(self) -> "SampledFunction":
         return SampledFunction(self.grid, np.abs(self.values))

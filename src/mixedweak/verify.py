@@ -259,15 +259,16 @@ def build_weight(grid: Grid, spec: str) -> Weight:
         return power_weight(grid, _float(params, "beta", "0"))
     if name == "const":
         value = _float(params, "value", "1")
-        return Weight(sample(lambda x: value + 0.0 * x, grid))
+        return Weight(grid, sample(lambda x: value + 0.0 * x, grid).values)
     if name == "chibump":
         a, b = _interval(name, params, "-1", "1")
         floor = _float(params, "floor", "1e-3")
         if floor <= 0.0:
             raise ConfigurationError("chibump floor must be positive (weights are positive)")
-        return Weight(sample(lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0), grid))
+        bump = sample(lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0), grid)
+        return Weight(grid, bump.values)
     if name == "custom":
-        return Weight(SampledFunction(grid, _load_values(grid, params)))
+        return Weight(grid, _load_values(grid, params))
     raise ConfigurationError(f"unknown weight family {name!r}")
 
 
@@ -425,7 +426,7 @@ def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     """Weak (1,1)-type inequality for the plain transform: the m = 0 baseline."""
 
     def sides_at(inst, ts):
-        tout = hilbert(inst.f * inst.v.fn)
+        tout = hilbert(inst.f * inst.v)
         uv = inst.u.values * inst.v.values
         ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
                               np.abs(inst.f.values), Identity(), uv)
@@ -447,7 +448,7 @@ def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
         if norm_b > 0.0:
             # normalize the symbol per resolution so ||b||^m drops out as 1
             b = SampledFunction(inst.grid, b.values / norm_b)
-        tout = commutator(b, inst.f * inst.v.fn, m)
+        tout = commutator(b, inst.f * inst.v, m)
         uv = inst.u.values * inst.v.values
         ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
                               np.abs(inst.f.values), phi, uv)
@@ -481,7 +482,7 @@ def build_theorem3_weight(grid: Grid, r: float, delta: float, beta: float) -> tu
     if r == 1.0 and delta == 0.0:
         return v, v
     phi = LLogL(r, delta)
-    w = Weight(SampledFunction(grid, 1.0 / phi(1.0 / v.values)))
+    w = Weight(grid, 1.0 / phi(1.0 / v.values))
     return v, w
 
 
@@ -500,12 +501,12 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         grid = inst.grid
         v, w = build_theorem3_weight(grid, r, delta, beta)
         phi = LLogL(r, delta)
-        fv = inst.f * v.fn
+        fv = inst.f * v
         quotient = orlicz_maximal(fv, phi, inst.scan).values / v.values
         # the right side reads Mu only where fv != 0
         nz = np.flatnonzero(fv.values)
         span = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
-        mu = hl_maximal(inst.u.fn, inst.scan, cells=span).values
+        mu = hl_maximal(inst.u, inst.scan, cells=span).values
         absfv = np.abs(fv.values)
         # this inequality is normalized by f*v on both sides, and for the
         # hypothesized non-integrable v the interesting heights reach the

@@ -79,33 +79,25 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Weight:
-    """A strictly positive sampled function."""
-
-    fn: SampledFunction
+class Weight(SampledFunction):
+    """A strictly positive sampled function; arithmetic on it gives a plain
+    ``SampledFunction``."""
 
     def __post_init__(self) -> None:
-        if np.any(self.fn.values <= 0.0):
-            i = int(np.flatnonzero(self.fn.values <= 0.0)[0])
+        super().__post_init__()
+        if np.any(self.values <= 0.0):
+            i = int(np.flatnonzero(self.values <= 0.0)[0])
             raise DomainError(
-                f"weights must be strictly positive; value {self.fn.values[i]} "
-                f"at x = {self.fn.grid.centers[i]:.6g}"
+                f"weights must be strictly positive; value {self.values[i]} "
+                f"at x = {self.grid.centers[i]:.6g} (cell {i})"
             )
-
-    @property
-    def grid(self) -> Grid:
-        return self.fn.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.fn.values
 
 
 def power_weight(grid: Grid, beta: float) -> Weight:
     """w(x) = |x|**beta; finite at every sample because 0 is never a center."""
     if not math.isfinite(beta):
         raise DomainError(f"power weight exponent must be finite, got {beta}")
-    return Weight(sample(lambda x: np.abs(x) ** beta, grid))
+    return Weight(grid, sample(lambda x: np.abs(x) ** beta, grid).values)
 
 
 #: refinement-stability bar: an estimate is stable when its grids differ by

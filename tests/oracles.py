@@ -302,7 +302,7 @@ def conjugate_equivalence_constant(
 
 
 def custom_weight(grid: Grid, values: np.ndarray) -> Weight:
-    return Weight(SampledFunction(grid, values))
+    return Weight(grid, values)
 
 
 def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts, stops) -> np.ndarray:
@@ -371,7 +371,7 @@ def per_family_bmo_norm(b: SampledFunction, scan: DyadicScan = DyadicScan()) -> 
 def product_weight(a: Weight, b: Weight) -> Weight:
     if a.grid != b.grid:
         raise GridMismatchError("weight product needs a common grid")
-    return Weight(a.fn * b.fn)
+    return Weight(a.grid, a.values * b.values)
 
 
 def estimate_RH(w: Weight, s: float, scan: DyadicScan = DyadicScan()) -> float:
@@ -566,7 +566,7 @@ def weak_modular_check(
         raise GridMismatchError("u must live on the grid of g")
     ts = _positive_heights(t_values)
     mg = orlicz_maximal(g, phi, scan).values
-    mu = hl_maximal(u.fn, scan).values
+    mu = hl_maximal(u, scan).values
     lhs = superlevel_mass(g.grid.h, mg, u.values, ts)
     rhs = modular_mass(g.grid.h, g.values, phi, mu, ts)
     return list(zip(ts.tolist(), lhs.tolist(), rhs.tolist()))

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from mixedweak import cli
 from mixedweak._errors import ConfigurationError
 from mixedweak.cli import build_parser, main, parse_config, read_config
 from mixedweak.czd import cz_decompose
@@ -257,7 +258,7 @@ def test_maximal_dump_matches_operator(tmp_path):
     grid = make_grid(8.0, 8)
     f = sample_f(grid, "indicator a=0 b=1")
     v = build_weight(grid, "const")
-    want = orlicz_maximal(f * v.fn, LLogL(1, 1))
+    want = orlicz_maximal(f * v, LLogL(1, 1))
     got = np.frombuffer((out / "maximal_mphi.f64").read_bytes(), dtype="<f8")
     assert np.array_equal(got, want.values)
     assert len((out / "maximal.csv").read_text().splitlines()) == grid.N + 1
@@ -275,6 +276,31 @@ def test_estimate_reports_scanned_constants(tmp_path):
     assert header == "name,value,stable,coarse,fine"
     # every estimate, bmo_b included, pairs grid J with J - 2, even below make_grid's band
     assert main(["estimate", "--config", cfg, "--grid-J", "5", "--out", str(out)]) == 0
+    assert main(["estimate", "--config", cfg, "--grid-J", "4", "--out", str(out)]) == 0
+    assert load_report(out / "estimate.json")["A1_u"]["refinement_pair"] == [1.0, 1.0]
+
+
+def test_out_that_is_a_file_exits_two_before_the_run(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+
+    def runner(cfg):
+        raise AssertionError("the run started")
+
+    descr, _, reads = cli._COMMANDS["estimate"]
+    monkeypatch.setitem(cli._COMMANDS, "estimate", (descr, runner, reads))
+    for out in (blocker, blocker / "reports"):
+        assert main(["estimate", "--grid-J", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == ""
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    # the report's own name is taken by a directory: the write fails after the run
+    out = tmp_path / "out"
+    (out / "estimate.json").mkdir(parents=True)
+    assert main(["estimate", "--grid-J", "6", "--out", str(out), "--format", "json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

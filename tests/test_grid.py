@@ -67,11 +67,12 @@ def test_make_grid_rejects_out_of_band_J():
 
 def test_grid_type_stops_at_the_user_band():
     # make_grid's upper end bounds the type too, before any center is allocated;
-    # below make_grid's lower end the type still holds a refinement pair's coarse grid
-    for bad in (25, 0):
+    # below make_grid's lower end the type holds a refinement pair's coarse grid
+    # and nothing coarser
+    for bad in (25, 1, 0):
         with pytest.raises(ConfigurationError):
             Grid(1.0, bad)
-    assert Grid(1.0, 1).N == 2
+    assert Grid(1.0, 2).N == 4
 
 
 def test_coarsened_keeps_domain():
@@ -248,8 +249,8 @@ def assert_scan_matches_oracle(grid, scan):
 
 
 def test_scan_and_intervals_match_oracle_exhaustively():
-    """Every member of every family, J = 1-12: the closed form is the floor-division formula."""
-    for J in range(1, 13):
+    """Every member of every family, J = 2-12: the closed form is the floor-division formula."""
+    for J in range(2, 13):
         g = Grid(2.0, J)
         assert_scan_matches_oracle(g, DyadicScan())
         for j in range(J + 1):
@@ -309,7 +310,7 @@ def dyadic_scans(draw, J):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), J=st.integers(min_value=1, max_value=8))
+@given(data=st.data(), J=st.integers(min_value=2, max_value=8))
 def test_scan_cell_ranges_matches_interval_objects(data, J):
     g = Grid(3.0, J)
     scan = data.draw(dyadic_scans(J))

@@ -243,7 +243,7 @@ def test_linear_families_take_no_solver_call_or_gather(monkeypatch):
     g = make_grid(8.0, 16)
     chi = np.where((g.centers >= 0.0) & (g.centers <= 1.02), 1.0, 0.0)
     fv = SampledFunction(g, chi * np.abs(g.centers) ** -2.0)
-    u = power_weight(g, -0.5).fn
+    u = power_weight(g, -0.5)
     nz = np.flatnonzero(fv.values)
     window = (int(nz[0]), int(nz[-1]) + 1)
     calls = {"solve": 0, "gather": 0}
@@ -355,7 +355,7 @@ def test_orlicz_memory_on_smooth_data_is_linear_in_n():
 def test_hl_memory_on_a_window_is_linear_in_n():
     # theorem 3's M u, read where f*v != 0: measured 3.4 x 8N, with no gather
     g = make_grid(8.0, 16)
-    u = power_weight(g, -0.5).fn
+    u = power_weight(g, -0.5)
     nz = np.flatnonzero(chi01(g.centers))
     window = (int(nz[0]), int(nz[-1]) + 1)
     assert _peak_in_grid_arrays(g, lambda: hl_maximal(u, cells=window)) < 4

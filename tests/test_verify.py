@@ -451,8 +451,8 @@ def test_theorem3_right_sides_read_the_unrestricted_maximal_function(f):
     rep = run_theorem3(cfg)
     grid = make_grid(cfg.L, cfg.J)
     v, _ = build_theorem3_weight(grid, cfg.r, cfg.delta, cfg.beta)
-    fv = np.abs((sample_f(grid, cfg.f) * v.fn).values)
-    mu = hl_maximal(build_weight(grid, cfg.u).fn, cfg.scan()).values
+    fv = np.abs((sample_f(grid, cfg.f) * v).values)
+    mu = hl_maximal(build_weight(grid, cfg.u), cfg.scan()).values
     ts = np.array([row.t for row in rep.rows])
     rhs = modular_mass(grid.h, fv, LLogL(cfg.r, cfg.delta), mu, np.append(ts, 1.0))
     assert [row.rhs for row in rep.rows] == rhs[:-1].tolist()
@@ -463,7 +463,7 @@ def test_theorem3_default_sweep_closes_at_twice_the_interior_quotient_top():
     cfg = ExperimentConfig(L=8.0, J=8, f="indicator a=0 b=1", u="chibump", r=1, delta=1, beta=-2)
     grid = make_grid(cfg.L, cfg.J)
     v, _ = build_theorem3_weight(grid, 1.0, 1.0, -2.0)
-    fv = sample_f(grid, cfg.f) * v.fn
+    fv = sample_f(grid, cfg.f) * v
     quotient = orlicz_maximal(fv, LLogL(1, 1), cfg.scan()).values / v.values
     top = 2.0 * float(np.max(quotient[grid.interior_mask(cfg.margin)]))
     absfv = np.abs(fv.values)

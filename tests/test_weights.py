@@ -111,10 +111,21 @@ def on_both(g, constant):
 
 def test_weight_positivity_guard():
     g = make_grid(2.0, 4)
-    with pytest.raises(DomainError, match="strictly positive"):
-        Weight(sample(lambda x: x, g))
+    with pytest.raises(DomainError, match=r"strictly positive.*\(cell 0\)"):
+        Weight(g, g.centers)
     w = power_weight(g, -0.5)
     assert np.all(w.values > 0.0)
+
+
+def test_a_weight_is_a_sampled_function_and_its_arithmetic_is_plain():
+    g = make_grid(2.0, 4)
+    w = power_weight(g, -0.5)
+    plain = SampledFunction(g, w.values)
+    assert isinstance(w, SampledFunction)
+    assert {type(w * w), type(2.0 * w), type(w + 1.0), type(abs(w))} == {SampledFunction}
+    assert np.array_equal((w * w).values, (plain * plain).values)
+    assert estimate_Ap(w, 2.0) == estimate_Ap(Weight(g, plain.values), 2.0)
+    assert not hasattr(w, "__sub__") and not hasattr(w, "__truediv__")
 
 
 def test_product_weight_composes_exprs():
@@ -224,7 +235,7 @@ def test_RH_inf_proxy_lemma_facts():
         return power_weight(h, 0.5)
 
     def other(h):
-        return Weight(sample(lambda x: (1.0 + np.abs(x)) ** 0.3, h))
+        return Weight(h, (1.0 + np.abs(h.centers)) ** 0.3)
 
     assert on_both(g, lambda h: estimate_RH_inf(inv(h))).stable
     # product of two RH_inf-stable weights stays RH_inf-stable
@@ -629,7 +640,7 @@ def weight_pairs_and_scans(draw):
 
     def weight():
         if draw(st.booleans()):
-            return Weight(SampledFunction(grid, rng.lognormal(0.0, 1.5, grid.N)))
+            return Weight(grid, rng.lognormal(0.0, 1.5, grid.N))
         return power_weight(grid, draw(st.floats(-0.99, 3.0, exclude_max=True)))
 
     return weight(), weight(), draw(scans(J))
