@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -131,7 +131,11 @@ def parse_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig
     return ExperimentConfig(**kwargs)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mixedweak`` parser, built once per process: it holds no state
+    between calls, since ``parse_args`` returns a fresh namespace and no
+    default is mutable."""
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--config", metavar="PATH", help="section.key = value config file")
     io.add_argument("--out", metavar="DIR", default="reports", help="report directory")
@@ -180,12 +184,17 @@ def _cell(value: object) -> str:
 
 
 def _write_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and move it there;
+    the temporary file does not outlive the call, whether the write fails or not."""
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _emit(out: Path, stem: str, fmt: str, result: _Outcome, runtime_s: float) -> None:

@@ -514,7 +514,8 @@ def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
         # anchored at fv's median and closed off where level sets empty out
         ts, lhs, rhs = _sides(cfg, grid, ts, quotient, inst.u.values * w.values, absfv, phi, mu,
                               top=True)
-        # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu
+        # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu, the same
+        # float it would be among the sweep's heights, as no height reads another
         rhs0 = float(modular_mass(grid.h, absfv, phi, mu, 1.0))
         alt = 1.0 / phi(1.0 / ts) * lhs
         weak_orlicz_sup = max(_ratio(a, rhs0) for a in alt.tolist())

@@ -158,6 +158,12 @@ class YoungFunction:
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return _least_root(self._eval_array, y)
 
+    def log_power(self) -> tuple[float, float, int] | None:
+        """``(c, r, d)`` when phi(t) = c t**r (1 + log+ t)**d with a whole d >= 0,
+        else None.  ``grid.modular_mass`` sums such a phi at every height from
+        one sort of the signal."""
+        return None
+
 
 @dataclass(frozen=True)
 class Power(YoungFunction):
@@ -180,6 +186,9 @@ class Power(YoungFunction):
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return (y / self.coef) ** (1.0 / self.r)
+
+    def log_power(self) -> tuple[float, float, int]:
+        return float(self.coef), float(self.r), 0
 
 
 @dataclass(frozen=True)
@@ -215,6 +224,9 @@ class LLogL(YoungFunction):
         big = t > 1.0
         onelog = 1.0 + np.where(big, np.log(np.maximum(t, 1.0)), 0.0)
         return t ** (self.r - 1.0) * onelog ** (self.delta - 1.0) * (self.r * onelog + self.delta * big)
+
+    def log_power(self) -> tuple[float, float, int] | None:
+        return (1.0, float(self.r), int(self.delta)) if float(self.delta).is_integer() else None
 
 
 @dataclass(frozen=True)
@@ -280,6 +292,9 @@ class Identity(YoungFunction):
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=np.float64)
+
+    def log_power(self) -> tuple[float, float, int]:
+        return 1.0, 1.0, 0
 
 
 @dataclass(frozen=True)
@@ -387,19 +402,15 @@ class LuxemburgQuery:
 
 
 def _linear_scale(phi: YoungFunction) -> float | None:
-    """Slope c when phi(t) = c*t exactly, else None.
+    """Slope c when phi(t) = c*t exactly (the ``(c, 1, 0)`` case of
+    :meth:`YoungFunction.log_power`), else None.
 
     The linear family short-circuits the Newton solver: the norm is c times the
     average of |f|.  This is also what makes the Orlicz maximal
     function with the identity collapse bitwise onto the plain one.
     """
-    if isinstance(phi, Identity):
-        return 1.0
-    if isinstance(phi, Power) and phi.r == 1.0:
-        return phi.coef
-    if isinstance(phi, LLogL) and phi.r == 1.0 and phi.delta == 0.0:
-        return 1.0
-    return None
+    form = phi.log_power()
+    return form[0] if form is not None and form[1:] == (1.0, 0) else None
 
 
 @lru_cache(maxsize=64)

@@ -154,6 +154,11 @@ def test_forced_negative_control_exits_one_with_report(tmp_path, capsys):
     assert rep["stable"] is False
     assert rep["drift"] > 0.5
     assert rep["preflight"]["A1_u"]["stable"] is False
+    # one parser serves the process, and no flag of a call leaks into the next:
+    # without --force the preflight refuses the same run
+    assert build_parser() is build_parser()
+    assert main(["verify-thm1", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("refused: ")
 
 
 def test_config_and_constraint_errors_exit_two(tmp_path, capsys):
@@ -301,6 +306,7 @@ def test_unwritable_report_exits_two(tmp_path, capsys):
     (out / "estimate.json").mkdir(parents=True)
     assert main(["estimate", "--grid-J", "6", "--out", str(out), "--format", "json"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob(".*tmp*"))
 
 
 @pytest.mark.parametrize(
