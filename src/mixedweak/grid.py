@@ -384,11 +384,16 @@ def scan_progressions(grid: Grid, scan: DyadicScan) -> Iterator[tuple[int, int]]
     ``member_sums``, ``divide_by_widths``, ``member_means`` and
     ``per_member`` handle.  At ``M = 1`` the ``2/3`` shift has ``c = 1 = M``
     and no clipped member.
+
+    Each distinct family is yielded once per scale, in the order of its first
+    shift: the thirds shifts coincide at ``M = 1``, where ``(1, 0)`` is both
+    the unshifted and the 1/3 family, and at ``M = 2``, where ``(2, 1)`` is
+    both shifted ones.  A repeated family has the same members, so no scanned
+    sup needs it twice.
     """
     ps = [_shift_to_thirds(s) for s in scan.shifts]
     for j in range(scan.effective_j_max(grid) + 1):
-        for p in ps:
-            yield _edge_progression(grid, j, p)
+        yield from dict.fromkeys(_edge_progression(grid, j, p) for p in ps)
 
 
 def member_sums(P: np.ndarray, M: int, c: int, out: np.ndarray) -> np.ndarray:
@@ -484,7 +489,8 @@ def halving_pyramid(ufunc: np.ufunc, vals: np.ndarray) -> Callable[[int], np.nda
 def scan_cell_ranges(grid: Grid, scan: DyadicScan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(starts, stops)`` cell-index arrays, one pair per interval family.
 
-    Each yield is one ``(j, shift)`` family with its empty members dropped;
+    Each yield is one family of ``scan_progressions`` (a ``(j, shift)`` family,
+    once per distinct progression) with its empty members dropped;
     member cells of interval ``m`` are ``starts[m]:stops[m]``.  Member ``k``
     of the family shifted by ``p/3`` is ``[a0, a0 + l_j)``, ``a0 = -L + (k +
     p/3) l_j``, and ``x_i >= a0  <=>  i >= ((3k + p) 2M - 3) / 6`` with ``M =

@@ -144,8 +144,11 @@ def orlicz_maximal(
             continue
         off = np.arange(0, b - a, M)
         cap = np.maximum.reduceat(absf[a:b], off) / unit * (1.0 + 1e-9)
-        keep = cap > np.minimum.reduceat(out[a:b], off)
-        ends = np.flatnonzero(np.diff(keep, prepend=False, append=False)).tolist()
+        # the kept members, padded by one dropped member at each end: a run starts
+        # and ends where the padded flags change
+        keep = np.zeros(off.size + 2, dtype=bool)
+        np.greater(cap, np.minimum.reduceat(out[a:b], off), out=keep[1:-1])
+        ends = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
         for i, j in zip(ends[::2], ends[1::2]):
             run = (a + i * M, min(b, a + j * M), M)
             width = run[1] - run[0]

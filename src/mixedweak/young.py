@@ -2,11 +2,13 @@
 
 The Orlicz engine behind every estimate in the package.  A Young function
 here is a frozen dataclass with a vectorized evaluator ``eval``, its
-derivative (``_slope_array``, used by the norm solver) and a
-right-continuous generalized inverse ``inverse(y) = sup{t : phi(t) <= y}``
-(the two coincide for strictly increasing finite families, and the
-generalized form is what makes step-type conjugates behave in the duality
-identity ``t <= PhiInv(t) * BarPhiInv(t) <= 2t``).
+derivative (``_slope_array``) and a right-continuous generalized inverse
+``inverse(y) = sup{t : phi(t) <= y}`` (the two coincide for strictly
+increasing finite families, and the generalized form is what makes
+step-type conjugates behave in the duality identity ``t <= PhiInv(t) *
+BarPhiInv(t) <= 2t``).  The Newton solvers and the conjugate's gap read the
+value and the slope from one evaluation, ``_eval_and_slope``, bit for bit
+the two separate ones; ``LLogL`` takes one log per cell for both.
 
 Complementary functions are exact: closed forms for the powers and the
 linear/step pair, and the Legendre transform for everything else,
@@ -84,6 +86,12 @@ def _least_root(g, y) -> np.ndarray:
     return np.array(roots).reshape(y.shape)
 
 
+#: bisection steps of one root: from [0, 1], 1074 halvings reach the least
+#: subnormal and 53 more resolve a binade; a subnormal root, whose bracket
+#: cannot narrow to 1e-15 relative, stops at the cap
+_MAX_HALVINGS = 1200
+
+
 def _least_root_one(g, y: float) -> float:
     """Least t >= 0 with g(t) >= y, for a nondecreasing g read at one point.
 
@@ -108,7 +116,7 @@ def _least_root_one(g, y: float) -> float:
         hi *= 2.0
     else:
         raise RangeError(f"height {y} not attained by {g.__self__!r}")
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         if hi - lo <= 1e-15 * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -132,6 +140,12 @@ class YoungFunction:
     def _slope_array(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         """phi'(t) (the left derivative at a kink), for the Luxemburg Newton solver."""
         raise NotImplementedError
+
+    def _eval_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(_eval_array(t), _slope_array(t))`` on a 1-d array, bit for bit, from
+        one call: the step of both Newton solvers.  A family overrides it to
+        share work between the two."""
+        return self._eval_array(t), self._slope_array(t)
 
     def eval(self, t):
         """Evaluate phi at nonnegative t (scalar or array; may return +inf)."""
@@ -191,6 +205,31 @@ class Power(YoungFunction):
         return float(self.coef), float(self.r), 0
 
 
+def _one_plus_log(t: np.ndarray) -> np.ndarray:
+    """1 + log+ t from one log per cell and no select: log(fmax(t, 1)) is
+    where(t > 1, log(maximum(t, 1)), 0) bit for bit, nan included (fmax reads
+    a nan as 1)."""
+    onelog = np.fmax(t, 1.0, out=np.empty(np.shape(t)))
+    np.log(onelog, out=onelog)
+    onelog += 1.0
+    return onelog
+
+
+def _power_product(x: np.ndarray, a: float, y: np.ndarray, b: float):
+    """``x**a * y**b``, bit for bit, without a power of 0 or 1: ``z**0`` is 1 and
+    ``z**1`` is z for every float z.  It may return ``x`` or ``y`` itself, and
+    None for the empty product 1."""
+    if a == 0.0:
+        return None if b == 0.0 else y if b == 1.0 else y**b
+    xa = x if a == 1.0 else x**a
+    if b == 0.0:
+        return xa
+    yb = y if b == 1.0 else y**b
+    if xa is x and yb is y:
+        return x * y
+    return np.multiply(xa, yb, out=yb if xa is x else xa)
+
+
 @dataclass(frozen=True)
 class LLogL(YoungFunction):
     """phi(t) = t**r * (1 + log+ t)**delta.
@@ -217,13 +256,23 @@ class LLogL(YoungFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        logplus = np.where(t > 1.0, np.log(np.maximum(t, 1.0)), 0.0)
-        return t**self.r * (1.0 + logplus) ** self.delta
+        return t**self.r * _one_plus_log(t) ** self.delta
 
     def _slope_array(self, t: np.ndarray) -> np.ndarray:
-        big = t > 1.0
-        onelog = 1.0 + np.where(big, np.log(np.maximum(t, 1.0)), 0.0)
+        onelog, big = _one_plus_log(t), t > 1.0
         return t ** (self.r - 1.0) * onelog ** (self.delta - 1.0) * (self.r * onelog + self.delta * big)
+
+    def _eval_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one log per cell for both
+        r, d = self.r, self.delta
+        onelog = _one_plus_log(t)
+        slope = r * onelog
+        if d != 0.0:  # adding 0 keeps every bit, as slope >= r > 0
+            slope += d * (t > 1.0)
+        factor = _power_product(t, r - 1.0, onelog, d - 1.0)
+        if factor is not None:
+            slope *= factor
+        return _power_product(t, r, onelog, d), slope
 
     def log_power(self) -> tuple[float, float, int] | None:
         return (1.0, float(self.r), int(self.delta)) if float(self.delta).is_integer() else None
@@ -340,10 +389,14 @@ class LegendreConjugate(YoungFunction):
             raise DomainError(f"refusing to conjugate the non-convex family {self.base!r}")
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
+        return self._eval_and_slope(t)[0]
+
+    def _eval_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the optimizing s is the slope, so one root per height gives both
         s = self._slope_array(t)
         with np.errstate(over="ignore", invalid="ignore"):
             val = t * s - self.base._eval_array(s)
-            return np.where(np.isnan(val), np.inf, np.maximum(val, 0.0))
+            return np.where(np.isnan(val), np.inf, np.maximum(val, 0.0)), s
 
     def _slope_array(self, t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -351,7 +404,8 @@ class LegendreConjugate(YoungFunction):
 
     def _gap_array(self, s: np.ndarray) -> np.ndarray:
         """s phi'(s) - phi(s), nondecreasing in s for a convex phi."""
-        return s * self.base._slope_array(s) - self.base._eval_array(s)
+        val, slope = self.base._eval_and_slope(s)
+        return s * slope - val
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -440,7 +494,11 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     non-convex phi the right end is doubled until g >= 0).  Newton starts at
     the right end.  A step that is not finite, leaves the bracket (an
     exponential phi overflowing) or covers more than half the previous one is
-    replaced by the geometric midpoint of the bracket.
+    replaced by the geometric midpoint of the bracket.  Every step reads the
+    value and the slope from one ``_eval_and_slope`` and updates the bracket
+    and the iterate in place.  When only one range has a cell where f != 0,
+    it is solved by the float iteration of :func:`luxemburg_norm`, the same
+    float at a fraction of the numpy calls on arrays of one range.
 
     The feasible side is returned: lam is raised by 2e-13 relative, and by a
     doubling amount after that, until the modular avg phi(|f| / lam) is
@@ -451,90 +509,110 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     phi^{-1}(1) is at most phi(phi^{-1}(1)) = 1; the Orlicz maximal function
     skips the ranges whose bound cannot raise it.
     """
-    absf = np.abs(np.asarray(block, dtype=np.float64))
+    block = np.asarray(block, dtype=np.float64)
     off = np.asarray(off, dtype=np.int64)
-    if off.size == 0 or off[0] != 0 or np.any(np.diff(off) <= 0) or off[-1] >= absf.size:
+    if off.size == 0 or off[0] != 0 or off[-1] >= block.size or np.any(off[1:] <= off[:-1]):
         raise GeometryError("segmented norms need range offsets rising from 0 inside the block")
-    width = np.diff(off, append=absf.size).astype(np.float64)
+    width = _run_lengths(off, block.size).astype(np.float64)
 
     scale = _linear_scale(phi)
     if scale is not None:
-        return scale * (np.add.reduceat(absf, off) / width)
+        return scale * (np.add.reduceat(np.abs(block), off) / width)
 
-    nz = np.flatnonzero(absf)
+    nz = np.flatnonzero(block)
     first = np.searchsorted(nz, off)
-    count = np.diff(first, append=nz.size)
+    count = _run_lengths(first, nz.size)
     live = count > 0
     out = np.zeros(off.size, dtype=np.float64)
     if not live.any():
         return out
     # the live ranges own consecutive runs of the nonzero cells
     rep, at, wl = count[live], first[live], width[live]
-    fa = absf[nz]
+    fa = np.abs(block[nz])
+    del nz  # an index per cell: the solve below holds one grid array less
     top = np.maximum.reduceat(fa, at)
     if isinstance(phi, Step):
         out[live] = top / phi.threshold
         return out
-    # per-range scale: the solver's unknown is u = max|f| / lam, so no amplitude
-    # can overflow or underflow it, and the top cell of every range has fn = 1
-    fn = fa / np.repeat(top, rep)
+    if at.size == 1:
+        out[live] = _lone_range_norm(phi, fa, float(top[0]), float(wl[0]))
+        return out
 
     def average(vals):
-        return np.add.reduceat(vals, at) / wl
+        total = np.add.reduceat(vals, at)
+        total /= wl
+        return total
 
-    def newton_terms(u):
-        t = fn * np.repeat(u, rep)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return average(phi._eval_array(t)) - 1.0, average(phi._slope_array(t) * fn)
+    # every step below writes its arrays in place; ``cells`` is the one per-cell work array
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # per-range scale: the solver's unknown is u = max|f| / lam, so no amplitude
+        # can overflow or underflow it, and the top cell of every range has fn = 1
+        fn = fa / np.repeat(top, rep)
+        cells = np.empty_like(fn)
 
-    c = _unit_argument(phi)
-    u = c / average(fn)
-    g, dg = newton_terms(u)
-    for _ in range(1100):
-        # Jensen's bound needs convexity; without it, move the right end out
-        low = g < 0.0
-        if phi.convex or not low.any():
-            break
-        u = np.where(low, 2.0 * u, u)
+        def newton_terms(u):
+            val, slope = phi._eval_and_slope(np.multiply(fn, np.repeat(u, rep), out=cells))
+            g = average(val)
+            g -= 1.0
+            return g, average(np.multiply(slope, fn, out=cells))
+
+        c = _unit_argument(phi)
+        u = c / average(fn)
         g, dg = newton_terms(u)
-    else:
-        raise RangeError("Luxemburg bracket failed to close from above")
+        for _ in range(1100):
+            # Jensen's bound needs convexity; without it, move the right end out
+            low = g < 0.0
+            if phi.convex or not low.any():
+                break
+            np.multiply(u, 2.0, out=u, where=low)
+            g, dg = newton_terms(u)
+        else:
+            raise RangeError("Luxemburg bracket failed to close from above")
 
-    left, right, last = np.full(u.size, c), u.copy(), u - c
-    act = np.ones(u.size, dtype=bool)
-    for _ in range(100):
-        up = g >= 0.0
-        right, left = np.where(up, u, right), np.where(up, left, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = u - g / dg
-        # Newton unless phi overflows, the step leaves the bracket or it stalls (an
-        # exponential far from its root steps by about 1/max|f|): then the midpoint
-        wild = ~np.isfinite(nxt) | ~np.isfinite(dg) | (nxt < left) | (nxt > right)
-        wild |= np.abs(nxt - u) > 0.5 * last
-        nxt = np.where(wild, np.sqrt(left) * np.sqrt(right), nxt)
-        last = np.where(act, np.abs(nxt - u), last)
-        u = np.where(act, nxt, u)
-        act &= last > 1e-13 * u
-        if not act.any():
-            break
-        g, dg = newton_terms(u)
-    else:
-        raise RangeError("Luxemburg Newton iteration did not converge")
+        left, right, last = np.full(u.size, c), u.copy(), u - c
+        act = np.ones(u.size, dtype=bool)
+        step = np.empty_like(u)
+        for _ in range(100):
+            up = g >= 0.0
+            np.copyto(right, u, where=up)
+            np.copyto(left, u, where=~up)
+            nxt = np.subtract(u, np.divide(g, dg, out=g), out=g)
+            # Newton unless phi overflows, the step leaves the bracket or it stalls (an
+            # exponential far from its root steps by about 1/max|f|): then the midpoint
+            wild = ~np.isfinite(nxt) | ~np.isfinite(dg) | (nxt < left) | (nxt > right)
+            wild |= np.abs(np.subtract(nxt, u, out=step), out=step) > 0.5 * last
+            np.copyto(nxt, np.sqrt(left) * np.sqrt(right), where=wild)
+            np.copyto(last, np.abs(np.subtract(nxt, u, out=step), out=step), where=act)
+            np.copyto(u, nxt, where=act)
+            act &= last > 1e-13 * u
+            if not act.any():
+                break
+            g, dg = newton_terms(u)
+        else:
+            raise RangeError("Luxemburg Newton iteration did not converge")
 
-    lam = top / u * (1.0 + 2e-13)
-    raise_by = 2e-13
-    for _ in range(60):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            over = average(phi._eval_array(fa / np.repeat(lam, rep))) > 1.0 - 1e-13
-        over &= lam > 0.0  # a norm below the least subnormal rounds to 0
-        if not over.any():
-            break
-        raise_by *= 2.0
-        lam = np.where(over, lam * (1.0 + raise_by), lam)
-    else:
-        raise RangeError("Luxemburg norm did not reach the feasible side")
+        lam = top / u
+        lam *= 1.0 + 2e-13
+        raise_by = 2e-13
+        for _ in range(60):
+            over = average(phi._eval_array(np.divide(fa, np.repeat(lam, rep), out=cells))) > 1.0 - 1e-13
+            over &= lam > 0.0  # a norm below the least subnormal rounds to 0
+            if not over.any():
+                break
+            raise_by *= 2.0
+            np.multiply(lam, 1.0 + raise_by, out=lam, where=over)
+        else:
+            raise RangeError("Luxemburg norm did not reach the feasible side")
     out[live] = lam
     return out
+
+
+def _run_lengths(starts: np.ndarray, end: int) -> np.ndarray:
+    """Lengths of the runs that begin at the rising ``starts``, the last one up to ``end``."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = end - starts[-1]
+    return lengths
 
 
 #: the one range start of a single-range sum, ``np.add.reduceat(x, _FIRST)[0]``
@@ -549,12 +627,14 @@ def _range_sum(x: np.ndarray) -> float:
 def luxemburg_norm(q: LuxemburgQuery) -> float:
     """Luxemburg norm inf{lam > 0 : avg phi(|f|/lam) <= 1} on Q.
 
-    :func:`segmented_luxemburg_norms` on the one range Q, step for step, with
-    the bracket, the Newton iterate and the feasibility raise held in floats
-    instead of arrays: the same float, at a fraction of the numpy calls.  A
-    float divided by 0 raises where numpy returns inf or nan, so a zero slope
-    counts as a wild step up front.  No convex family reaches that guard: the
-    top cell has fn = 1 and u >= c = phi^{-1}(1), where the slope is >= 1/c.
+    The array iteration of :func:`segmented_luxemburg_norms` on the one range
+    Q, step for step, with the bracket, the Newton iterate and the
+    feasibility raise held in floats instead of arrays: the same float, at a
+    fraction of the numpy calls (the segmented solver takes it too, for a
+    lone range).  A float divided by 0 raises where numpy returns inf or nan,
+    so a zero slope counts as a wild step up front.  No convex family reaches
+    that guard: the top cell has fn = 1 and u >= c = phi^{-1}(1), where the
+    slope is >= 1/c.
     """
     phi, absf = q.phi, np.abs(q.f.values[q.Q.cell_slice])
     n = float(absf.size)
@@ -568,14 +648,20 @@ def luxemburg_norm(q: LuxemburgQuery) -> float:
     top = float(fa.max())
     if isinstance(phi, Step):
         return top / phi.threshold
+    return _lone_range_norm(phi, fa, top, n)
+
+
+def _lone_range_norm(phi: YoungFunction, fa: np.ndarray, top: float, n: float) -> float:
+    """The norm of one range of ``n`` cells from its nonzero |f| values ``fa``,
+    the largest of which is ``top``: the float iteration of both solvers."""
     fn = fa / top
 
     def average(vals: np.ndarray) -> float:
         return _range_sum(vals) / n
 
     def newton_terms(u: float) -> tuple[float, float]:
-        t = fn * u
-        return average(phi._eval_array(t)) - 1.0, average(phi._slope_array(t) * fn)
+        val, slope = phi._eval_and_slope(fn * u)
+        return average(val) - 1.0, average(slope * fn)
 
     c = _unit_argument(phi)
     u = c / average(fn)

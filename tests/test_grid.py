@@ -238,9 +238,25 @@ def oracle_family(grid, j, p):
     return starts[keep], stops[keep]
 
 
+def distinct_family_keys(grid, scan):
+    """The ``(j, p)`` families a scan walks, by the oracle: per scale, in the
+    order of the shifts, each family whose members differ from every earlier
+    one at that scale.  The thirds shifts coincide only at M = 1 and M = 2."""
+    keys = []
+    for j in range(scan.effective_j_max(grid) + 1):
+        seen = set()
+        for s in scan.shifts:
+            p = round(3 * s)
+            members = tuple(tuple(edges.tolist()) for edges in oracle_family(grid, j, p))
+            if members not in seen:
+                seen.add(members)
+                keys.append((j, p))
+    return keys
+
+
 def assert_scan_matches_oracle(grid, scan):
     families = list(scan_cell_ranges(grid, scan))
-    keys = [(j, round(3 * s)) for j in range(scan.effective_j_max(grid) + 1) for s in scan.shifts]
+    keys = distinct_family_keys(grid, scan)
     assert len(families) == len(keys)
     for (j, p), (starts, stops) in zip(keys, families):
         want_starts, want_stops = oracle_family(grid, j, p)
@@ -317,25 +333,35 @@ def test_scan_cell_ranges_matches_interval_objects(data, J):
     families = list(scan_cell_ranges(g, scan))
     got = [(int(s), int(e)) for starts, stops in families for s, e in zip(starts, stops)]
     j_max = scan.effective_j_max(g)
+    keys = distinct_family_keys(g, scan)
     want = [
         (iv.cell_start, iv.cell_stop)
         for iv in dyadic_intervals(g, j_max=j_max, shifts=scan.shifts)
+        if (iv.j, iv.shift_thirds) in keys
     ]
     # scan_cell_ranges groups by (j, shift); dyadic_intervals by (j, shift, k):
-    # same grouping order, so the flat lists must agree exactly.
+    # same grouping order, so the flat lists must agree exactly once the
+    # repeated families are dropped from the intervals.
     assert got == want
     assert_scan_matches_oracle(g, scan)
-    assert len(families) == (j_max + 1) * len(scan.shifts)
+    assert len(families) == len(keys)
     # every family is nonempty and tiles [starts[0], stops[-1]): each stop is the next start
     for starts, stops in families:
         assert starts.size > 0
         assert np.all(stops > starts)
         assert np.array_equal(stops[:-1], starts[1:])
     # the empty members are a suffix: the kept ones are members 0 .. n - 1 of their family
-    keys = [(j, round(3 * s)) for j in range(j_max + 1) for s in scan.shifts]
     for (j, p), (starts, _) in zip(keys, families):
         nonempty = [k for k in range(1 << j) if not DyadicInterval(g, j, k, p).is_empty]
         assert nonempty == list(range(starts.size))
+
+
+def test_scan_yields_each_distinct_family_once():
+    # the thirds shifts coincide only at M = 2, on (2, 1), and at M = 1, on (1, 0)
+    for J in (2, 6, 12):
+        fams = list(scan_progressions(Grid(2.0, J), DyadicScan()))
+        assert len(fams) == len(set(fams)) == 3 * (J + 1) - 2
+        assert fams[-4:] == [(2, 0), (2, 1), (1, 0), (1, 1)]
 
 
 def assert_members_match_gather(g, scan, vals):

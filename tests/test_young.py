@@ -143,6 +143,21 @@ def test_inverse_meets_value_tolerance():
         assert abs(phi.eval(t) - y) <= 1e-10 * max(1.0, y)
 
 
+@pytest.mark.parametrize("y", [1e-58, 1e-300, 5e-324])
+def test_inverse_of_a_tiny_height_is_bisected_to_its_width(y):
+    # a root far below the bracket's start at 1 is reached by halving the bracket
+    # [0, 1] into its binade first: that takes up to 1074 halvings before the
+    # 1e-15 relative width can be met, so a cap below that froze the root near
+    # 6.2e-61 (a subnormal root is exact up to its spacing)
+    assert LLogL(1.0, 1.0).inverse(y) == pytest.approx(y, rel=1e-12, abs=5e-324)
+    assert LLogL(2.0, 1.0).inverse(y) == pytest.approx(math.sqrt(y), rel=1e-12)
+
+
+def test_duality_gap_at_a_tiny_height():
+    got = duality_gap(LLogL(1.0, 1.0), 1e-300)
+    assert got.passed and got.ratio == pytest.approx(1.0, rel=1e-12)
+
+
 def test_inverse_guards():
     with pytest.raises(DomainError):
         LLogL().inverse(-1.0)
@@ -155,6 +170,50 @@ def test_inverse_guards():
 def test_inverse_round_trip(y):
     for phi in (LLogL(1.0, 1.0), LLogL(2.0, 1.0), ExpL(1.0)):
         assert phi.eval(phi.inverse(y)) == pytest.approx(y, rel=1e-9)
+
+
+#: the edge arguments of the fused evaluation: signed zeros, 1 and its two
+#: neighbours, the least subnormal, a huge value, inf and nan
+EDGE_ARGUMENTS = [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                  5e-324, 1e308, math.inf, math.nan]
+FUSED_FAMILIES = [LLogL(r, d) for r in (0.5, 1.0, 1.5, 2.0, 3.0) for d in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0)]
+FUSED_FAMILIES += [Power(1.0), Power(2.0), Power(3.5, 0.25), ExpL(1.0), ExpL(2.0), ExpAlphaL(0.5, 2.0)]
+
+
+def _old_llogl(phi, t):
+    """LLogL's value and slope as written before the fused evaluation, with
+    the log+ from ``where``: the fused one must keep these bits."""
+    big = t > 1.0
+    onelog = 1.0 + np.where(big, np.log(np.maximum(t, 1.0)), 0.0)
+    return (t**phi.r * onelog**phi.delta,
+            t ** (phi.r - 1.0) * onelog ** (phi.delta - 1.0) * (phi.r * onelog + phi.delta * big))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.lists(st.one_of(st.sampled_from(EDGE_ARGUMENTS), st.floats(0.0, 1e12)),
+                  min_size=1, max_size=12))
+@example(t=EDGE_ARGUMENTS)
+def test_fused_evaluation_is_value_and_slope_bitwise(t):
+    t = np.array(t)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for phi in FUSED_FAMILIES:
+            val, slope = phi._eval_and_slope(t)
+            want = (phi._eval_array(t), phi._slope_array(t))
+            assert val.tobytes() == want[0].tobytes(), phi
+            assert slope.tobytes() == want[1].tobytes(), phi
+            if isinstance(phi, LLogL):
+                old = _old_llogl(phi, t)
+                assert want[0].tobytes() == old[0].tobytes() and want[1].tobytes() == old[1].tobytes(), phi
+
+
+@pytest.mark.parametrize("phi", [complementary(LLogL(1.0, 1.0)), complementary(ExpL(1.0))])
+def test_fused_evaluation_of_a_conjugate_is_value_and_slope_bitwise(phi):
+    # each value and slope of a conjugate is a bisected root, so one fixed draw
+    t = np.array([*EDGE_ARGUMENTS, 0.3, 2.5, 40.0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        val, slope = phi._eval_and_slope(t)
+        assert val.tobytes() == phi._eval_array(t).tobytes()
+        assert slope.tobytes() == phi._slope_array(t).tobytes()
 
 
 # --- complementary functions ---------------------------------------------
@@ -522,7 +581,9 @@ def _same(a, b):
 )
 def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zero_frac, j):
     # luxemburg_norm holds the segmented solver's iterate in floats; on its
-    # one range it must return the same float, or raise the same error
+    # one range it must return the same float, or raise the same error.  The
+    # segmented solver takes the float iteration itself for a lone range, so
+    # a one-cell range beside Q makes it run its array iteration
     rng = np.random.default_rng(seed)
     g = make_grid(8.0, 6)
     Q = DyadicInterval(g, j, int(rng.integers(1 << j)))
@@ -532,8 +593,15 @@ def test_single_range_norm_is_the_segmented_norm_bitwise(phi, seed, log_amp, zer
     sl = Q.cell_slice
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         got = _outcome(lambda: luxemburg_norm(q))
-        want = _outcome(lambda: segmented_luxemburg_norms(phi, vals[sl], np.zeros(1, dtype=np.int64))[0])
+        want = _outcome(lambda: _array_iteration_norm(phi, vals[sl]))
     assert _same(got, want), (got, want)
+
+
+def _array_iteration_norm(phi, vals):
+    """The segmented solver's norm of ``vals``, solved beside a one-cell range
+    so that the array iteration runs; ranges are solved independently."""
+    beside = np.concatenate([vals, [1.0]])
+    return segmented_luxemburg_norms(phi, beside, np.array([0, vals.size]))[0]
 
 
 class _FlatSlope(Power):
@@ -555,7 +623,7 @@ def test_single_range_norm_takes_a_zero_slope_as_a_wild_step():
         vals = rng.standard_normal(g.N)
         got = luxemburg_norm(LuxemburgQuery(SampledFunction(g, vals), Q, phi))
         with np.errstate(divide="ignore", invalid="ignore"):
-            want = segmented_luxemburg_norms(phi, vals[Q.cell_slice], np.zeros(1, dtype=np.int64))[0]
+            want = _array_iteration_norm(phi, vals[Q.cell_slice])
         assert _same(got, float(want)), (got, want)
         # the norm of Power(2) is the root mean square
         assert got == pytest.approx(math.sqrt(np.mean(vals[Q.cell_slice] ** 2)), rel=1e-10)
