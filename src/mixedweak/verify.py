@@ -3,21 +3,19 @@
 Every inequality has one shape: a weighted measure of a superlevel set,
 ``uv({|T(fv)/v| > t})`` (``uw({M_Phi(fv)/v > t})`` for the maximal theorem),
 on the left, and a modular integral, ``int phi(|f|/t) density``, on the
-right.  A run samples the configured families, and ``_sides``, the one place
-where sides are measured, evaluates both on a log-spaced sweep of heights t
-through the two height kernels ``grid.superlevel_mass`` and
-``grid.modular_mass``.  The run reports the sup of the ratio and the same sup
-on the twice-coarsened grid.  The constants in the inequalities are never
-hard-coded: refinement stability of the sup-ratio is the acceptance signal,
-carried as the report's drift and verdict.  All runners share one driver and
-differ only in the arrays they hand to ``_sides``.
-
-A run samples its configuration on the fine grid and on ``Grid.coarsened()``
-and reads nothing else: the weight-hypothesis preflight pairs each constant's
-estimates on the two, and the coarse sweep runs on the coarse instance.  The
-preflight refuses runs whose estimated constants are unstable (the run would
-measure noise), unless forced: forcing is exactly how the negative controls
-demonstrate that the harness can tell a failed hypothesis from a satisfied one.
+right.  A run is two calls.  ``prepare`` samples everything but f on grid J
+and on ``Grid.coarsened()``: the weights, the left side's density, the
+normalized symbol of theorems 1-2, and the weight-hypothesis preflight, which
+pairs each constant's estimates on the two grids.  ``evaluate`` samples f on
+both grids and measures both sides on a log-spaced sweep of heights t through
+the height kernels ``grid.superlevel_mass`` and ``grid.modular_mass``; one
+prepared pair serves any number of f.  The report carries the sup of the
+ratio and the same sup on the coarse grid.  The constants in the inequalities
+are never hard-coded: refinement stability of the sup-ratio is the acceptance
+signal, carried as the report's drift and verdict.  ``evaluate`` refuses a
+pair whose estimated constants are unstable (the run would measure noise),
+unless forced: forcing is exactly how the negative controls demonstrate that
+the harness can tell a failed hypothesis from a satisfied one.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +40,7 @@ from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
 from .weights import STABILITY_BAR, ConstantEstimate, Weight, bmo_norm, estimate_Ap
 from .weights import estimate_Ap_u, power_weight, refined
-from .young import Identity, LLogL
+from .young import Identity, LLogL, YoungFunction
 
 __all__ = [
     "STABILITY_BAR",
@@ -54,8 +51,9 @@ __all__ = [
     "sample_f",
     "sample_b",
     "build_weight",
-    "build_theorem3_weight",
     "preflight_weights",
+    "prepare",
+    "evaluate",
     "run_base_sawyer",
     "run_theorem1",
     "run_theorem2",
@@ -199,21 +197,26 @@ def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
         raise ConfigurationError(f"custom family {params['path']}: {exc}") from exc
 
 
-def _interval(name: str, params: dict[str, str], a: str, b: str) -> tuple[float, float]:
+def _interval(grid: Grid, name: str, params: dict[str, str], a: str, b: str) -> np.ndarray:
+    """The cells of ``grid`` whose centers lie in an interval family's [a, b],
+    refused when there are none: the family would read 0 (f) or its floor (u)."""
     lo, hi = _float(params, "a", a), _float(params, "b", b)
     if not lo < hi:
-        # with a >= b (or a NaN end) no cell center lies inside the interval
         raise ConfigurationError(f"family {name!r} needs a < b, got a={lo!r} b={hi!r}")
-    return lo, hi
+    inside = (grid.centers >= lo) & (grid.centers <= hi)
+    if not inside.any():
+        raise ConfigurationError(f"family {name!r} has no cell center in [{lo!r}, {hi!r}] "
+                                 f"at J={grid.J}")
+    return inside
 
 
 def sample_f(grid: Grid, spec: str) -> SampledFunction:
     """Input-function families: indicator, bump sum, power cusp, custom file."""
     name, params = parse_family(spec)
     if name == "indicator":
-        a, b = _interval(name, params, "0", "1")
+        inside = _interval(grid, name, params, "0", "1")
         height = _float(params, "height", "1")
-        return sample(lambda x: np.where((x >= a) & (x <= b), height, 0.0), grid)
+        return sample(lambda x: np.where(inside, height, 0.0), grid)
     if name == "bumps":
         centers = _floats(params, "centers", "1.5,-2.0")
         width = _float(params, "width", "8")
@@ -222,12 +225,10 @@ def sample_f(grid: Grid, spec: str) -> SampledFunction:
         )
     if name == "cusp":
         gamma = _float(params, "gamma", "0.25")
-        a, b = _interval(name, params, "0", "1")
+        inside = _interval(grid, name, params, "0", "1")
         if gamma >= 1.0:
             raise ConfigurationError(f"cusp exponent must be < 1 for integrability, got {gamma}")
-        return sample(
-            lambda x: np.where((x >= a) & (x <= b), np.abs(x) ** -gamma, 0.0), grid
-        )
+        return sample(lambda x: np.where(inside, np.abs(x) ** -gamma, 0.0), grid)
     if name == "zero":
         return sample(lambda x: 0.0, grid)
     if name == "custom":
@@ -261,11 +262,11 @@ def build_weight(grid: Grid, spec: str) -> Weight:
         value = _float(params, "value", "1")
         return Weight(grid, sample(lambda x: value + 0.0 * x, grid).values)
     if name == "chibump":
-        a, b = _interval(name, params, "-1", "1")
+        inside = _interval(grid, name, params, "-1", "1")
         floor = _float(params, "floor", "1e-3")
         if floor <= 0.0:
             raise ConfigurationError("chibump floor must be positive (weights are positive)")
-        bump = sample(lambda x: floor + np.where((x >= a) & (x <= b), 1.0, 0.0), grid)
+        bump = sample(lambda x: floor + np.where(inside, 1.0, 0.0), grid)
         return Weight(grid, bump.values)
     if name == "custom":
         return Weight(grid, _load_values(grid, params))
@@ -300,27 +301,51 @@ def _sweep(cfg: ExperimentConfig, signal: np.ndarray, top: float | None = None) 
     return np.geomspace(t_min, t_max, cfg.steps)  # one step gives [t_min] exactly
 
 
+@dataclass(frozen=True)
+class Resolution:
+    """One grid of a prepared pair: everything a run reads there but f."""
+
+    grid: Grid
+    scan: DyadicScan
+    u: Weight
+    v: Weight  # |x|^beta for theorem 3
+    density: np.ndarray  # the left side's: u v, or u w for theorem 3
+    interior: np.ndarray  # the cells inside the margin, where the left side is measured
+    b: SampledFunction | None  # theorems 1-2: the symbol, over its BMO norm when that is > 0
+    bmo_norm: float | None
+
+
+@dataclass(frozen=True)
+class PreparedPair:
+    """A run's configuration on grid J (``fine``) and its coarsening J - 2
+    (``coarse``), everything but f: ``prepare`` builds it, ``evaluate`` reads it."""
+
+    kind: str
+    theorem: str
+    cfg: ExperimentConfig
+    phi: YoungFunction
+    fine: Resolution
+    coarse: Resolution
+    preflight: dict[str, ConstantEstimate]
+    prepare_s: float
+
+
 def _sides(
-    cfg: ExperimentConfig, grid: Grid, ts: np.ndarray | None, quotient: np.ndarray,
-    lhs_density: np.ndarray, signal: np.ndarray, phi: Callable, rhs_density: np.ndarray,
-    top: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(ts, lhs, rhs)``: both sides of one inequality at the heights ``ts``.
+    res: Resolution, phi: YoungFunction, ts: np.ndarray, quotient: np.ndarray,
+    signal: np.ndarray, rhs_density: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)``: both sides of one inequality on one grid at the heights ``ts``.
 
-    The left side is the ``lhs_density`` measure of the margin-interior part
-    of ``{quotient > t}``, the right side ``int phi(signal / t) rhs_density``.
-    With ``ts`` None the sweep is picked from ``signal``, its window closed at
-    twice the interior max of ``quotient`` when ``top`` is set.
+    The left side is the ``res.density`` measure of the interior part of
+    ``{quotient > t}``, the right side ``int phi(signal / t) rhs_density``.
     """
-    interior = grid.interior_mask(cfg.margin)
-    inner = quotient[interior]
-    if ts is None:
-        ts = _sweep(cfg, signal, 2.0 * float(np.max(inner, initial=0.0)) if top else None)
-    lhs = superlevel_mass(grid.h, inner, lhs_density[interior], ts)
-    return ts, lhs, modular_mass(grid.h, signal, phi, rhs_density, ts)
+    lhs = superlevel_mass(res.grid.h, quotient[res.interior], res.density[res.interior], ts)
+    rhs = modular_mass(res.grid.h, signal, phi, rhs_density, ts)
+    # a constant symbol (norm 0) scales the right side by ||b||^m = 0
+    return lhs, 0.0 * rhs if res.bmo_norm == 0.0 else rhs
 
 
-def preflight_weights(fine: SimpleNamespace, coarse: SimpleNamespace) -> dict[str, ConstantEstimate]:
+def preflight_weights(fine: Resolution, coarse: Resolution) -> dict[str, ConstantEstimate]:
     """The membership estimates the two-weight theorems hypothesize: u's A1
     constant, and v's A1 and A2(u) constants.
 
@@ -336,10 +361,10 @@ def preflight_weights(fine: SimpleNamespace, coarse: SimpleNamespace) -> dict[st
 
 
 def _require_hypotheses(estimates: dict[str, ConstantEstimate], force: bool) -> None:
-    ok = estimates["A1_u"].stable and (
+    # a pair without estimates (theorem 3) hypothesizes nothing of its weights
+    if force or not estimates or estimates["A1_u"].stable and (
         estimates["A1_v"].stable or estimates["A2_v_wrt_u"].stable
-    )
-    if ok or force:
+    ):
         return
     shown = ", ".join(
         f"{name}={est.value:.4g} ({'stable' if est.stable else 'unstable'})"
@@ -351,112 +376,141 @@ def _require_hypotheses(estimates: dict[str, ConstantEstimate], force: bool) -> 
     )
 
 
-# --- runners --------------------------------------------------------------
+def _resolution(cfg: ExperimentConfig, kind: str, phi: YoungFunction, grid: Grid) -> Resolution:
+    scan, u = cfg.scan(), build_weight(grid, cfg.u)
+    if kind == "maximal":
+        # theorem 3 is stated for (v, w) = (|x|^beta, 1/Phi(1/v)); for Phi = Identity
+        # w shares v's samples exactly rather than round-tripping through 1/(1/v)
+        v = power_weight(grid, cfg.beta)
+        w = v if cfg.r == 1.0 and cfg.delta == 0.0 else Weight(grid, 1.0 / phi(1.0 / v.values))
+    else:
+        v = w = build_weight(grid, cfg.v)
+    b = norm = None
+    if kind == "commutator":
+        b = sample_b(grid, cfg.b)
+        norm = bmo_norm(b, scan)
+        if norm > 0.0:
+            # normalize the symbol per resolution so ||b||^m drops out as 1
+            b = SampledFunction(grid, b.values / norm)
+    return Resolution(grid, scan, u, v, u.values * w.values, grid.interior_mask(cfg.margin), b, norm)
 
 
-def _instantiate(cfg: ExperimentConfig, grid: Grid, with_v: bool) -> SimpleNamespace:
-    f, u = sample_f(grid, cfg.f), build_weight(grid, cfg.u)
-    v = build_weight(grid, cfg.v) if with_v else None
-    return SimpleNamespace(grid=grid, f=f, u=u, v=v, scan=cfg.scan())
+def prepare(cfg: ExperimentConfig, kind: str) -> PreparedPair:
+    """Build grid J and its coarsening J - 2 with everything of ``cfg`` but f.
 
-
-def _rows(ts: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, alt: np.ndarray | None) -> list[ReportRow]:
-    alts = [None] * len(ts) if alt is None else alt.tolist()
-    return [
-        ReportRow(t, a, b, _ratio(a, b), c)
-        for t, a, b, c in zip(ts.tolist(), lhs.tolist(), rhs.tolist(), alts)
-    ]
-
-
-def _drive(
-    theorem: str, cfg: ExperimentConfig, sides_at: Callable, preflight: bool = True
-) -> InequalityReport:
-    """Build grid J and its coarsened grid J - 2, then measure on both at the same heights.
-
-    ``sides_at(inst, ts)`` returns ``(ts, lhs, rhs, alt, extras)``, one array
-    per row column (``alt`` may be None); the fine call gets ``ts=None`` and
-    picks the sweep, and its ``extras`` go on the report.  Without
-    ``preflight`` (theorem 3: any positive u, its own v) the configured v is
-    never built, no weight constant is estimated and the report's
-    ``preflight`` is empty.  ``stage_s`` times the two instances with their
-    estimates, the fine sweep and the coarse sweep.
+    ``kind`` names the operator: "base" the plain transform, "commutator" the
+    order-``cfg.m`` commutator against Phi_m, "maximal" (theorem 3) M_Phi with
+    Phi = LLogL(r, delta) against v = |x|^beta.  The first two estimate the
+    weight constants their theorems hypothesize on both grids; theorem 3
+    takes any positive u (the maximal function of u on the right absorbs
+    it), so its pair estimates nothing and never reads the configured v.
     """
     started = time.perf_counter()
+    if kind == "maximal":
+        if cfg.beta >= -1.0:
+            raise HypothesisError(f"beta must be < -1 for the singular power weight, got {cfg.beta}")
+        if cfg.r < 1.0 or cfg.delta < 0.0:
+            raise DomainError(f"Young exponents need r >= 1, delta >= 0, got r={cfg.r}, "
+                              f"delta={cfg.delta}")
+        theorem, phi = f"theorem3_r{cfg.r:g}_d{cfg.delta:g}_b{cfg.beta:g}", LLogL(cfg.r, cfg.delta)
+    elif kind == "commutator":
+        if cfg.m not in (1, 2, 3):
+            raise DomainError(f"commutator order must be 1, 2, or 3, got {cfg.m}")
+        theorem, phi = "theorem1" if cfg.m == 1 else f"theorem2_m{cfg.m}", LLogL(1.0, float(cfg.m))
+    elif kind == "base":
+        theorem, phi = "base_sawyer", Identity()
+    else:
+        raise ConfigurationError(f"kind must be 'base', 'commutator' or 'maximal', got {kind!r}")
     if cfg.J - 2 < 4:
         raise ConfigurationError(
             f"refinement comparison needs J >= 6 so the coarse grid stays valid, got J={cfg.J}"
         )
-    fine = _instantiate(cfg, make_grid(cfg.L, cfg.J), with_v=preflight)
-    coarse = _instantiate(cfg, fine.grid.coarsened(), with_v=preflight)
-    estimates = {}
-    if preflight:
-        estimates = preflight_weights(fine, coarse)
-        _require_hypotheses(estimates, cfg.force)
-    fine_at = time.perf_counter()
-    ts, *sides, extras = sides_at(fine, None)
-    rows = _rows(ts, *sides)
+    grid = make_grid(cfg.L, cfg.J)
+    fine, coarse = (_resolution(cfg, kind, phi, g) for g in (grid, grid.coarsened()))
+    estimates = {} if kind == "maximal" else preflight_weights(fine, coarse)
+    return PreparedPair(kind, theorem, cfg, phi, fine, coarse, estimates,
+                        time.perf_counter() - started)
+
+
+def _operands(pair: PreparedPair, res: Resolution, f: SampledFunction):
+    """``(quotient, signal, rhs_density)`` of f on one grid of the pair, as ``_sides`` reads them."""
+    fv = f * res.v
+    if pair.kind != "maximal":
+        tout = hilbert(fv) if res.b is None else commutator(res.b, fv, pair.cfg.m)
+        return np.abs(tout.values / res.v.values), np.abs(f.values), res.density
+    quotient = orlicz_maximal(fv, pair.phi, res.scan).values / res.v.values
+    # the right side reads Mu only where fv != 0
+    nz = np.flatnonzero(fv.values)
+    span = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+    return quotient, np.abs(fv.values), hl_maximal(res.u, res.scan, cells=span).values
+
+
+def evaluate(pair: PreparedPair, f: str) -> InequalityReport:
+    """Measure the input family ``f`` on a prepared pair.
+
+    f is sampled on both grids first, so a malformed f is named even where
+    the pair's weight hypotheses fail; those are then refused unless the
+    pair's configuration is forced.  The fine sweep picks the heights and
+    the coarse sweep reuses them.  ``stage_s`` times the pair's preparation,
+    f's samples with the fine sweep, and the coarse sweep.
+    """
+    started = time.perf_counter()
+    cfg, phi, fine, coarse = pair.cfg, pair.phi, pair.fine, pair.coarse
+    f_fine, f_coarse = sample_f(fine.grid, f), sample_f(coarse.grid, f)
+    _require_hypotheses(pair.preflight, cfg.force)
+    maximal = pair.kind == "maximal"
+    quotient, signal, density = _operands(pair, fine, f_fine)
+    # theorem 3 is normalized by f*v on both sides, and for the hypothesized
+    # non-integrable v the interesting heights reach the resolution-limited
+    # top of the quotient, so its default window is anchored at fv's median
+    # and closed off at twice the interior top, where level sets empty out
+    ts = _sweep(cfg, signal, 2.0 * float(np.max(quotient[fine.interior], initial=0.0))
+                if maximal else None)
+    lhs, rhs = _sides(fine, phi, ts, quotient, signal, density)
+    alt, extras = [None] * ts.size, {} if fine.bmo_norm is None else {"bmo_norm": fine.bmo_norm}
+    if maximal:
+        # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu, the same
+        # float it would be among the sweep's heights, as no height reads another
+        rhs0 = float(modular_mass(fine.grid.h, signal, phi, density, 1.0))
+        alt = (1.0 / phi(1.0 / ts) * lhs).tolist()
+        extras = {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": max(_ratio(a, rhs0) for a in alt)}
+    rows = [ReportRow(t, a, b, _ratio(a, b), c)
+            for t, a, b, c in zip(ts.tolist(), lhs.tolist(), rhs.tolist(), alt)]
     coarse_at = time.perf_counter()
-    _, *coarse_sides, _ = sides_at(coarse, ts)
+    coarse_sides = _sides(coarse, phi, ts, *_operands(pair, coarse, f_coarse))
     done = time.perf_counter()
     best = max(rows, key=lambda row: row.ratio)
-    sup_coarse = max(row.ratio for row in _rows(ts, *coarse_sides))
-    if sup_coarse > 0.0:
-        drift = abs(best.ratio - sup_coarse) / sup_coarse
-    else:
-        drift = 0.0 if best.ratio == 0.0 else math.inf
-    stable = math.isfinite(best.ratio) and drift <= STABILITY_BAR
+    sup_coarse = max(map(_ratio, *(side.tolist() for side in coarse_sides)))
+    # relative to the coarse sup: nothing measured on either grid is drift 0
+    drift = _ratio(abs(best.ratio - sup_coarse), sup_coarse)
     return InequalityReport(
-        theorem=theorem,
+        theorem=pair.theorem,
         rows=rows,
         sup_ratio=best.ratio,
         argmax_t=best.t,
-        preflight=estimates,
+        preflight=pair.preflight,
         refinement_pair=(sup_coarse, best.ratio),
         j_pair=(coarse.grid.J, fine.grid.J),
         margin=cfg.margin,
-        stage_s={"preflight": fine_at - started, "fine": coarse_at - fine_at,
+        stage_s={"prepare": pair.prepare_s, "fine": coarse_at - started,
                  "coarse": done - coarse_at},
         drift=drift,
-        stable=stable,
+        stable=math.isfinite(best.ratio) and drift <= STABILITY_BAR,
         extras=extras,
     )
 
 
+# --- runners --------------------------------------------------------------
+
+
 def run_base_sawyer(cfg: ExperimentConfig) -> InequalityReport:
     """Weak (1,1)-type inequality for the plain transform: the m = 0 baseline."""
-
-    def sides_at(inst, ts):
-        tout = hilbert(inst.f * inst.v)
-        uv = inst.u.values * inst.v.values
-        ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
-                              np.abs(inst.f.values), Identity(), uv)
-        return ts, lhs, rhs, None, {}
-
-    return _drive("base_sawyer", cfg, sides_at)
+    return evaluate(prepare(cfg, "base"), cfg.f)
 
 
 def run_theorem2(cfg: ExperimentConfig) -> InequalityReport:
     """Mixed weak-type bound for the order-m commutator against Phi_m."""
-    m = cfg.m
-    if m not in (1, 2, 3):
-        raise DomainError(f"commutator order must be 1, 2, or 3, got {m}")
-    phi = LLogL(1.0, float(m))
-
-    def sides_at(inst, ts):
-        b = sample_b(inst.grid, cfg.b)
-        norm_b = bmo_norm(b, inst.scan)
-        if norm_b > 0.0:
-            # normalize the symbol per resolution so ||b||^m drops out as 1
-            b = SampledFunction(inst.grid, b.values / norm_b)
-        tout = commutator(b, inst.f * inst.v, m)
-        uv = inst.u.values * inst.v.values
-        ts, lhs, rhs = _sides(cfg, inst.grid, ts, np.abs(tout.values / inst.v.values), uv,
-                              np.abs(inst.f.values), phi, uv)
-        # a constant symbol (norm 0) scales the right side by ||b||^m = 0
-        rhs = rhs if norm_b > 0.0 else 0.0 * rhs
-        return ts, lhs, rhs, None, {"bmo_norm": norm_b}
-
-    return _drive("theorem1" if m == 1 else f"theorem2_m{m}", cfg, sides_at)
+    return evaluate(prepare(cfg, "commutator"), cfg.f)
 
 
 def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
@@ -464,61 +518,6 @@ def run_theorem1(cfg: ExperimentConfig) -> InequalityReport:
     return run_theorem2(replace(cfg, m=1))
 
 
-def _check_theorem3(r: float, delta: float, beta: float) -> None:
-    if beta >= -1.0:
-        raise HypothesisError(f"beta must be < -1 for the singular power weight, got {beta}")
-    if r < 1.0 or delta < 0.0:
-        raise DomainError(f"Young exponents need r >= 1, delta >= 0, got r={r}, delta={delta}")
-
-
-def build_theorem3_weight(grid: Grid, r: float, delta: float, beta: float) -> tuple[Weight, Weight]:
-    """The pair (v, w) = (|x|^beta, 1/Phi(1/v)) the third theorem is stated for.
-
-    For Phi = Identity (r = 1, delta = 0) the reciprocal pair collapses and w
-    shares v's samples exactly rather than round-tripping through 1/(1/v).
-    """
-    _check_theorem3(r, delta, beta)
-    v = power_weight(grid, beta)
-    if r == 1.0 and delta == 0.0:
-        return v, v
-    phi = LLogL(r, delta)
-    w = Weight(grid, 1.0 / phi(1.0 / v.values))
-    return v, w
-
-
 def run_theorem3(cfg: ExperimentConfig) -> InequalityReport:
-    """Weak modular bound for M_Phi against the power weight |x|^beta.
-
-    No weight preflight: the theorem takes arbitrary positive u (the maximal
-    function of u on the right absorbs it), so no weight constant is
-    estimated and the report's ``preflight`` is empty.  The configured v is
-    not read: the theorem's v is |x|^beta.
-    """
-    r, delta, beta = cfg.r, cfg.delta, cfg.beta
-    _check_theorem3(r, delta, beta)
-
-    def sides_at(inst, ts):
-        grid = inst.grid
-        v, w = build_theorem3_weight(grid, r, delta, beta)
-        phi = LLogL(r, delta)
-        fv = inst.f * v
-        quotient = orlicz_maximal(fv, phi, inst.scan).values / v.values
-        # the right side reads Mu only where fv != 0
-        nz = np.flatnonzero(fv.values)
-        span = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
-        mu = hl_maximal(inst.u, inst.scan, cells=span).values
-        absfv = np.abs(fv.values)
-        # this inequality is normalized by f*v on both sides, and for the
-        # hypothesized non-integrable v the interesting heights reach the
-        # resolution-limited top of the quotient, so the default window is
-        # anchored at fv's median and closed off where level sets empty out
-        ts, lhs, rhs = _sides(cfg, grid, ts, quotient, inst.u.values * w.values, absfv, phi, mu,
-                              top=True)
-        # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu, the same
-        # float it would be among the sweep's heights, as no height reads another
-        rhs0 = float(modular_mass(grid.h, absfv, phi, mu, 1.0))
-        alt = 1.0 / phi(1.0 / ts) * lhs
-        weak_orlicz_sup = max(_ratio(a, rhs0) for a in alt.tolist())
-        return ts, lhs, rhs, alt, {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": weak_orlicz_sup}
-
-    return _drive(f"theorem3_r{r:g}_d{delta:g}_b{beta:g}", cfg, sides_at, preflight=False)
+    """Weak modular bound for M_Phi against the power weight |x|^beta."""
+    return evaluate(prepare(cfg, "maximal"), cfg.f)

@@ -110,7 +110,7 @@ def test_verify_writes_deterministic_reports(tmp_path, capsys):
     # determinism: everything except the meta object is byte-identical
     assert rep == load_report(out2 / "verify-thm1.json")
     meta = json.loads((out1 / "verify-thm1.json").read_text())["meta"]
-    assert set(meta["stage_s"]) == {"preflight", "fine", "coarse"}
+    assert set(meta["stage_s"]) == {"prepare", "fine", "coarse"}
     assert all(s >= 0.0 for s in meta["stage_s"].values())
     assert sum(meta["stage_s"].values()) <= meta["runtime_s"]
     csv1 = (out1 / "verify-thm1.csv").read_text()

@@ -11,7 +11,9 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,19 +29,22 @@ from mixedweak._errors import (
 from mixedweak.cli import build_parser, main, parse_config
 from mixedweak.grid import (
     DyadicScan,
+    SampledFunction,
     make_grid,
     modular_mass,
     sample,
     superlevel_mass,
 )
 from mixedweak.maximal import hl_maximal, orlicz_maximal
+from mixedweak.singular import commutator
 from mixedweak.verify import (
     STABILITY_BAR,
     ExperimentConfig,
     _sides,
-    build_theorem3_weight,
     build_weight,
+    evaluate,
     parse_family,
+    prepare,
     run_base_sawyer,
     run_theorem1,
     run_theorem2,
@@ -47,7 +52,7 @@ from mixedweak.verify import (
     sample_b,
     sample_f,
 )
-from mixedweak.weights import bmo_norm, estimate_Ap
+from mixedweak.weights import bmo_norm, estimate_Ap, power_weight
 from mixedweak.young import Identity, LLogL, Power
 from oracles import solve_scale_a, theorem3_set_partition
 
@@ -145,24 +150,43 @@ def test_build_weight_families():
         build_weight(grid, "gaussian")
 
 
-@pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5"), ("nan", "1"), ("0", "nan")])
+@pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5"), ("nan", "1"), ("0", "nan"),
+                                 ("0.13", "0.2"), ("0.1", "0.2")])
 def test_interval_families_refuse_a_reversed_or_empty_interval(tmp_path, capsys, a, b):
-    # with a >= b (or a NaN end) no cell center is inside, so a run would measure nothing
-    # (indicator f: sup_ratio 0, "stable") or only the floor (chibump u: A1_u 1)
-    grid = make_grid(4.0, 6)
+    # with no cell center inside, a run would measure nothing (indicator f: sup_ratio 0,
+    # "stable") or only the floor (chibump u: A1_u 1).  At L = 8 [0.13, 0.2] holds no
+    # center of J = 6 or J = 4, and [0.1, 0.2] one of J = 6 but none of its coarse
+    # grid J = 4 (where the run read drift=inf)
+    lo, hi = float(a), float(b)
+    reversed_ = not lo < hi
+    grid = make_grid(8.0, 4)
     for family, build in (("indicator", sample_f), ("cusp", sample_f), ("chibump", build_weight)):
-        with pytest.raises(ConfigurationError, match=f"family '{family}' needs a < b, "
-                                                     f"got a={float(a)!r} b={float(b)!r}"):
+        want = (f"family '{family}' needs a < b, got a={lo!r} b={hi!r}" if reversed_ else
+                re.escape(f"family '{family}' has no cell center in [{lo!r}, {hi!r}] at J=4"))
+        with pytest.raises(ConfigurationError, match=want):
             build(grid, f"{family} a={a} b={b}")
-    for subcommand, key, family in (("verify-thm1", "f", "indicator"),
-                                    ("estimate", "weight.u", "chibump")):
+    subcommands = [("verify-thm1", "f", "indicator"), ("estimate", "weight.u", "chibump")]
+    if not reversed_:
+        subcommands += [("verify-thm2", "f", "indicator"), ("verify-thm3", "f", "indicator")]
+    for subcommand, key, family in subcommands:
         path = tmp_path / "run.cfg"
-        path.write_text(f"grid.J = 8\n{key}.family = {family} a={a} b={b}\n")
-        assert main([subcommand, "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert f"family '{family}' needs a < b" in capsys.readouterr().err
+        path.write_text(f"grid.J = 6\n{key}.family = {family} a={a} b={b}\n")
+        argv = [subcommand, "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv + (["--m", "3"] if subcommand == "verify-thm2" else [])) == 2
+        err = capsys.readouterr().err
+        assert f"family '{family}' " + ("needs a < b" if reversed_ else "has no cell center") in err
+        if not reversed_:
+            assert f"at J={6 if lo == 0.13 else 4}" in err
 
 
 # --- the two sides ---------------------------------------------------------
+
+
+def on_grid(grid, density, margin=0.05):
+    """What ``_sides`` reads of one grid of a prepared pair: the interior
+    mask, the left side's density and the symbol's norm (none here)."""
+    return SimpleNamespace(grid=grid, interior=grid.interior_mask(margin), density=density,
+                           bmo_norm=None)
 
 
 def test_sides_left_trivial_and_unit_function():
@@ -171,8 +195,7 @@ def test_sides_left_trivial_and_unit_function():
     chi = np.abs(sample_f(grid, "indicator a=0 b=1").values)
 
     def lhs(level, t, margin=0.05):
-        return _sides(ExperimentConfig(margin=margin), grid, np.array([t]), level, ones, chi,
-                      Identity(), ones)[1][0]
+        return _sides(on_grid(grid, ones, margin), Identity(), np.array([t]), level, chi, ones)[0][0]
 
     assert lhs(chi, 2.0) == 0.0
     # unit function: every interior cell is in the level set below 1
@@ -189,7 +212,7 @@ def test_sides_right_closed_forms():
     chi = np.abs(sample_f(grid, "indicator a=0 b=1").values)
 
     def rhs(signal, phi, t):
-        return _sides(ExperimentConfig(), grid, np.array([t]), chi, ones, signal, phi, ones)[2][0]
+        return _sides(on_grid(grid, ones), phi, np.array([t]), chi, signal, ones)[1][0]
 
     # identity Young function turns the modular into (1/t) int |f| u v
     assert rhs(chi, Identity(), 0.5) == 2.0
@@ -271,8 +294,7 @@ def test_height_kernels_match_per_height_loops(case, phi):
     v = build_weight(grid, "power beta=-0.25").values
     interior = grid.interior_mask(0.05)
     level, uv = np.abs(signal / v), density * v
-    got_ts, left, right = _sides(ExperimentConfig(), grid, ts, level, uv, signal, phi, uv)
-    assert got_ts is ts
+    left, right = _sides(on_grid(grid, uv), phi, ts, level, signal, uv)
     assert left == pytest.approx(loop_superlevel(h, level[interior], uv[interior], ts), rel=1e-12)
     assert right == pytest.approx(loop_modular(h, signal, phi, uv, ts), rel=1e-12)
 
@@ -334,7 +356,7 @@ def test_theorem1_small_scale_report():
     assert rep.extras["bmo_norm"] > 0.0
     assert rep.sup_ratio == pytest.approx(0.8764, rel=0.05)
     assert math.isfinite(rep.sup_ratio)
-    assert set(rep.stage_s) == {"preflight", "fine", "coarse"}
+    assert set(rep.stage_s) == {"prepare", "fine", "coarse"}
     assert 0.0 < sum(rep.stage_s.values())
     # only theorem 3 has a second right side
     assert all(row.alt is None for row in rep.rows)
@@ -391,16 +413,18 @@ def test_negative_control_diverges_and_contrast_does_not():
 
 
 def test_theorem3_weight_pair():
-    grid = make_grid(4.0, 6)
-    v, w = build_theorem3_weight(grid, 1.0, 0.0, -2.0)
-    assert w is v
-    v, w = build_theorem3_weight(grid, 1.0, 1.0, -2.0)
-    phi = LLogL(1, 1)
-    assert np.array_equal(w.values, 1.0 / phi(1.0 / v.values))
+    # a theorem-3 pair holds v = |x|^beta and, with u = 1, the left side's density
+    # w = 1/Phi(1/v); for Phi = Identity w keeps v's samples bit for bit
+    cfg = ExperimentConfig(L=4.0, J=6, u="const", r=1, delta=0, beta=-2)
+    for res in (prepare(cfg, "maximal").fine, prepare(cfg, "maximal").coarse):
+        assert np.array_equal(res.v.values, power_weight(res.grid, -2.0).values)
+        assert np.array_equal(res.density, res.v.values)
+    res = prepare(replace(cfg, delta=1), "maximal").fine
+    assert np.array_equal(res.density, 1.0 / LLogL(1, 1)(1.0 / res.v.values))
     with pytest.raises(HypothesisError):
-        build_theorem3_weight(grid, 1.0, 1.0, -0.5)
+        prepare(replace(cfg, delta=1, beta=-0.5), "maximal")
     with pytest.raises(DomainError):
-        build_theorem3_weight(grid, 0.5, 1.0, -2.0)
+        prepare(replace(cfg, r=0.5, delta=1), "maximal")
 
 
 def test_theorem3_small_scale_report():
@@ -449,7 +473,7 @@ def test_theorem3_identity_case_matches_weak_orlicz_form():
 
 
 def test_theorem3_exponents_are_checked_before_any_grid_is_built():
-    # J = 5 would fail _drive's headroom check, so reaching these errors
+    # J = 5 would fail prepare's headroom check, so reaching these errors
     # shows the exponent rule runs first
     cfg = ExperimentConfig(L=8.0, J=5, r=1, delta=1, beta=-2)
     with pytest.raises(ConfigurationError):
@@ -476,7 +500,7 @@ def test_theorem3_right_sides_read_the_unrestricted_maximal_function(f):
     cfg = ExperimentConfig(L=8.0, J=10, f=f, u="power beta=-0.5", r=2, delta=1, beta=-1.5)
     rep = run_theorem3(cfg)
     grid = make_grid(cfg.L, cfg.J)
-    v, _ = build_theorem3_weight(grid, cfg.r, cfg.delta, cfg.beta)
+    v = power_weight(grid, cfg.beta)
     fv = np.abs((sample_f(grid, cfg.f) * v).values)
     mu = hl_maximal(build_weight(grid, cfg.u), cfg.scan()).values
     ts = np.array([row.t for row in rep.rows])
@@ -488,7 +512,7 @@ def test_theorem3_right_sides_read_the_unrestricted_maximal_function(f):
 def test_theorem3_default_sweep_closes_at_twice_the_interior_quotient_top():
     cfg = ExperimentConfig(L=8.0, J=8, f="indicator a=0 b=1", u="chibump", r=1, delta=1, beta=-2)
     grid = make_grid(cfg.L, cfg.J)
-    v, _ = build_theorem3_weight(grid, 1.0, 1.0, -2.0)
+    v = power_weight(grid, cfg.beta)
     fv = sample_f(grid, cfg.f) * v
     quotient = orlicz_maximal(fv, LLogL(1, 1), cfg.scan()).values / v.values
     top = 2.0 * float(np.max(quotient[grid.interior_mask(cfg.margin)]))
@@ -522,6 +546,76 @@ def test_a_one_sided_window_that_inverts_is_refused(tmp_path, capsys, key, flag,
     # a one-sided window that does not invert keeps its given end
     ts = [row.t for row in run_theorem1(ExperimentConfig(J=8, u="const", v="const", **{key: 1.0})).rows]
     assert ts[0 if key == "t_min" else -1] == 1.0
+
+
+# --- a prepared pair ------------------------------------------------------
+
+
+@pytest.mark.parametrize(("run", "kind", "m"), [
+    (run_base_sawyer, "base", 1), (run_theorem1, "commutator", 1),
+    (run_theorem2, "commutator", 3), (run_theorem3, "maximal", 1),
+])
+def test_a_prepared_pair_evaluates_any_f_as_a_fresh_run_does(run, kind, m):
+    cfg = ExperimentConfig(J=10, m=m)
+    pair = prepare(cfg, kind)
+    for f in ("indicator a=-0.5 b=2 height=3", "bumps", "cusp gamma=0.2 a=-1 b=0.5"):
+        got, want = evaluate(pair, f), run(replace(cfg, f=f))
+        assert got.theorem == want.theorem and got.j_pair == want.j_pair == (8, 10)
+        assert got.rows == want.rows
+        assert got.sup_ratio == want.sup_ratio and got.argmax_t == want.argmax_t
+        assert got.drift == want.drift and got.refinement_pair == want.refinement_pair
+        assert got.extras == want.extras and got.preflight == want.preflight
+        assert got.stage_s["prepare"] == pair.prepare_s
+    with pytest.raises(ConfigurationError, match="kind must be"):
+        prepare(cfg, "hilbert")
+
+
+def test_a_malformed_f_is_named_before_the_preflight_refuses(tmp_path, capsys):
+    # f, u and v are all sampled before the weight hypotheses can refuse the run
+    path = tmp_path / "run.cfg"
+    for f, code, text in (("indicator a=1 b=0", 2, "error: family 'indicator' needs a < b"),
+                          ("indicator a=0 b=1", 1, "refused: weight hypotheses not met")):
+        path.write_text(f"grid.J = 8\nf.family = {f}\nweight.u.family = power beta=0.5\n")
+        assert main(["verify-thm1", "--config", str(path), "--out", str(tmp_path)]) == code
+        assert text in capsys.readouterr().err
+
+
+#: J of the pointwise check, and its points x with today's relative error bound
+#: of the quotient |T_b^m(f v) / v| there, per order m: the error halves per rung
+#: at m = 3 and shrinks about 2.6x per rung at m = 1 (the point-sampled singular
+#: rows next to 0 carry it everywhere), so these bounds are to be lowered, not raised
+CONTINUUM_J = 14
+CONTINUUM_BOUNDS = {
+    1: {-5.0: 0.003444, -2.0: 0.004956, -0.5: 0.01288, -0.2: 0.04138, -0.01: 0.07696,
+        0.01: 0.03686, 0.1: 0.01156, 0.3: 0.007342, 0.7: 0.005441, 2.0: 0.003725},
+    3: {-5.0: 0.04043, -2.0: 0.06343, -0.5: 0.1262, -0.2: 0.2039, -0.01: 0.4627,
+        0.01: 0.1699, 0.1: 0.1909, 0.3: 0.1442, 0.7: 0.09966, 2.0: 0.0593},
+}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_headline_quotient_against_the_continuum(m):
+    # for m >= 1 the kernel (b(x) - b(y))^m / (pi (x - y)) is bounded near y = x
+    # where b = log|.| is smooth, so on the default config (f = chi_[0, 1],
+    # v = |x|^-1/4) T_b^m(f v)(x) is the ordinary integral
+    # int_0^1 (log|x| - log y)^m y^-1/4 / (pi (x - y)) dy / n^m, with n the lab's
+    # BMO norm of log at the same J; it is compared at the cell centers nearest x
+    cfg = ExperimentConfig(J=CONTINUUM_J)
+    grid = make_grid(cfg.L, cfg.J)
+    b = sample_b(grid, cfg.b)
+    n = bmo_norm(b, cfg.scan())
+    v = build_weight(grid, cfg.v)
+    lab = np.abs(commutator(SampledFunction(grid, b.values / n), sample_f(grid, cfg.f) * v, m).values
+                 / v.values)
+    mpmath.mp.dps = 20
+    for x_near, bound in CONTINUUM_BOUNDS[m].items():
+        i = int(np.argmin(np.abs(grid.centers - x_near)))
+        x = mpmath.mpf(float(grid.centers[i]))
+        points = [0, x, 1] if 0 < x < 1 else [0, 1]
+        integral = mpmath.quad(lambda y: (mpmath.log(abs(x)) - mpmath.log(y)) ** m
+                               * y ** mpmath.mpf(-0.25) / (mpmath.pi * (x - y)), points)
+        reference = float(abs(integral) / n**m * abs(x) ** mpmath.mpf(0.25))
+        assert abs(lab[i] / reference - 1.0) <= bound, (m, x_near)
 
 
 # --- the verdict -----------------------------------------------------------
