@@ -8,6 +8,11 @@ Plain bugs still surface as ordinary Python exceptions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .weights import ConstantEstimate
+
 
 class MixedWeakError(Exception):
     """Base class for all deliberate failures raised by this package."""
@@ -52,6 +57,6 @@ class HypothesisError(MixedWeakError, ValueError):
 class PreflightError(MixedWeakError, RuntimeError):
     """Weight-constant estimates are too unstable to trust a verification run."""
 
-    def __init__(self, message: str, estimates: dict[str, float] | None = None) -> None:
+    def __init__(self, message: str, estimates: dict[str, ConstantEstimate] | None = None) -> None:
         super().__init__(message)
         self.estimates = dict(estimates or {})

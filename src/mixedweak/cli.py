@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +39,7 @@ from .maximal import hl_maximal, orlicz_maximal
 from .singular import hilbert
 from .verify import (
     ExperimentConfig,
+    ReportRow,
     build_weight,
     preflight_weights,
     run_base_sawyer,
@@ -48,7 +49,7 @@ from .verify import (
     sample_b,
     sample_f,
 )
-from .weights import ConstantEstimate, Weight, bmo_norm, estimate_Ap, fundamental_ratio, refined
+from .weights import Weight, bmo_norm, estimate_Ap, fundamental_ratio, refined
 from .young import Identity, LLogL
 
 __all__ = ["main", "parse_config", "read_config"]
@@ -66,21 +67,34 @@ def _shifts(token: str) -> tuple[float, ...]:
     raise argparse.ArgumentTypeError(f"shifts must be 1 or 3, got {token!r}")
 
 
-#: config key -> (the ExperimentConfig field it sets, the parser of its value)
-_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "grid.L": ("L", float),
-    "grid.J": ("J", int),
-    "f.family": ("f", str),
-    "b.family": ("b", str),
-    "weight.u.family": ("u", str),
-    "weight.v.family": ("v", str),
-    "sweep.t_min": ("t_min", float),
-    "sweep.t_max": ("t_max", float),
-    "sweep.steps": ("steps", int),
-    "scan.j_max": ("j_max", int),
-    "scan.shifts": ("shifts", _shifts),
+#: ExperimentConfig field -> (its config key, its flag, the flag's argparse keywords), in
+#: the flags' --help order; a config value is parsed by the keywords' type
+_FIELDS: dict[str, tuple[str | None, str | None, dict]] = {
+    "J": ("grid.J", "--grid-J", dict(type=int, metavar="INT")),
+    "L": ("grid.L", "--grid-L", dict(type=float, metavar="REAL")),
+    "f": ("f.family", None, dict(type=str)),
+    "b": ("b.family", None, dict(type=str)),
+    "u": ("weight.u.family", None, dict(type=str)),
+    "v": ("weight.v.family", None, dict(type=str)),
+    "m": (None, "--m", dict(type=int, metavar="INT", help="commutator order")),
+    "r": (None, "--r", dict(type=float, metavar="REAL", help="Young power exponent")),
+    "delta": (None, "--delta", dict(type=float, metavar="REAL", help="Young log exponent")),
+    "beta": (None, "--beta", dict(type=float, metavar="REAL", help="power-weight exponent")),
+    "t_min": ("sweep.t_min", "--t-min",
+              dict(type=float, metavar="REAL", help="lowest sweep height; for decompose, the "
+                   "stopping height (default twice the v-average of f over [-L, L])")),
+    "t_max": ("sweep.t_max", "--t-max", dict(type=float, metavar="REAL")),
+    "steps": ("sweep.steps", "--t-steps", dict(type=int, metavar="INT")),
+    "j_max": ("scan.j_max", "--jmax", dict(type=int, metavar="INT", help="finest scan scale j "
+                                           "(0 is the whole domain; default J)")),
+    "shifts": ("scan.shifts", "--shifts",
+               dict(type=_shifts, metavar="{1,3}", help="dyadic grids per scan")),
+    "margin": (None, "--margin", dict(type=float, metavar="REAL")),
+    "force": (None, "--force",
+              dict(action="store_true", help="run despite unstable weight constants")),
 }
-_SECTIONS = {target.rsplit(".", 1)[0] for target in _KEYS}
+_KEYS = {key: name for name, (key, _, _) in _FIELDS.items() if key}
+_SECTIONS = {key.rsplit(".", 1)[0] for key in _KEYS}
 
 
 def read_config(path: str | os.PathLike[str]) -> dict[tuple[str, str], str]:
@@ -118,9 +132,9 @@ def parse_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig
     """Merge config-file entries with flag overrides (flags win)."""
     kwargs: dict[str, object] = {}
     for (section, key), token in (read_config(path) if path else {}).items():
-        name, parse = _KEYS[f"{section}.{key}"]
+        name = _KEYS[f"{section}.{key}"]
         try:
-            kwargs[name] = parse(token)
+            kwargs[name] = _FIELDS[name][2]["type"](token)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigurationError(f"{section}.{key}: cannot parse {token!r}") from exc
     # each flag's dest is the ExperimentConfig field it sets
@@ -149,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (descr, _, reads) in _COMMANDS.items():
         # no abbreviations: --m must not stand for --margin where --m is not taken
         cmd = sub.add_parser(name, parents=[io] if reads else [], help=descr, allow_abbrev=False)
-        for dest, (flag, spec) in _FLAGS.items():
+        for dest, (_, flag, spec) in _FIELDS.items():
             if dest in reads:
                 cmd.add_argument(flag, dest=dest, **spec)
     return parser
@@ -172,14 +186,25 @@ class _Outcome:
     timing: dict[str, object] = field(default_factory=dict)
 
 
-def _clean(value: float | None) -> float | None:
-    return value if value is not None and math.isfinite(value) else None
+def _plain(value: object) -> object:
+    """``value`` as strict JSON holds it, at every depth: a non-finite float
+    as None, a tuple as a list, a dataclass as the dict of its fields."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return {fld.name: _plain(getattr(value, fld.name)) for fld in fields(value)}
+    return value
 
 
 def _cell(value: object) -> str:
-    """One CSV cell: empty for None, round-trip digits for a float, else ``str``."""
+    """One CSV cell: empty for None and a non-finite float, round-trip digits
+    for a finite float, else ``str``."""
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return f"{value:.17g}" if math.isfinite(value) else ""
     return "" if value is None else str(value)
 
 
@@ -204,8 +229,9 @@ def _emit(out: Path, stem: str, fmt: str, result: _Outcome, runtime_s: float) ->
     if fmt in ("json", "both"):
         meta = {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "runtime_s": runtime_s, **result.timing}
-        payload = {"meta": meta, "report": result.body}
-        _write_atomic(out / f"{stem}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload = _plain({"meta": meta, "report": result.body})
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        _write_atomic(out / f"{stem}.json", text + "\n")
     if fmt in ("csv", "both"):
         lines = [",".join(result.header)] + [",".join(map(_cell, row)) for row in result.rows]
         _write_atomic(out / f"{stem}.csv", "\n".join(lines) + "\n")
@@ -222,11 +248,6 @@ def _emit(out: Path, stem: str, fmt: str, result: _Outcome, runtime_s: float) ->
         )
 
 
-def _estimate_json(est: ConstantEstimate) -> dict:
-    return {"value": _clean(est.value), "stable": est.stable,
-            "refinement_pair": list(map(_clean, est.refinement_pair))}
-
-
 # --- subcommands -----------------------------------------------------------
 
 _RUNNERS = {
@@ -240,27 +261,14 @@ _RUNNERS = {
 def _cmd_verify(name: str, cfg: ExperimentConfig) -> _Outcome:
     # looked up at call time: the benchmark's tracer replaces the table's entries
     rep = _RUNNERS[name](cfg)
-    header = ("t", "lhs", "rhs", "ratio", "alt")
-    rows = [(row.t, row.lhs, row.rhs, _clean(row.ratio), _clean(row.alt)) for row in rep.rows]
-    body = {
-        "theorem": rep.theorem,
-        "sup_ratio": _clean(rep.sup_ratio),
-        "argmax_t": _clean(rep.argmax_t),
-        "refinement_pair": list(map(_clean, rep.refinement_pair)),
-        "drift": _clean(rep.drift),
-        "stable": rep.stable,
-        "j_pair": list(rep.j_pair),
-        "margin": rep.margin,
-        "preflight": {key: _estimate_json(est) for key, est in rep.preflight.items()},
-        "extras": {key: _clean(value) for key, value in rep.extras.items()},
-        "rows": {col: [row[i] for row in rows] for i, col in enumerate(header)},
-    }
+    body = {fld.name: getattr(rep, fld.name) for fld in fields(rep) if fld.name != "stage_s"}
+    body["rows"] = dict(zip(ReportRow._fields, zip(*rep.rows)))
     summary = (
         f"{rep.theorem}: sup_ratio={rep.sup_ratio:.6g} "
         f"stable={'yes' if rep.stable else 'NO'} drift={rep.drift:.3g} "
         f"J={rep.j_pair[0]}->{rep.j_pair[1]}"
     )
-    return _Outcome(summary, 0 if rep.stable else 1, body, header, rows,
+    return _Outcome(summary, 0 if rep.stable else 1, body, ReportRow._fields, rep.rows,
                     timing={"stage_s": rep.stage_s})
 
 
@@ -275,15 +283,13 @@ def _cmd_estimate(cfg: ExperimentConfig) -> _Outcome:
     estimates["fundamental"] = refined(fundamental_ratio(coarse.u, coarse.v, scan),
                                        fundamental_ratio(fine.u, fine.v, scan))
     estimates["bmo_b"] = refined(bmo_norm(coarse.b, scan), bmo_norm(fine.b, scan))
-    rows = [(name, _clean(est.value), est.stable, *map(_clean, est.refinement_pair))
-            for name, est in estimates.items()]
+    rows = [(name, est.value, est.stable, *est.refinement_pair) for name, est in estimates.items()]
     summary = " ".join(
         f"{name}={est.value:.4g}{'' if est.stable else '(unstable)'}"
         for name, est in estimates.items()
     )
-    body = {name: _estimate_json(est) for name, est in estimates.items()}
-    return _Outcome(f"estimate: {summary}", 0, body, ("name", "value", "stable", "coarse", "fine"),
-                    rows)
+    return _Outcome(f"estimate: {summary}", 0, estimates,
+                    ("name", "value", "stable", "coarse", "fine"), rows)
 
 
 def _cmd_decompose(cfg: ExperimentConfig) -> _Outcome:
@@ -301,10 +307,7 @@ def _cmd_decompose(cfg: ExperimentConfig) -> _Outcome:
         "doubling_bound": result.doubling_bound,
         "n_cubes": len(rows),
         "cubes": [dict(zip(header, row)) for row in rows],
-        "checks": [
-            {"name": c.name, "passed": c.passed, "slack": _clean(c.slack)}
-            for c in report.checks
-        ],
+        "checks": report.checks,
         "passed": report.passed,
     }
     summary = (
@@ -360,25 +363,6 @@ def _cmd_selftest(cfg: ExperimentConfig) -> _Outcome:
     return _Outcome("\n".join(lines), 0 if failed == 0 else 1)
 
 
-#: ExperimentConfig field -> (the flag that sets it, its argparse keywords)
-_FLAGS: dict[str, tuple[str, dict]] = {
-    "J": ("--grid-J", dict(type=int, metavar="INT")),
-    "L": ("--grid-L", dict(type=float, metavar="REAL")),
-    "m": ("--m", dict(type=int, metavar="INT", help="commutator order")),
-    "r": ("--r", dict(type=float, metavar="REAL", help="Young power exponent")),
-    "delta": ("--delta", dict(type=float, metavar="REAL", help="Young log exponent")),
-    "beta": ("--beta", dict(type=float, metavar="REAL", help="power-weight exponent")),
-    "t_min": ("--t-min", dict(type=float, metavar="REAL",
-                              help="lowest sweep height; for decompose, the stopping height "
-                                   "(default twice the v-average of f over [-L, L])")),
-    "t_max": ("--t-max", dict(type=float, metavar="REAL")),
-    "steps": ("--t-steps", dict(type=int, metavar="INT")),
-    "j_max": ("--jmax", dict(type=int, metavar="INT",
-                             help="finest scan scale j (0 is the whole domain; default J)")),
-    "shifts": ("--shifts", dict(type=_shifts, metavar="{1,3}", help="dyadic grids per scan")),
-    "margin": ("--margin", dict(type=float, metavar="REAL")),
-    "force": ("--force", dict(action="store_true", help="run despite unstable weight constants")),
-}
 _GRID, _SCAN = ("J", "L"), ("j_max", "shifts")
 _SWEEP = (*_GRID, "t_min", "t_max", "steps", *_SCAN, "margin")
 

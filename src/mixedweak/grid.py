@@ -564,14 +564,16 @@ def modular_mass(h: float, signal: np.ndarray, phi, density: np.ndarray, heights
     if not live.all():  # no copy for signals that vanish nowhere
         signal, density = signal[live], density[live]
     form = phi.log_power()
-    if form is None:
-        out = [float(np.sum(phi(signal / t) * density)) for t in ts.ravel()]
-    else:
-        if not (np.all(signal >= 0.0) and np.all(np.isfinite(signal))):
-            raise DomainError("modular_mass needs a finite, nonnegative signal")
-        c, r, d = form
-        out = [c * total for total in _log_power_sums(signal, density, r, d, ts.ravel().tolist())]
-    return h * np.array(out).reshape(ts.shape)
+    # a height where signal / t or the sum overflows reads +inf
+    with np.errstate(over="ignore", divide="ignore"):
+        if form is None:
+            out = [float(np.sum(phi(signal / t) * density)) for t in ts.ravel()]
+        else:
+            if not (np.all(signal >= 0.0) and np.all(np.isfinite(signal))):
+                raise DomainError("modular_mass needs a finite, nonnegative signal")
+            c, r, d = form
+            out = [c * mass for mass in _log_power_sums(signal, density, r, d, ts.ravel().tolist())]
+        return h * np.array(out).reshape(ts.shape)
 
 
 def _log_power_sums(s: np.ndarray, w: np.ndarray, r: float, d: int, heights: list[float]) -> list[float]:
@@ -603,7 +605,9 @@ def _log_power_sums(s: np.ndarray, w: np.ndarray, r: float, d: int, heights: lis
     if s.size == 0:
         return [0.0] * len(heights)
     e = math.frexp(float(s.max()))[1]
-    ts = [math.ldexp(t, -e) for t in heights]
+    # numpy scalars, not floats: where t or t**r leaves the float range, total / t**r
+    # reads +inf or 0 (toward which (s/t)**r goes) instead of raising
+    ts = np.ldexp(heights, -e)
     if d == 0:
         total = float(np.sum(w * np.ldexp(s, -e) ** r))
         return [total / t**r for t in ts]
@@ -618,7 +622,8 @@ def _log_power_sums(s: np.ndarray, w: np.ndarray, r: float, d: int, heights: lis
     ws *= s
     del s
     n = ws.size
-    lams = [math.log(t) for t in ts]
+    # a t that is 0 here reads +inf whatever its log: it takes the least positive float's
+    lams = [math.log(t or math.ulp(0.0)) for t in ts]
     # anchors from the lowest height up (an infinite height needs none)
     keys = np.arange(math.ceil(2.0 * min([*lams, logs[-1]])), math.floor(2.0 * logs[-1]) + 1)
     edges = np.searchsorted(logs, 0.5 * keys)

@@ -472,7 +472,9 @@ def evaluate(pair: PreparedPair, f: str) -> InequalityReport:
         # the height 1 gives the weak-Orlicz right side int phi(|fv|) Mu, the same
         # float it would be among the sweep's heights, as no height reads another
         rhs0 = float(modular_mass(fine.grid.h, signal, phi, density, 1.0))
-        alt = (1.0 / phi(1.0 / ts) * lhs).tolist()
+        # 1 / t or phi(1 / t) past the float range: alt is 0 or inf, and 0 where lhs is 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            alt = np.where(lhs > 0.0, 1.0 / phi(1.0 / ts) * lhs, 0.0).tolist()
         extras = {"weak_orlicz_rhs": rhs0, "weak_orlicz_sup": max(_ratio(a, rhs0) for a in alt)}
     rows = [ReportRow(t, a, b, _ratio(a, b), c)
             for t, a, b, c in zip(ts.tolist(), lhs.tolist(), rhs.tolist(), alt)]

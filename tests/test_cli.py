@@ -4,7 +4,12 @@ Every invocation goes through main(argv) in-process so exit codes, stdout
 summaries, and written artifacts can all be asserted without subprocesses.
 """
 
+import argparse
 import json
+import math
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,16 @@ from mixedweak.cli import build_parser, main, parse_config, read_config
 from mixedweak.czd import cz_decompose
 from mixedweak.grid import make_grid
 from mixedweak.maximal import orlicz_maximal
-from mixedweak.verify import build_weight, sample_b, sample_f
-from mixedweak.weights import estimate_Ap
+from mixedweak.verify import (
+    _FAMILY_PARAMS,
+    ExperimentConfig,
+    InequalityReport,
+    ReportRow,
+    build_weight,
+    sample_b,
+    sample_f,
+)
+from mixedweak.weights import ConstantEstimate, estimate_Ap
 from mixedweak.young import LLogL
 
 BASE_CFG = """\
@@ -405,3 +418,212 @@ def test_invalid_shifts_exit_two_from_flag_and_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG + "scan.shifts = 2\n")
     assert main(["verify-thm1", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "scan.shifts: cannot parse '2'" in capsys.readouterr().err
+
+
+# --- strict JSON and the README's command tables ---------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+IO_FLAGS = {"--config", "--out", "--format"}
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def load_strict(path):
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)["report"]
+
+
+def assert_null_where_non_finite(got, want, where="report"):
+    """``got`` (loaded JSON) holds ``want`` with every non-finite float as null."""
+    if isinstance(want, float):
+        assert got == (want if math.isfinite(want) else None), where
+    elif is_dataclass(want):
+        as_dict = {f.name: getattr(want, f.name) for f in fields(want)}
+        assert_null_where_non_finite(got, as_dict, where)
+    elif isinstance(want, dict):
+        assert set(got) == set(want), where
+        for key in want:
+            assert_null_where_non_finite(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_null_where_non_finite(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+def assert_verify_report_holds(out, name, rep):
+    """The JSON and CSV reports of ``name`` in ``out`` against the runner's report."""
+    body = load_strict(out / f"{name}.json")
+    assert_null_where_non_finite(body.pop("rows"), dict(zip(ReportRow._fields, zip(*rep.rows))))
+    assert_null_where_non_finite(body, {f.name: getattr(rep, f.name) for f in fields(rep)
+                                        if f.name not in ("rows", "stage_s")})
+    header, *lines = (out / f"{name}.csv").read_text().splitlines()
+    assert header == ",".join(ReportRow._fields) and len(lines) == len(rep.rows)
+    for line, row in zip(lines, rep.rows):
+        for cell, value in zip(line.split(","), row):
+            if value is None or not math.isfinite(value):
+                assert cell == ""
+            else:
+                assert float(cell) == value
+
+
+def _spy_on_runner(monkeypatch, name, reports):
+    runner = cli._RUNNERS[name]
+
+    def spy(cfg):
+        reports.append(runner(cfg))
+        return reports[-1]
+
+    monkeypatch.setitem(cli._RUNNERS, name, spy)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-base"], ["verify-thm1"], ["verify-thm2", "--m", "2"], ["verify-thm3"],
+    # rhs overflows at the two lowest heights
+    ["verify-thm3", "--delta", "0.5", "--t-min", "1e-320", "--t-max", "1e-300", "--t-steps", "3"],
+], ids=" ".join)
+def test_every_verify_report_is_strict_json(tmp_path, monkeypatch, argv):
+    reports = []
+    _spy_on_runner(monkeypatch, argv[0], reports)
+    assert main([*argv, "--grid-J", "8", "--out", str(tmp_path)]) in (0, 1)
+    assert_verify_report_holds(tmp_path, argv[0], reports[0])
+    if "1e-320" in argv:
+        assert reports[0].rows[0].rhs == math.inf
+
+
+def test_a_crafted_report_writes_null_and_empty_cells(tmp_path, monkeypatch, capsys):
+    inf, nan = math.inf, math.nan
+    rep = InequalityReport(
+        theorem="theorem1",
+        rows=[ReportRow(inf, inf, nan, 0.0, None), ReportRow(2.0, 0.5, 0.25, 2.0, -inf)],
+        sup_ratio=inf, argmax_t=nan,
+        preflight={"A1_u": ConstantEstimate(inf, (nan, inf), False),
+                   "A1_v": ConstantEstimate(1.5, (1.25, 1.5), True)},
+        refinement_pair=(inf, 2.0), j_pair=(6, 8), margin=0.05,
+        stage_s={"prepare": 0.0, "fine": 0.0, "coarse": 0.0},
+        drift=nan, stable=False, extras={"bmo_norm": inf, "weak_orlicz_sup": 3.0},
+    )
+    monkeypatch.setitem(cli._RUNNERS, "verify-thm1", lambda cfg: rep)
+    assert main(["verify-thm1", "--grid-J", "8", "--out", str(tmp_path)]) == 1
+    assert "sup_ratio=inf stable=NO drift=nan" in capsys.readouterr().out
+    assert_verify_report_holds(tmp_path, "verify-thm1", rep)
+    body = load_strict(tmp_path / "verify-thm1.json")
+    assert body["preflight"]["A1_u"] == {"value": None, "refinement_pair": [None, None],
+                                         "stable": False}
+    assert (tmp_path / "verify-thm1.csv").read_text().splitlines()[1:] == [",,,0,", "2,0.5,0.25,2,"]
+
+
+@pytest.mark.parametrize("subcommand", ["estimate", "decompose", "maximal"])
+def test_every_other_report_is_strict_json(tmp_path, subcommand):
+    assert main([subcommand, "--grid-J", "8", "--out", str(tmp_path)]) == 0
+    body = load_strict(tmp_path / f"{subcommand}.json")
+    header, *lines = (tmp_path / f"{subcommand}.csv").read_text().splitlines()
+    cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert lines
+    for row in cells:
+        for cell in row.values():
+            try:
+                assert math.isfinite(float(cell))
+            except ValueError:  # not a number: a name, a verdict or an empty cell
+                pass
+    if subcommand == "estimate":
+        # the two reports hold the same estimates, null and empty in the same places
+        for row in cells:
+            est = body[row["name"]]
+            assert [est["value"], *est["refinement_pair"]] == [
+                float(row[k]) if row[k] else None for k in ("value", "coarse", "fine")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm1", "--t-min", "5e-324", "--t-max", "1e-300", "--t-steps", "3"],
+    ["verify-base", "--t-min", "5e-324", "--t-max", "1e-300", "--t-steps", "3"],
+    ["verify-thm3", "--r", "2", "--delta", "1", "--t-min", "1e100", "--t-max", "1e200",
+     "--t-steps", "3"],
+    ["verify-thm3", "--r", "2", "--delta", "0", "--t-min", "1e100", "--t-max", "1e200",
+     "--t-steps", "3"],
+], ids=" ".join)
+def test_heights_at_the_ends_of_the_float_range_neither_raise_nor_warn(tmp_path, monkeypatch, argv):
+    # each of these raised from the sorted right-side kernel (exit 1 with a traceback)
+    reports = []
+    _spy_on_runner(monkeypatch, argv[0], reports)
+    assert main([*argv, "--grid-J", "8", "--out", str(tmp_path)]) == 0
+    assert_verify_report_holds(tmp_path, argv[0], reports[0])
+    rhs = [row.rhs for row in reports[0].rows]
+    # the right side falls with t: inf at the tiniest height, 0 at the hugest
+    assert rhs == sorted(rhs, reverse=True)
+    assert rhs[0] == math.inf or rhs[-1] == 0.0
+
+
+def _readme_table(header):
+    """The body rows of the README table whose header line starts with ``header``,
+    each a list of its cells."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def _ticked(cell):
+    return re.findall(r"`([^`]*)`", cell)
+
+
+def readme_flag_mismatches(parser):
+    """Where the README's subcommand/flag table and ``parser`` disagree: each
+    row names its subcommands and their flags in the parser's order."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen, wrong = [], []
+    for names, flags in _readme_table("| subcommand |"):
+        listed = [flag for tick in _ticked(flags) for flag in tick.split() if flag not in IO_FLAGS]
+        for name in _ticked(names):
+            seen.append(name)
+            taken = [opt for action in subparsers.choices[name]._actions
+                     for opt in action.option_strings if opt not in ("-h", "--help")]
+            io = set() if flags.startswith("none") else IO_FLAGS
+            own = [opt for opt in taken if opt not in IO_FLAGS]
+            if own != listed or IO_FLAGS & set(taken) != io:
+                wrong.append(name)
+    if sorted(seen) != sorted(subparsers.choices):
+        wrong.append("the table's subcommands")
+    return wrong
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert readme_flag_mismatches(build_parser()) == []
+
+
+def test_readme_flag_table_check_sees_a_dropped_flag(monkeypatch):
+    descr, run, reads = cli._COMMANDS["verify-thm2"]
+    monkeypatch.setitem(cli._COMMANDS, "verify-thm2",
+                        (descr, run, tuple(r for r in reads if r != "m")))
+    assert readme_flag_mismatches(build_parser.__wrapped__()) == ["verify-thm2"]
+
+
+def test_readme_config_keys_match_the_fields():
+    assert set(cli._FIELDS) == {f.name for f in fields(ExperimentConfig)}
+    keyed = {key: flag for key, flag, _ in cli._FIELDS.values() if key}
+    rows = _readme_table("| config key |")
+    listed = {_ticked(key)[0]: (_ticked(flag) or [None])[0] for key, flag, _ in rows if key}
+    assert listed == keyed
+    # every flag-only field's flag is listed too
+    flag_only = {flag for key, flag, _ in cli._FIELDS.values() if not key}
+    assert {tick for key, flag, _ in rows if not key for tick in _ticked(flag)} == flag_only
+    sections = next(line for line in README.read_text().splitlines()
+                    if line.startswith("Sections are"))
+    assert set(_ticked(sections)) == {key.rsplit(".", 1)[0] for key in keyed}
+
+
+def test_readme_lists_every_family_with_its_parameters():
+    section = README.read_text().split("## Input families", 1)[1]
+    listed = {}
+    for spec in map(str.split, _ticked(section)):
+        if spec and spec[0] in _FAMILY_PARAMS:
+            listed.setdefault(spec[0], []).append(tuple(param.split("=")[0] for param in spec[1:]))
+    assert listed.keys() == _FAMILY_PARAMS.keys()
+    for name, specs in listed.items():
+        assert set(specs) == {_FAMILY_PARAMS[name]}, name

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -297,6 +298,29 @@ def test_height_kernels_match_per_height_loops(case, phi):
     left, right = _sides(on_grid(grid, uv), phi, ts, level, signal, uv)
     assert left == pytest.approx(loop_superlevel(h, level[interior], uv[interior], ts), rel=1e-12)
     assert right == pytest.approx(loop_modular(h, signal, phi, uv, ts), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-280])
+@pytest.mark.parametrize("phi", [Identity(), Power(2.0), LLogL(1.0, 1.0), LLogL(2.0, 1.0),
+                                 LLogL(1.0, 0.5)], ids=repr)
+def test_heights_at_the_ends_of_the_float_range_read_inf_or_toward_zero(phi, scale):
+    # the sorted kernel divides s and t by the power of two above the largest s;
+    # at these heights that takes t, or t**r, out of the float range (above it
+    # for the smaller signal, which lifts t), and no height may raise or warn
+    heights = [5e-324, 1e-320, 1e-300, 1e200, 1e300]
+    signal = scale * np.geomspace(1e-3, 10.0, 40)
+    density = np.random.default_rng(3).uniform(0.5, 2.0, signal.size)
+    got = modular_mass(0.25, signal, phi, density, heights)
+    with np.errstate(over="ignore"):
+        want = loop_modular(0.25, signal, phi, density, heights)
+    for t, value, per_cell in zip(heights, got.tolist(), want.tolist()):
+        if per_cell >= sys.float_info.min:
+            assert value == pytest.approx(per_cell, rel=1e-12), t
+        elif per_cell == 0.0:
+            assert value == 0.0, t
+        else:  # subnormal
+            assert value < sys.float_info.min, t
+        assert modular_mass(0.25, signal, phi, density, [t])[0] == value
 
 
 def test_modular_mass_memory_is_a_few_grid_arrays():
