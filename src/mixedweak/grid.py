@@ -230,7 +230,9 @@ class SampledFunction:
         return SampledFunction(self.grid, np.abs(self.values))
 
 
-def sample(expr: Callable[[np.ndarray], np.ndarray], grid: Grid) -> SampledFunction:
+def sample(
+    expr: Callable[[np.ndarray], np.ndarray], grid: Grid, cls: type = SampledFunction
+) -> SampledFunction:
     """Evaluate a vectorized expression at the cell centers.
 
     Parameters
@@ -239,6 +241,8 @@ def sample(expr: Callable[[np.ndarray], np.ndarray], grid: Grid) -> SampledFunct
         Maps an array of points to an array of values (numpy broadcasting
         rules; a scalar result is broadcast to all cells).
     grid : Grid
+    cls : type
+        The ``SampledFunction`` subclass to build, e.g. a ``Weight``.
 
     Raises
     ------
@@ -248,7 +252,7 @@ def sample(expr: Callable[[np.ndarray], np.ndarray], grid: Grid) -> SampledFunct
     with np.errstate(all="ignore"):
         raw = expr(grid.centers)
     vals = np.broadcast_to(np.asarray(raw, dtype=np.float64), (grid.N,))
-    return SampledFunction(grid, vals)
+    return cls(grid, vals)
 
 
 def block_average(values: np.ndarray, grid: Grid) -> np.ndarray:

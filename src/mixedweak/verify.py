@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -125,18 +125,30 @@ class InequalityReport:
 
 # --- family grammar -------------------------------------------------------
 
-#: the parameters each family takes; f, b and weight families share the names
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "indicator": ("a", "b", "height"),
-    "bumps": ("centers", "width"),
-    "cusp": ("gamma", "a", "b"),
-    "zero": (),
-    "log": (),
-    "sawtoothlog": (),
-    "const": ("value",),
-    "power": ("beta",),
-    "chibump": ("a", "b", "floor"),
-    "custom": ("path",),
+
+class _Family(NamedTuple):
+    inputs: tuple[str, ...]  # the inputs that may name it: "f", "b", "weight"
+    params: dict[str, str | None]  # each parameter's default (path has none), in reading order
+    expr: Callable[[np.ndarray, dict], object] | None  # the samples at x, given the parameters
+
+
+_FAMILIES: dict[str, _Family] = {
+    "indicator": _Family(("f",), {"a": "0", "b": "1", "height": "1"},
+                         lambda x, p: np.where(p["inside"], p["height"], 0.0)),
+    "bumps": _Family(("f",), {"centers": "1.5,-2.0", "width": "8"},
+                     lambda x, p: sum(np.exp(-p["width"] * (x - c) ** 2) for c in p["centers"])),
+    "cusp": _Family(("f",), {"gamma": "0.25", "a": "0", "b": "1"},
+                    lambda x, p: np.where(p["inside"], np.abs(x) ** -p["gamma"], 0.0)),
+    "zero": _Family(("f",), {}, lambda x, p: 0.0),
+    "log": _Family(("b",), {}, lambda x, p: np.log(np.abs(x))),
+    # log of the distance to the nearest integer: BMO with a singularity
+    # in every unit cell; never -inf because centers avoid the lattice
+    "sawtoothlog": _Family(("b",), {}, lambda x, p: np.log(np.abs(x - np.round(x)))),
+    "power": _Family(("weight",), {"beta": "0"}, None),  # built by power_weight
+    "const": _Family(("b", "weight"), {"value": "1"}, lambda x, p: p["value"] + 0.0 * x),
+    "chibump": _Family(("weight",), {"a": "-1", "b": "1", "floor": "1e-3"},
+                       lambda x, p: p["floor"] + np.where(p["inside"], 1.0, 0.0)),
+    "custom": _Family(("f", "b", "weight"), {"path": None}, None),  # read from the file
 }
 
 
@@ -149,7 +161,7 @@ def parse_family(spec: str) -> tuple[str, dict[str, str]]:
     parts = spec.split()
     if not parts:
         raise ConfigurationError("empty family specification")
-    name, allowed = parts[0], _FAMILY_PARAMS.get(parts[0])
+    name, family = parts[0], _FAMILIES.get(parts[0])
     params: dict[str, str] = {}
     for token in parts[1:]:
         if "=" not in token:
@@ -157,120 +169,83 @@ def parse_family(spec: str) -> tuple[str, dict[str, str]]:
         key, value = token.split("=", 1)
         if key in params:
             raise ConfigurationError(f"family {name!r} repeats parameter {key!r}")
-        if allowed is not None and key not in allowed:
-            takes = ", ".join(allowed) or "no parameters"
+        if family is not None and key not in family.params:
+            takes = ", ".join(family.params) or "no parameters"
             raise ConfigurationError(f"family {name!r} has no parameter {key!r} (takes {takes})")
         params[key] = value
     return name, params
 
 
-def _floats(params: dict[str, str], key: str, default: str) -> list[float]:
-    try:
-        return [float(tok) for tok in params.get(key, default).split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse {key}={params[key]!r}") from exc
-
-
-def _float(params: dict[str, str], key: str, default: str) -> float:
-    vals = _floats(params, key, default)
-    if len(vals) != 1:
-        raise ConfigurationError(f"{key} takes a single value, got {vals}")
-    return vals[0]
-
-
-def _load_values(grid: Grid, params: dict[str, str]) -> np.ndarray:
+def _load_values(grid: Grid, path: str | None) -> np.ndarray:
     """The samples of a ``custom path=FILE`` family on ``grid``.
 
     A file of ``grid.N * 2**k`` samples is block-averaged onto the grid, so
     one file written at the fine resolution serves the coarse grid of the
     refinement comparison too.
     """
-    if "path" not in params:
+    if path is None:
         raise ConfigurationError("custom family needs path=FILE")
     try:
-        vals = np.loadtxt(params["path"], dtype=np.float64).reshape(-1)
+        vals = np.loadtxt(path, dtype=np.float64).reshape(-1)
     except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read custom family {params['path']}: {exc}") from exc
+        raise ConfigurationError(f"cannot read custom family {path}: {exc}") from exc
     try:
         return block_average(vals, grid)
     except GridMismatchError as exc:
-        raise ConfigurationError(f"custom family {params['path']}: {exc}") from exc
+        raise ConfigurationError(f"custom family {path}: {exc}") from exc
 
 
-def _interval(grid: Grid, name: str, params: dict[str, str], a: str, b: str) -> np.ndarray:
-    """The cells of ``grid`` whose centers lie in an interval family's [a, b],
-    refused when there are none: the family would read 0 (f) or its floor (u)."""
-    lo, hi = _float(params, "a", a), _float(params, "b", b)
-    if not lo < hi:
-        raise ConfigurationError(f"family {name!r} needs a < b, got a={lo!r} b={hi!r}")
-    inside = (grid.centers >= lo) & (grid.centers <= hi)
-    if not inside.any():
-        raise ConfigurationError(f"family {name!r} has no cell center in [{lo!r}, {hi!r}] "
-                                 f"at J={grid.J}")
-    return inside
+def _sample(grid: Grid, kind: str, spec: str, cls: type) -> SampledFunction:
+    """The ``cls`` samples on ``grid`` of the family ``spec`` names for the input ``kind``;
+    each parameter, given or default, is read in the table's order, and an
+    interval family's [a, b] is checked as soon as b is read."""
+    name, given = parse_family(spec)
+    family = _FAMILIES.get(name)
+    if family is None or kind not in family.inputs:
+        takes = ", ".join(n for n, fam in _FAMILIES.items() if kind in fam.inputs)
+        raise ConfigurationError(f"unknown {kind} family {name!r} (takes {takes})")
+    if name == "custom":
+        return cls(grid, _load_values(grid, given.get("path")))
+    p: dict = {}
+    for key, default in family.params.items():
+        text = given.get(key, default)
+        try:
+            vals = [float(tok) for tok in text.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse {key}={text!r}") from exc
+        if key != "centers" and len(vals) != 1:
+            raise ConfigurationError(f"{key} takes a single value, got {vals}")
+        p[key] = vals if key == "centers" else vals[0]
+        if key == "b":  # an interval family: the cells whose centers lie in [a, b]
+            lo, hi = p["a"], p["b"]
+            if not lo < hi:
+                raise ConfigurationError(f"family {name!r} needs a < b, got a={lo!r} b={hi!r}")
+            p["inside"] = (grid.centers >= lo) & (grid.centers <= hi)
+            if not p["inside"].any():  # the family would read 0 (f) or its floor (u)
+                raise ConfigurationError(f"family {name!r} has no cell center in "
+                                         f"[{lo!r}, {hi!r}] at J={grid.J}")
+    if name == "power":
+        return power_weight(grid, p["beta"])
+    if name == "cusp" and p["gamma"] >= 1.0:
+        raise ConfigurationError(f"cusp exponent must be < 1 for integrability, got {p['gamma']}")
+    if name == "chibump" and p["floor"] <= 0.0:
+        raise ConfigurationError("chibump floor must be positive (weights are positive)")
+    return sample(lambda x: family.expr(x, p), grid, cls)
 
 
 def sample_f(grid: Grid, spec: str) -> SampledFunction:
-    """Input-function families: indicator, bump sum, power cusp, custom file."""
-    name, params = parse_family(spec)
-    if name == "indicator":
-        inside = _interval(grid, name, params, "0", "1")
-        height = _float(params, "height", "1")
-        return sample(lambda x: np.where(inside, height, 0.0), grid)
-    if name == "bumps":
-        centers = _floats(params, "centers", "1.5,-2.0")
-        width = _float(params, "width", "8")
-        return sample(
-            lambda x: sum(np.exp(-width * (x - c) ** 2) for c in centers), grid
-        )
-    if name == "cusp":
-        gamma = _float(params, "gamma", "0.25")
-        inside = _interval(grid, name, params, "0", "1")
-        if gamma >= 1.0:
-            raise ConfigurationError(f"cusp exponent must be < 1 for integrability, got {gamma}")
-        return sample(lambda x: np.where(inside, np.abs(x) ** -gamma, 0.0), grid)
-    if name == "zero":
-        return sample(lambda x: 0.0, grid)
-    if name == "custom":
-        return SampledFunction(grid, _load_values(grid, params))
-    raise ConfigurationError(f"unknown f family {name!r}")
+    """The input function f of ``spec``, a family of ``_FAMILIES`` that f may name."""
+    return _sample(grid, "f", spec, SampledFunction)
 
 
 def sample_b(grid: Grid, spec: str) -> SampledFunction:
-    """Symbol families: log|x|, sawtooth-log, constant, custom file."""
-    name, params = parse_family(spec)
-    if name == "log":
-        return sample(lambda x: np.log(np.abs(x)), grid)
-    if name == "sawtoothlog":
-        # log of the distance to the nearest integer: BMO with a singularity
-        # in every unit cell; never -inf because centers avoid the lattice
-        return sample(lambda x: np.log(np.abs(x - np.round(x))), grid)
-    if name == "const":
-        value = _float(params, "value", "1")
-        return sample(lambda x: value + 0.0 * x, grid)
-    if name == "custom":
-        return SampledFunction(grid, _load_values(grid, params))
-    raise ConfigurationError(f"unknown b family {name!r}")
+    """The BMO symbol b of ``spec``, a family of ``_FAMILIES`` that b may name."""
+    return _sample(grid, "b", spec, SampledFunction)
 
 
 def build_weight(grid: Grid, spec: str) -> Weight:
-    """Weight families: power, const, floored indicator bump, custom file."""
-    name, params = parse_family(spec)
-    if name == "power":
-        return power_weight(grid, _float(params, "beta", "0"))
-    if name == "const":
-        value = _float(params, "value", "1")
-        return Weight(grid, sample(lambda x: value + 0.0 * x, grid).values)
-    if name == "chibump":
-        inside = _interval(grid, name, params, "-1", "1")
-        floor = _float(params, "floor", "1e-3")
-        if floor <= 0.0:
-            raise ConfigurationError("chibump floor must be positive (weights are positive)")
-        bump = sample(lambda x: floor + np.where(inside, 1.0, 0.0), grid)
-        return Weight(grid, bump.values)
-    if name == "custom":
-        return Weight(grid, _load_values(grid, params))
-    raise ConfigurationError(f"unknown weight family {name!r}")
+    """The weight (u or v) of ``spec``, a family of ``_FAMILIES`` that weights may name."""
+    return _sample(grid, "weight", spec, Weight)
 
 
 # --- inequality sides -----------------------------------------------------
@@ -485,6 +460,7 @@ def evaluate(pair: PreparedPair, f: str) -> InequalityReport:
     sup_coarse = max(map(_ratio, *(side.tolist() for side in coarse_sides)))
     # relative to the coarse sup: nothing measured on either grid is drift 0
     drift = _ratio(abs(best.ratio - sup_coarse), sup_coarse)
+    measured = bool(lhs.any() or not rhs.any())  # lhs 0 at every height, rhs not: no verdict
     return InequalityReport(
         theorem=pair.theorem,
         rows=rows,
@@ -497,7 +473,7 @@ def evaluate(pair: PreparedPair, f: str) -> InequalityReport:
         stage_s={"prepare": pair.prepare_s, "fine": coarse_at - started,
                  "coarse": done - coarse_at},
         drift=drift,
-        stable=math.isfinite(best.ratio) and drift <= STABILITY_BAR,
+        stable=measured and math.isfinite(best.ratio) and drift <= STABILITY_BAR,
         extras=extras,
     )
 

@@ -97,7 +97,7 @@ def power_weight(grid: Grid, beta: float) -> Weight:
     """w(x) = |x|**beta; finite at every sample because 0 is never a center."""
     if not math.isfinite(beta):
         raise DomainError(f"power weight exponent must be finite, got {beta}")
-    return Weight(grid, sample(lambda x: np.abs(x) ** beta, grid).values)
+    return sample(lambda x: np.abs(x) ** beta, grid, Weight)
 
 
 #: refinement-stability bar: an estimate is stable when its grids differ by

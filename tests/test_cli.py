@@ -21,7 +21,7 @@ from mixedweak.czd import cz_decompose
 from mixedweak.grid import make_grid
 from mixedweak.maximal import orlicz_maximal
 from mixedweak.verify import (
-    _FAMILY_PARAMS,
+    _FAMILIES,
     ExperimentConfig,
     InequalityReport,
     ReportRow,
@@ -545,15 +545,30 @@ def test_every_other_report_is_strict_json(tmp_path, subcommand):
      "--t-steps", "3"],
 ], ids=" ".join)
 def test_heights_at_the_ends_of_the_float_range_neither_raise_nor_warn(tmp_path, monkeypatch, argv):
-    # each of these raised from the sorted right-side kernel (exit 1 with a traceback)
+    # each of these raised from the sorted right-side kernel (exit 1 with a traceback);
+    # theorem 3's left side is 0 at every height of its window, so it gets no verdict
     reports = []
     _spy_on_runner(monkeypatch, argv[0], reports)
-    assert main([*argv, "--grid-J", "8", "--out", str(tmp_path)]) == 0
+    code = main([*argv, "--grid-J", "8", "--out", str(tmp_path)])
+    assert code == (1 if argv[0] == "verify-thm3" else 0)
     assert_verify_report_holds(tmp_path, argv[0], reports[0])
     rhs = [row.rhs for row in reports[0].rows]
     # the right side falls with t: inf at the tiniest height, 0 at the hugest
     assert rhs == sorted(rhs, reverse=True)
     assert rhs[0] == math.inf or rhs[-1] == 0.0
+
+
+def test_a_window_that_measures_nothing_gets_no_verdict(tmp_path, monkeypatch):
+    # far above the quotient the left side is 0 at every height while the right side
+    # is not: the run read sup_ratio=0 stable=yes drift=0 and exited 0
+    reports = []
+    _spy_on_runner(monkeypatch, "verify-thm1", reports)
+    argv = ["verify-thm1", "--grid-J", "8", "--t-min", "1e6", "--t-max", "1e7", "--t-steps", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    rep = reports[0]
+    assert [row.lhs for row in rep.rows] == [0.0] * 3 and all(row.rhs > 0.0 for row in rep.rows)
+    assert (rep.sup_ratio, rep.drift, rep.stable) == (0.0, 0.0, False)
+    assert_verify_report_holds(tmp_path, "verify-thm1", rep)
 
 
 def _readme_table(header):
@@ -618,12 +633,28 @@ def test_readme_config_keys_match_the_fields():
     assert set(_ticked(sections)) == {key.rsplit(".", 1)[0] for key in keyed}
 
 
-def test_readme_lists_every_family_with_its_parameters():
+def readme_family_mismatches(families):
+    """The families of ``families`` that README's "Input families" leaves out or
+    spells otherwise: each spec there names the family's parameters in the table's
+    order with their defaults, and a parameter without a default reads ``FILE``."""
     section = README.read_text().split("## Input families", 1)[1]
     listed = {}
     for spec in map(str.split, _ticked(section)):
-        if spec and spec[0] in _FAMILY_PARAMS:
-            listed.setdefault(spec[0], []).append(tuple(param.split("=")[0] for param in spec[1:]))
-    assert listed.keys() == _FAMILY_PARAMS.keys()
+        if spec and spec[0] in families:
+            listed.setdefault(spec[0], []).append([tuple(param.split("=", 1)) for param in spec[1:]])
+    wrong = sorted(families.keys() - listed.keys())
     for name, specs in listed.items():
-        assert set(specs) == {_FAMILY_PARAMS[name]}, name
+        want = [(key, "FILE" if default is None else default)
+                for key, default in families[name].params.items()]
+        wrong += [name] if any(spec != want for spec in specs) else []
+    return wrong
+
+
+def test_readme_lists_every_family_with_its_parameters():
+    assert readme_family_mismatches(_FAMILIES) == []
+
+
+def test_readme_family_check_sees_a_changed_default():
+    cusp = _FAMILIES["cusp"]
+    changed = {**_FAMILIES, "cusp": cusp._replace(params={**cusp.params, "gamma": "0.5"})}
+    assert readme_family_mismatches(changed) == ["cusp"]

@@ -39,6 +39,7 @@ from mixedweak.grid import (
 from mixedweak.maximal import hl_maximal, orlicz_maximal
 from mixedweak.singular import commutator
 from mixedweak.verify import (
+    _FAMILIES,
     STABILITY_BAR,
     ExperimentConfig,
     _sides,
@@ -53,7 +54,7 @@ from mixedweak.verify import (
     sample_b,
     sample_f,
 )
-from mixedweak.weights import bmo_norm, estimate_Ap, power_weight
+from mixedweak.weights import Weight, bmo_norm, estimate_Ap, power_weight
 from mixedweak.young import Identity, LLogL, Power
 from oracles import solve_scale_a, theorem3_set_partition
 
@@ -149,6 +150,35 @@ def test_build_weight_families():
         build_weight(grid, "chibump floor=0")
     with pytest.raises(ConfigurationError):
         build_weight(grid, "gaussian")
+
+
+#: the families each input takes, in the order its refusal names them
+TAKES = {"f": "indicator, bumps, cusp, zero, custom", "b": "log, sawtoothlog, const, custom",
+         "weight": "power, const, chibump, custom"}
+
+
+@pytest.mark.parametrize("family", [*_FAMILIES, "pwr"])
+@pytest.mark.parametrize("key,kind,build", [
+    ("f.family", "f", sample_f), ("b.family", "b", sample_b),
+    ("weight.u.family", "weight", build_weight), ("weight.v.family", "weight", build_weight),
+], ids=["f", "b", "u", "v"])
+def test_every_family_against_every_input(tmp_path, capsys, family, key, kind, build):
+    spec = family
+    if family == "custom":
+        values = np.linspace(0.5, 2.0, 1 << 8)
+        np.savetxt(tmp_path / "values.txt", values)
+        spec = f"custom path={tmp_path / 'values.txt'}"
+    if family in TAKES[kind].split(", "):
+        # every parameter at its default
+        got = build(make_grid(8.0, 8), spec)
+        assert type(got) is (Weight if kind == "weight" else SampledFunction)
+        assert family != "custom" or np.array_equal(got.values, values)
+        return
+    path = tmp_path / "run.cfg"
+    path.write_text(f"grid.J = 8\n{key} = {spec}\n")
+    assert main(["verify-thm1", "--config", str(path), "--out", str(tmp_path)]) == 2
+    want = f"error: unknown {kind} family {family!r} (takes {TAKES[kind]})\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5"), ("nan", "1"), ("0", "nan"),
