@@ -203,7 +203,7 @@ class SampledFunction:
         if not np.all(np.isfinite(vals)):
             i = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise SamplingError(
-                f"non-finite sample {vals[i]!r} at x = {self.grid.centers[i]:.6g} (cell {i})"
+                f"non-finite sample {float(vals[i])!r} at x = {self.grid.centers[i]:.6g} (cell {i})"
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

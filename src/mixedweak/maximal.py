@@ -53,6 +53,9 @@ flush.  That is a lower bound of the final output, so a skipped member
 still cannot raise it, and the output stays bitwise equal to solving
 every member.
 
+Only a convex phi is taken, as by the Luxemburg solvers: any other is
+refused on entry, whatever f is, f = 0 included.
+
 The scanned sup is a lower bound for the true uncentered maximal function;
 the exact all-intervals oracle of the test suite bounds it from above by
 the one-third-trick factor 3.
@@ -69,6 +72,7 @@ from .young import (
     Identity,
     YoungFunction,
     _linear_scale,
+    _require_convex,
     _unit_argument,
     segmented_luxemburg_norms,
 )
@@ -119,8 +123,10 @@ def orlicz_maximal(
     solved in batches of at most ``BATCH_CELLS`` cells, one solver call
     each; a run that spans the budget on its own is solved in place.  The
     skips read the running maximum as of the last solve, so the output is
-    bitwise what solving every member gives (see the module docstring).
+    bitwise what solving every member gives (see the module docstring).  A
+    non-convex phi is refused before f is read.
     """
+    _require_convex(phi)
     absf = np.abs(f.values)
     unit = _unit_argument(phi)
     scale = _linear_scale(phi)

@@ -40,7 +40,7 @@ from .maximal import hl_maximal, orlicz_maximal
 from .singular import commutator, hilbert
 from .weights import STABILITY_BAR, ConstantEstimate, Weight, bmo_norm, estimate_Ap
 from .weights import estimate_Ap_u, power_weight, refined
-from .young import Identity, LLogL, YoungFunction
+from .young import Identity, LLogL, YoungFunction, _require_convex
 
 __all__ = [
     "STABILITY_BAR",
@@ -199,11 +199,14 @@ def _sample(grid: Grid, kind: str, spec: str, cls: type) -> SampledFunction:
     """The ``cls`` samples on ``grid`` of the family ``spec`` names for the input ``kind``;
     each parameter, given or default, is read in the table's order, and an
     interval family's [a, b] is checked as soon as b is read."""
-    name, given = parse_family(spec)
-    family = _FAMILIES.get(name)
-    if family is None or kind not in family.inputs:
+    # the family's name and input first, so that a family the input does not
+    # take is named as such rather than by a parameter it lacks
+    parts = spec.split(maxsplit=1)
+    family = _FAMILIES.get(parts[0]) if parts else None
+    if parts and (family is None or kind not in family.inputs):
         takes = ", ".join(n for n, fam in _FAMILIES.items() if kind in fam.inputs)
-        raise ConfigurationError(f"unknown {kind} family {name!r} (takes {takes})")
+        raise ConfigurationError(f"unknown {kind} family {parts[0]!r} (takes {takes})")
+    name, given = parse_family(spec)
     if name == "custom":
         return cls(grid, _load_values(grid, given.get("path")))
     p: dict = {}
@@ -384,10 +387,8 @@ def prepare(cfg: ExperimentConfig, kind: str) -> PreparedPair:
     if kind == "maximal":
         if cfg.beta >= -1.0:
             raise HypothesisError(f"beta must be < -1 for the singular power weight, got {cfg.beta}")
-        if cfg.r < 1.0 or cfg.delta < 0.0:
-            raise DomainError(f"Young exponents need r >= 1, delta >= 0, got r={cfg.r}, "
-                              f"delta={cfg.delta}")
         theorem, phi = f"theorem3_r{cfg.r:g}_d{cfg.delta:g}_b{cfg.beta:g}", LLogL(cfg.r, cfg.delta)
+        _require_convex(phi)  # before any grid is built, as orlicz_maximal would refuse it
     elif kind == "commutator":
         if cfg.m not in (1, 2, 3):
             raise DomainError(f"commutator order must be 1, 2, or 3, got {cfg.m}")

@@ -75,6 +75,14 @@ def _nonneg_array(t, what: str) -> np.ndarray:
     return arr
 
 
+def _require_convex(phi: "YoungFunction") -> None:
+    """Refuse a phi that is not convex: the one entry check of the Luxemburg
+    solvers, the Orlicz maximal function and the Legendre conjugate."""
+    if not phi.convex:
+        raise DomainError(f"a Luxemburg norm or a conjugate needs a convex Young function, "
+                          f"got the non-convex {phi!r}")
+
+
 def _least_root(g, y) -> np.ndarray:
     """Least t >= 0 with g(t) >= y, elementwise, for a nondecreasing g.
 
@@ -237,8 +245,9 @@ class LLogL(YoungFunction):
     ``r >= 1`` gives the convex Young functions of the main estimates
     (``r = 1, delta = m`` is the commutator family).  Exponents ``0 < r < 1``
     are accepted for the inverse-envelope diagnostics, where the proof
-    machinery genuinely uses them; such functions are not convex and the
-    ``convex`` flag says so.
+    machinery genuinely uses them: such a member is not convex (the
+    ``convex`` flag says so), and it can be evaluated and inverted but not
+    solved for a norm or conjugated.
     """
 
     r: float = 1.0
@@ -385,8 +394,7 @@ class LegendreConjugate(YoungFunction):
     base: "YoungFamily"
 
     def __post_init__(self) -> None:
-        if not self.base.convex:
-            raise DomainError(f"refusing to conjugate the non-convex family {self.base!r}")
+        _require_convex(self.base)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return self._eval_and_slope(t)[0]
@@ -490,13 +498,13 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     by a safeguarded Newton iteration (in units of 1/max|f|, so that no
     amplitude overflows).  With c = phi^{-1}(1) the root lies in the closed
     bracket [c / max|f|, c / mean|f|]: at the left end phi(s|f|) <= 1 on
-    every cell, and at the right end g >= 0 by Jensen's inequality (for a
-    non-convex phi the right end is doubled until g >= 0).  Newton starts at
-    the right end.  A step that is not finite, leaves the bracket (an
-    exponential phi overflowing) or covers more than half the previous one is
-    replaced by the geometric midpoint of the bracket.  Every step reads the
-    value and the slope from one ``_eval_and_slope`` and updates the bracket
-    and the iterate in place.  When only one range has a cell where f != 0,
+    every cell, and at the right end g >= 0 by Jensen's inequality, which is
+    why a non-convex phi is refused.  Newton starts at the right end.  A step
+    that is not finite, leaves the bracket (an exponential phi overflowing) or
+    covers more than half the previous one is replaced by the geometric
+    midpoint of the bracket.  Every step reads the value and the slope from
+    one ``_eval_and_slope`` and updates the bracket and the iterate in
+    place.  When only one range has a cell where f != 0,
     it is solved by the float iteration of :func:`luxemburg_norm`, the same
     float at a fraction of the numpy calls on arrays of one range.
 
@@ -509,6 +517,7 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
     phi^{-1}(1) is at most phi(phi^{-1}(1)) = 1; the Orlicz maximal function
     skips the ranges whose bound cannot raise it.
     """
+    _require_convex(phi)
     block = np.asarray(block, dtype=np.float64)
     off = np.asarray(off, dtype=np.int64)
     if off.size == 0 or off[0] != 0 or off[-1] >= block.size or np.any(off[1:] <= off[:-1]):
@@ -559,16 +568,6 @@ def segmented_luxemburg_norms(phi: YoungFunction, block: np.ndarray, off: np.nda
         c = _unit_argument(phi)
         u = c / average(fn)
         g, dg = newton_terms(u)
-        for _ in range(1100):
-            # Jensen's bound needs convexity; without it, move the right end out
-            low = g < 0.0
-            if phi.convex or not low.any():
-                break
-            np.multiply(u, 2.0, out=u, where=low)
-            g, dg = newton_terms(u)
-        else:
-            raise RangeError("Luxemburg bracket failed to close from above")
-
         left, right, last = np.full(u.size, c), u.copy(), u - c
         act = np.ones(u.size, dtype=bool)
         step = np.empty_like(u)
@@ -634,8 +633,9 @@ def luxemburg_norm(q: LuxemburgQuery) -> float:
     lone range).  A float divided by 0 raises where numpy returns inf or nan,
     so a zero slope counts as a wild step up front.  No convex family reaches
     that guard: the top cell has fn = 1 and u >= c = phi^{-1}(1), where the
-    slope is >= 1/c.
+    slope is >= 1/c.  A non-convex phi is refused, as by the segmented solver.
     """
+    _require_convex(q.phi)
     phi, absf = q.phi, np.abs(q.f.values[q.Q.cell_slice])
     n = float(absf.size)
 
@@ -667,14 +667,6 @@ def _lone_range_norm(phi: YoungFunction, fa: np.ndarray, top: float, n: float) -
     u = c / average(fn)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g, dg = newton_terms(u)
-        for _ in range(1100):
-            if phi.convex or not g < 0.0:
-                break
-            u *= 2.0
-            g, dg = newton_terms(u)
-        else:
-            raise RangeError("Luxemburg bracket failed to close from above")
-
         left, right, last = c, u, u - c
         for _ in range(100):
             if g >= 0.0:
@@ -742,11 +734,9 @@ def modular_inf(q: LuxemburgQuery) -> float:
     the comparison then fails and the search moves right, toward the
     minimum.  The objective at tau = norm is a candidate too: the modular
     there is <= 1, so the returned value is <= 2 * norm by construction,
-    even where that bound is met with equality (Power(2)).  Non-convex phi
-    is refused.
+    even where that bound is met with equality (Power(2)).  A non-convex phi
+    is refused by :func:`luxemburg_norm`, the search's first step.
     """
-    if not q.phi.convex:
-        raise DomainError(f"modular infimum needs a convex Young function, got {q.phi!r}")
     norm = luxemburg_norm(q)
     if norm == 0.0 or _linear_scale(q.phi) is not None:
         return norm

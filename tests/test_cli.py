@@ -185,6 +185,17 @@ def test_config_and_constraint_errors_exit_two(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--r", "0.5"], ["--delta", "-1"]], ids=["r", "delta"])
+def test_maximal_and_theorem3_refuse_a_young_function_alike(tmp_path, capsys, flags):
+    # both build LLogL(r, delta), so both refuse it with one text
+    errors = []
+    for subcommand in ("maximal", "verify-thm3"):
+        assert main([subcommand, "--grid-J", "8", *flags, "--out", str(tmp_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+
 def test_verify_thm3_runs(tmp_path):
     cfg = write_cfg(tmp_path, "grid.J = 8\nweight.u.family = chibump\n")
     out = tmp_path / "t3"

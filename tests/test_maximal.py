@@ -146,7 +146,6 @@ ORACLE_PHIS = [
     LLogL(1.0, 0.0),
     LLogL(1.0, 1.0),
     LLogL(2.0, 1.0),
-    LLogL(0.5, 1.0),
     Power(2.0),
     ExpL(1.0),
     Step(2.0),

@@ -181,6 +181,32 @@ def test_every_family_against_every_input(tmp_path, capsys, family, key, kind, b
     assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize("key,kind,spec", [
+    ("f.family", "f", "power bta=1"), ("b.family", "b", "chibump flor=1"),
+    ("weight.u.family", "weight", "log bse=2"),
+], ids=["f", "b", "u"])
+def test_a_family_the_input_does_not_take_is_refused_before_its_parameters(
+    tmp_path, capsys, key, kind, spec
+):
+    # the keys read first would point at a parameter of a family this input cannot name
+    path = tmp_path / "run.cfg"
+    path.write_text(f"grid.J = 8\n{key} = {spec}\n")
+    assert main(["verify-thm1", "--config", str(path), "--out", str(tmp_path)]) == 2
+    family = spec.split()[0]
+    assert capsys.readouterr().err == f"error: unknown {kind} family {family!r} (takes {TAKES[kind]})\n"
+
+
+@pytest.mark.parametrize("key,spec,value", [
+    ("b.family", "const value=nan", "nan"), ("f.family", "bumps width=-1e9", "inf"),
+])
+def test_a_non_finite_sample_is_named_as_a_float(tmp_path, capsys, key, spec, value):
+    # a numpy scalar's repr would read np.float64(nan)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"grid.J = 8\n{key} = {spec}\n")
+    assert main(["verify-thm1", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: non-finite sample {value} at x = -7.96875 (cell 0)\n"
+
+
 @pytest.mark.parametrize("a,b", [("1", "0"), ("2", "1"), ("0.5", "0.5"), ("nan", "1"), ("0", "nan"),
                                  ("0.13", "0.2"), ("0.1", "0.2")])
 def test_interval_families_refuse_a_reversed_or_empty_interval(tmp_path, capsys, a, b):
