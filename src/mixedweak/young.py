@@ -31,8 +31,10 @@ One range is solved by the same algorithm in float state:
 :func:`luxemburg_norm` runs the segmented Newton on its one interval, with
 the bracket and the iterate held in Python floats and every sum taken as the
 array path takes it, so a query returns the array path's float, bit for
-bit, without its per-call numpy overhead on an array of one range.  Roots
-are bisected one height at a time (:func:`_least_root`), so a height's root
+bit, without its per-call numpy overhead on an array of one range.  Every
+root is the least float at which a nondecreasing function reaches its
+height, found by one binary search over the bit patterns of the floats
+(:func:`_least_root`) in a fixed number of evaluations, so a height's root
 is the same float whatever array it comes in.
 """
 
@@ -70,8 +72,9 @@ __all__ = [
 
 def _nonneg_array(t, what: str) -> np.ndarray:
     arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-        raise DomainError(f"{what} must be nonnegative, got {arr[arr < 0] if arr.ndim else arr}")
+    bad = ~(arr >= 0.0)  # negative or nan
+    if np.any(bad):
+        raise DomainError(f"{what} must be nonnegative, got {arr[bad] if arr.ndim else arr}")
     return arr
 
 
@@ -83,56 +86,34 @@ def _require_convex(phi: "YoungFunction") -> None:
                           f"got the non-convex {phi!r}")
 
 
-def _least_root(g, y) -> np.ndarray:
-    """Least t >= 0 with g(t) >= y, elementwise, for a nondecreasing g.
+#: bit pattern of +inf: read as int64, the patterns of the nonnegative floats
+#: rise with the floats they encode, and every pattern above this one is a nan
+_INF_BITS = np.float64(np.inf).view(np.int64)
 
-    Each height is solved on its own by :func:`_least_root_one`, so a root's
-    bits do not depend on the other heights of the array.
+
+def _least_root(g, y) -> np.ndarray:
+    """Least float t >= 0 with g(t) >= y, elementwise, for a nondecreasing g.
+
+    A binary search over the bit patterns of the nonnegative floats: from
+    pattern 0, each bit from 62 down to 0 is set wherever g at that candidate
+    is still below y, and the root is the final pattern plus 1, or 0 where
+    g(0) >= y.  A g that reads inf or nan counts as reaching y, so a root past
+    the float range reads +inf; a height that g does not reach even at +inf
+    is refused.  g reads 1-d arrays, 64 times a call whatever the heights,
+    and it is elementwise, so a height's root does not depend on the other
+    heights of the array.
     """
     y = np.asarray(y, dtype=np.float64)
-    roots = [_least_root_one(g, height) for height in y.ravel().tolist()]
-    return np.array(roots).reshape(y.shape)
-
-
-#: bisection steps of one root: from [0, 1], 1074 halvings reach the least
-#: subnormal and 53 more resolve a binade; a subnormal root, whose bracket
-#: cannot narrow to 1e-15 relative, stops at the cap
-_MAX_HALVINGS = 1200
-
-
-def _least_root_one(g, y: float) -> float:
-    """Least t >= 0 with g(t) >= y, for a nondecreasing g read at one point.
-
-    The root is 0 where g(0) >= y.  Elsewhere the bracket [0, hi] grows by
-    doubling hi from 1 and is bisected to relative width 1e-15, and the upper
-    end is returned.  A g that reads inf or nan counts as reaching y, so a
-    root past the float range reads +inf.  For the continuous families,
-    |phi(t) - y| <= 1e-10 max(1, y) at the returned t (the local log-slope of
-    every family is far below the 1e5 that would be needed to defeat that).
-    g reads one reused 1-element buffer, with the bracket held in floats.
-    """
-    buf = np.zeros(1)
-
-    def below(t: float) -> bool:
-        buf[0] = t
-        return bool(g(buf)[0] < y)
-
-    lo, hi = 0.0, (1.0 if below(0.0) else 0.0)
-    for _ in range(1100):
-        if not below(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RangeError(f"height {y} not attained by {g.__self__!r}")
-    for _ in range(_MAX_HALVINGS):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    heights = y.ravel()
+    lo = np.zeros(heights.shape, dtype=np.int64)
+    for bit in range(62, -1, -1):
+        cand = lo | (1 << bit)
+        np.copyto(lo, cand, where=g(cand.view(np.float64)) < heights)
+    unreached = lo == _INF_BITS
+    if np.any(unreached):
+        raise RangeError(f"height {heights[unreached]} not attained by {g.__self__!r}")
+    root = np.where(g(np.zeros(heights.shape)) < heights, lo + 1, 0)
+    return root.view(np.float64).reshape(y.shape)
 
 
 class YoungFunction:
@@ -386,9 +367,9 @@ class LegendreConjugate(YoungFunction):
     t s - phi(s) there.  The inverse is inf_s (y + phi(s)) / s, attained at
     the least s with s phi'(s) - phi(s) >= y (the conjugate's value at
     phi'(s)); at y = 0 it is the limit phi'(0).  Each optimizing s is one
-    :func:`_least_root`, so values and inverses are exact up to the root's
-    relative width 1e-15 at every height.  Where the optimizing slope
-    or t s overflows, the value is +inf.
+    :func:`_least_root`, the exact least float at every height, so values
+    and inverses are exact up to the rounding of the closed form around it.
+    Where the optimizing slope or t s overflows, the value is +inf.
     """
 
     base: "YoungFamily"
@@ -477,7 +458,7 @@ def _linear_scale(phi: YoungFunction) -> float | None:
 
 @lru_cache(maxsize=64)
 def _unit_argument(phi: YoungFunction) -> float:
-    """c = phi^{-1}(1); for the bisecting families one inverse costs milliseconds."""
+    """c = phi^{-1}(1); for the bisecting families one inverse is 64 evaluations."""
     return float(phi.inverse(1.0))
 
 

@@ -146,10 +146,8 @@ def test_inverse_meets_value_tolerance():
 
 @pytest.mark.parametrize("y", [1e-58, 1e-300, 5e-324])
 def test_inverse_of_a_tiny_height_is_bisected_to_its_width(y):
-    # a root far below the bracket's start at 1 is reached by halving the bracket
-    # [0, 1] into its binade first: that takes up to 1074 halvings before the
-    # 1e-15 relative width can be met, so a cap below that froze the root near
-    # 6.2e-61 (a subnormal root is exact up to its spacing)
+    # a root far below 1, subnormal ones included, is found as precisely as one
+    # near 1: the search runs over the bit patterns of every nonnegative float
     assert LLogL(1.0, 1.0).inverse(y) == pytest.approx(y, rel=1e-12, abs=5e-324)
     assert LLogL(2.0, 1.0).inverse(y) == pytest.approx(math.sqrt(y), rel=1e-12)
 
@@ -164,6 +162,39 @@ def test_inverse_guards():
         LLogL().inverse(-1.0)
     with pytest.raises(RangeError):
         LLogL().inverse(math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -2.0, np.array([1.0, math.nan]), np.array([math.nan, 3.0, -2.0])])
+def test_a_bad_argument_is_named_in_the_refusal(bad):
+    # every negative or nan value is named, a nan inside an array included
+    want = r"got \[?(nan|-2\.)" if np.ndim(bad) == 0 else r"got \[nan( -2\.)?\]"
+    for fn in (LLogL().eval, LLogL().inverse):
+        with pytest.raises(DomainError, match=f"must be nonnegative, {want}"):
+            fn(bad)
+
+
+#: heights of the least-float check: the least subnormal, tiny, huge, and a sweep
+LEAST_FLOAT_HEIGHTS = np.concatenate([[5e-324, 1e-300, 1e-60], np.geomspace(1e-12, 1e12), [1e300]])
+
+
+@pytest.mark.parametrize("phi", [LLogL(1.0, 1.0), LLogL(1.0, 3.0), LLogL(2.0, 0.5)])
+def test_every_bisected_inverse_is_the_least_float(phi):
+    for heights in (LEAST_FLOAT_HEIGHTS, *LEAST_FLOAT_HEIGHTS):
+        roots, y = np.atleast_1d(phi.inverse(heights)), np.atleast_1d(heights)
+        assert np.all(phi.eval(roots) >= y)
+        assert np.all(phi.eval(np.nextafter(roots, 0.0)) < y)
+
+
+def test_an_inverse_reads_phi_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    evaluate = LLogL._eval_array
+    monkeypatch.setattr(LLogL, "_eval_array", lambda self, t: calls.append(1) or evaluate(self, t))
+    counts = []
+    for y in (1e-300, 1.0, 1e300, np.geomspace(1e-12, 1e12, 200)):
+        calls.clear()
+        LLogL(1.0, 1.0).inverse(y)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1 and counts[0] <= 65, counts
 
 
 @settings(max_examples=50, deadline=None)
@@ -702,7 +733,7 @@ def test_an_array_of_heights_gives_its_per_height_roots_bitwise(phi, heights):
 def test_single_height_root_refuses_an_unreached_height():
     g = _Capped().g
     for height in (2.0, np.array([2.0, 2.0])):
-        # the bracket doubles past the float range before it gives up
+        # g stays below the height even at +inf, so no float is its root
         with np.errstate(over="ignore"), pytest.raises(RangeError, match="not attained"):
             _least_root(g, height)
 
